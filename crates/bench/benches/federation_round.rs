@@ -2,8 +2,9 @@
 //! million-client scale cell: seeded client sampling, lazy materialization
 //! out of the embedding arena, sparse local training, and (item-sharded)
 //! robust aggregation, over a 50k-client population at 256 clients/round.
-//! The arena-snapshot bench isolates what evaluation pays to flatten the
-//! pool's user embeddings.
+//! The arena-snapshot bench isolates what evaluation and a serve publish
+//! pay to take the pool's user embeddings: a clone of the arena's
+//! copy-on-write chunk pointers, not of its rows.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use frs_bench::bench_sampled_simulation;

@@ -141,7 +141,7 @@ impl BenignClient {
     }
 
     /// Assembles a client around an already-materialized embedding (the
-    /// lazy-pool path, which owns embeddings in a flat arena between rounds).
+    /// lazy-pool path, which owns embeddings in an arena between rounds).
     pub fn from_parts(
         user_id: usize,
         train: Arc<Dataset>,

@@ -9,7 +9,7 @@
 //! - [`ClientPool::Eager`] — the original `Vec<Box<dyn Client>>`, still used
 //!   when callers hand the builder explicit client objects.
 //! - [`ClientPool::Lazy`] ([`LazyClientPool`]) — benign clients exist only
-//!   as rows of a flat [`EmbeddingStore`] arena plus a seed function; a
+//!   as rows of an [`EmbeddingStore`] arena plus a seed function; a
 //!   real [`BenignClient`] is constructed for exactly the sampled subset
 //!   each round and torn back down into the arena afterwards. Stateful
 //!   client-side defenses persist across samplings in a sparse map, built
@@ -237,8 +237,9 @@ impl ClientPool {
                 }
                 out
             }
-            // The arena *is* the table (boxed rows stay zero); clones
-            // materialize to the heap.
+            // The arena *is* the table (boxed rows stay zero). A heap clone
+            // shares the arena's chunks copy-on-write, so this costs
+            // O(chunks); an mmap arena's clone materializes to the heap.
             Self::Lazy(pool) => pool.arena.clone(),
         }
     }
@@ -298,6 +299,8 @@ impl ClientPool {
                     Participant::Borrowed(c) => (c.id(), c.local_round(ctx, model), None),
                 });
 
+                // The write-back copies each chunk a published snapshot or
+                // an evaluation table still shares, and only those.
                 let mut uploads = Vec::with_capacity(results.len());
                 for (id, grads, owned) in results {
                     if let Some(client) = owned {

@@ -1,5 +1,6 @@
 //! The federation server and round loop.
 
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 use frs_linalg::SeedStream;
@@ -190,8 +191,9 @@ impl Simulation {
 
     /// Dense per-client-id embedding table for metric evaluation. Clients
     /// without a personal embedding (malicious) get zero rows — metrics
-    /// only ever index benign ids. For lazy pools this reads straight out
-    /// of the embedding arena.
+    /// only ever index benign ids. For lazy pools this is a clone of the
+    /// embedding arena that shares its chunks copy-on-write: O(chunks),
+    /// not O(rows).
     pub fn user_embeddings(&self) -> EmbeddingStore {
         self.pool.user_embeddings(self.model.dim())
     }
@@ -217,13 +219,7 @@ impl Simulation {
         let n = self.pool.len();
         let k = self.config.clients_per_round.effective(n);
         let mut rng = self.seeds.rng("server-sample", self.round as u64);
-        let mut idx: Vec<usize> = (0..n).collect();
-        for i in 0..k {
-            let pick = rng.gen_range(i..n);
-            idx.swap(i, pick);
-        }
-        idx.truncate(k);
-        idx
+        sample_distinct(n, k, &mut rng)
     }
 
     /// Executes one communication round (Section III-A steps 1–4).
@@ -331,6 +327,26 @@ impl Simulation {
         self.stats = ckpt.stats.clone();
         Ok(())
     }
+}
+
+/// The first `k` slots of a partial Fisher–Yates shuffle of `0..n`, in
+/// O(k) time and space: instead of filling `(0..n)`, only the slots a swap
+/// has displaced are kept, in an ordered map used for lookups alone. Slot
+/// `i` is never read again once drawn, so its entry leaves the map. Draws
+/// exactly what shuffling the dense vector would (`tests::sparse_sampling_matches_dense`).
+fn sample_distinct<R: Rng + ?Sized>(n: usize, k: usize, rng: &mut R) -> Vec<usize> {
+    let mut displaced: BTreeMap<usize, usize> = BTreeMap::new();
+    (0..k)
+        .map(|i| {
+            let pick = rng.gen_range(i..n);
+            let at_i = displaced.remove(&i).unwrap_or(i);
+            if pick == i {
+                at_i
+            } else {
+                displaced.insert(pick, at_i).unwrap_or(pick)
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -701,5 +717,36 @@ mod tests {
         // Single client with id 5 — not dense.
         let clients: Vec<Box<dyn Client>> = vec![Box::new(BenignClient::new(5, train, 4, 0.1, 0))];
         Simulation::builder(model).clients(clients).build();
+    }
+
+    /// The dense partial Fisher–Yates the sparse sampler replaced: fill
+    /// `(0..n)`, swap each of the first `k` slots with a later one.
+    fn dense_sample(n: usize, k: usize, rng: &mut impl Rng) -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..n).collect();
+        for i in 0..k {
+            let pick = rng.gen_range(i..n);
+            idx.swap(i, pick);
+        }
+        idx.truncate(k);
+        idx
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn sparse_sampling_matches_dense(
+            n in 1usize..3000,
+            k_sel in proptest::any::<usize>(),
+            seed in proptest::any::<u64>(),
+            round in 0u64..1000,
+        ) {
+            let seeds = SeedStream::new(seed);
+            for k in [1, n, 1 + k_sel % n] {
+                let sparse = sample_distinct(n, k, &mut seeds.rng("server-sample", round));
+                let dense = dense_sample(n, k, &mut seeds.rng("server-sample", round));
+                proptest::prop_assert_eq!(sparse, dense);
+            }
+        }
     }
 }

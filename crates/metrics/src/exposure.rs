@@ -24,7 +24,7 @@ impl ExposureReport {
     ///
     /// `user_embeddings` must hold the *current* personalized embedding of
     /// every user (any [`UserEmbeddings`] representation — nested vectors
-    /// or the simulation's flat `EmbeddingStore`); `train` is the training
+    /// or the simulation's chunked `EmbeddingStore`); `train` is the training
     /// interaction data that defines which items are eligible for a user's
     /// recommendation list (uninteracted only, Section III-A).
     pub fn compute<E: UserEmbeddings + ?Sized>(

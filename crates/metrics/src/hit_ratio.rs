@@ -21,7 +21,7 @@ pub struct QualityReport {
 impl QualityReport {
     /// Evaluates users in `eval_users` (typically the benign users). The
     /// embedding table may be any [`UserEmbeddings`] representation — a
-    /// plain `Vec<Vec<f32>>` or the simulation's flat `EmbeddingStore`.
+    /// plain `Vec<Vec<f32>>` or the simulation's chunked `EmbeddingStore`.
     pub fn compute<E: UserEmbeddings + ?Sized>(
         model: &GlobalModel,
         user_embeddings: &E,

@@ -24,7 +24,8 @@ pub struct Snapshot {
     model: GlobalModel,
     /// Per-user embeddings, indexed by dense user id (benign users only —
     /// the serving surface has no reason to recommend to attack clients).
-    /// One flat slab — the same [`EmbeddingStore`] the simulation trains in.
+    /// The simulation's own [`EmbeddingStore`] arena, cloned: it shares
+    /// the arena's chunks, and training copies a chunk before writing it.
     users: EmbeddingStore,
     /// Training interactions: already-seen items are excluded from top-K.
     train: Arc<Dataset>,
@@ -199,5 +200,66 @@ mod tests {
         assert_eq!(held.round(), 0, "held reader keeps its epoch");
         assert_eq!(cell.latest().round(), 1);
         assert_eq!(cell.epoch(), 1, "publish bumps the epoch counter");
+    }
+
+    /// A published snapshot shares its user rows with the simulation's
+    /// arena, copy-on-write: training the next round must leave a held
+    /// snapshot exactly as it was published.
+    #[test]
+    fn held_snapshot_keeps_its_round_while_training_continues() {
+        use frs_data::{leave_one_out, synth, DatasetSpec};
+        use frs_federation::{
+            ClientPool, ClientsPerRound, FederationConfig, LazyClientPool, Simulation,
+        };
+
+        let mut rng = StdRng::seed_from_u64(8);
+        let full = synth::generate(&DatasetSpec::tiny(), &mut rng);
+        let train = Arc::new(leave_one_out(&full, &mut rng).train);
+        // 128-float rows make eight rows a chunk, so a 4-client round
+        // dirties a few chunks and leaves the rest shared.
+        let dim = 128;
+        let model = GlobalModel::new(&ModelConfig::mf(dim), train.n_items(), &mut rng);
+        let pool = LazyClientPool::new(
+            train.n_users(),
+            Arc::clone(&train),
+            dim,
+            0.1,
+            |u| u as u64,
+            None,
+            Vec::new(),
+        );
+        let mut sim = Simulation::builder(model)
+            .pool(ClientPool::Lazy(pool))
+            .config(FederationConfig {
+                clients_per_round: ClientsPerRound::Count(4),
+                seed: 8,
+                ..FederationConfig::default()
+            })
+            .build();
+        let snapshot = |sim: &Simulation| {
+            Snapshot::new(
+                sim.rounds_done(),
+                false,
+                sim.model().clone(),
+                sim.user_embeddings(),
+                Arc::clone(&train),
+            )
+        };
+
+        let cell = SnapshotCell::new(snapshot(&sim));
+        sim.run(2);
+        cell.publish(snapshot(&sim));
+        let held = cell.latest();
+        let deep = EmbeddingStore::from_rows(held.users.rows_iter().map(<[f32]>::to_vec).collect());
+        let ranking = held.top_k(0, 10).unwrap();
+
+        sim.run_round();
+        cell.publish(snapshot(&sim));
+        let next = cell.latest();
+        assert_eq!(next.round(), 3);
+        assert_ne!(next.users, held.users, "round 3 trained some users");
+        assert_eq!(held.round(), 2);
+        assert_eq!(held.users, deep, "the held snapshot kept round 2's rows");
+        assert_eq!(held.top_k(0, 10).unwrap(), ranking);
     }
 }
