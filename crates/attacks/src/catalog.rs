@@ -1,13 +1,13 @@
-//! Attack catalogue: the paper's Table III rows as a convenience enum.
+//! Attack catalogue: the paper's Table III rows.
 //!
-//! [`AttackKind`] enumerates the attacks evaluated in the paper. Since the
-//! registry redesign it is a *thin wrapper over registry lookups*
-//! (see [`crate::registry`]): the enum implements [`AttackFactory`] with the
-//! actual construction logic, registers itself as the builtin entries, and
-//! its legacy [`AttackKind::build_clients`] method resolves through the
-//! registry — so overriding a builtin by name affects enum callers too, and
-//! new attacks need no enum edits at all.
+//! [`AttackKind`] enumerates the attacks evaluated in the paper. Each row is
+//! an [`AttackFactory`] carrying its construction logic, and the rows seed
+//! the attack registry (see [`crate::registry`]). Scenarios reference them
+//! through selections (`AttackSel::from(AttackKind::PieckUea)`), so
+//! overriding a builtin by name takes effect everywhere, and new attacks
+//! need no enum edits at all.
 
+use frs_federation::registry::Factory;
 use frs_federation::Client;
 use pieck_core::{PieckClient, PieckConfig};
 use serde::{Deserialize, Serialize};
@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use crate::fedrecattack::FedRecAttack;
 use crate::interaction::{AHumClient, ARaClient};
 use crate::pipattack::PipAttack;
-use crate::registry::{AttackBuildCtx, AttackFactory, AttackParams, AttackSel, ParamSpec};
+use crate::registry::{AttackBuildCtx, AttackFactory, AttackParams, ParamSpec};
 use crate::scaled::ScaledClient;
 
 /// Norm cap applied to scaled gradient-style poison uploads.
@@ -143,11 +143,6 @@ impl AttackKind {
         }
     }
 
-    /// Parses a registry name back into the enum.
-    pub fn from_name(name: &str) -> Option<Self> {
-        Self::all().into_iter().find(|k| k.name() == name)
-    }
-
     /// Row label matching the paper's tables.
     pub fn label(&self) -> &'static str {
         match self {
@@ -160,35 +155,9 @@ impl AttackKind {
             AttackKind::PieckUea => "PIECK-UEA",
         }
     }
-
-    /// Legacy entry point, kept for backwards compatibility: builds `count`
-    /// malicious clients with ids `first_id..first_id+count`, all promoting
-    /// `targets` with uploads scaled by `poison_scale`. Resolves through the
-    /// registry, so a factory re-registered under this kind's name takes
-    /// effect here too.
-    pub fn build_clients(
-        &self,
-        first_id: usize,
-        count: usize,
-        targets: &[u32],
-        mined_top_n: usize,
-        poison_scale: f32,
-        seed: u64,
-    ) -> Vec<Box<dyn Client>> {
-        AttackSel::from(*self).build_clients(&AttackBuildCtx {
-            mined_top_n,
-            poison_scale,
-            seed,
-            ..AttackBuildCtx::minimal(first_id, count, targets)
-        })
-    }
 }
 
-/// The builtin construction logic (the old closed-enum dispatch, now one
-/// factory implementation among equals). Params override the scenario-level
-/// context defaults; an empty payload reproduces the pre-params wiring
-/// bit for bit.
-impl AttackFactory for AttackKind {
+impl Factory for AttackKind {
     fn name(&self) -> &str {
         AttackKind::name(self)
     }
@@ -221,17 +190,19 @@ impl AttackFactory for AttackKind {
             ],
         }
     }
+}
 
+/// The builtin construction logic. Params override the scenario-level
+/// context defaults; an empty payload reproduces the pre-params wiring
+/// bit for bit.
+impl AttackFactory for AttackKind {
     fn build_clients(
         &self,
         ctx: &AttackBuildCtx<'_>,
         params: &AttackParams,
     ) -> Result<Vec<Box<dyn Client>>, String> {
-        // Validation first: a `count = 0` probe must still catch unknown
-        // keys and bad values before any client is constructed.
-        let schema = AttackFactory::param_schema(self);
-        let known: Vec<&str> = schema.iter().map(|s| s.key.as_str()).collect();
-        params.check_known(&known, AttackKind::name(self))?;
+        // Values are checked first: a `count = 0` probe must still catch
+        // bad values before any client is constructed.
         if *self == AttackKind::NoAttack {
             return Ok(Vec::new());
         }
@@ -300,17 +271,22 @@ impl AttackFactory for AttackKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::AttackSel;
 
     #[test]
     fn no_attack_builds_nothing() {
-        let clients = AttackKind::NoAttack.build_clients(10, 5, &[1], 10, 1.0, 0);
+        let clients = AttackSel::from(AttackKind::NoAttack)
+            .build_clients(&AttackBuildCtx::minimal(10, 5, &[1]));
         assert!(clients.is_empty());
     }
 
     #[test]
     fn other_attacks_build_count_clients_with_dense_ids() {
         for kind in AttackKind::all().into_iter().skip(1) {
-            let clients = kind.build_clients(100, 3, &[1, 2], 10, 2.0, 0);
+            let clients = AttackSel::from(kind).build_clients(&AttackBuildCtx {
+                poison_scale: 2.0,
+                ..AttackBuildCtx::minimal(100, 3, &[1, 2])
+            });
             assert_eq!(clients.len(), 3, "{kind:?}");
             let ids: Vec<usize> = clients.iter().map(|c| c.id()).collect();
             assert_eq!(ids, vec![100, 101, 102], "{kind:?}");
@@ -326,14 +302,6 @@ mod tests {
         let names: std::collections::HashSet<&str> =
             AttackKind::all().iter().map(|k| k.name()).collect();
         assert_eq!(names.len(), 7);
-    }
-
-    #[test]
-    fn names_round_trip() {
-        for kind in AttackKind::all() {
-            assert_eq!(AttackKind::from_name(kind.name()), Some(kind));
-        }
-        assert_eq!(AttackKind::from_name("nope"), None);
     }
 
     #[test]

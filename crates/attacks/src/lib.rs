@@ -33,6 +33,6 @@ pub use interaction::{AHumClient, ARaClient};
 pub use pipattack::PipAttack;
 pub use registry::{
     attack_factory, register_attack, registered_attacks, AttackBuildCtx, AttackFactory,
-    AttackParams, AttackSel, FnAttackFactory, IntoAttackFactory, ParamSpec, ParamValue,
+    AttackParams, AttackSel, Attacks, FnAttackFactory, ParamSpec, ParamValue,
 };
 pub use scaled::ScaledClient;

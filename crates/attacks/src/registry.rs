@@ -1,27 +1,21 @@
-//! The open attack registry — mirror image of `frs_defense::registry`.
+//! The attack family of the shared registry (`frs_federation::registry`).
 //!
 //! Attacks are [`AttackFactory`] trait objects registered by name. A factory
-//! turns a scenario-level [`AttackBuildCtx`] plus a serializable
-//! [`AttackParams`] payload into the scenario's malicious population; the
-//! enum [`AttackKind`] is a thin, backwards-compatible wrapper over registry
-//! lookups, and out-of-crate attacks plug in through [`register_attack`]
-//! without touching any core code.
+//! turns a scenario-level [`AttackBuildCtx`] plus the selection's
+//! [`AttackParams`] into the scenario's malicious population. [`Attacks`] is
+//! the family's [`Catalog`]: its registry starts out holding the
+//! [`AttackKind`] rows and the Table VI / IX variants, and out-of-crate
+//! attacks plug in through [`register_attack`] without touching any core
+//! code.
 //!
-//! Scenarios reference attacks through [`AttackSel`], a `{name, params}`
-//! pair that serializes as a plain string when the params are empty
-//! (`"pieck-uea"`) and as `{"name": "pieck-uea", "params": {"scale": 2}}`
-//! otherwise. The params map is sorted-key and canonical — the same
-//! [`frs_federation::params::Params`] payload defenses use — so suite cache
-//! keys see attack hyper-parameters by construction (see
-//! `frs_experiments::cache`). The CLI form is
-//! `AttackSel::parse("pieck-uea:scale=2.0,top_n=20")`.
-//!
-//! Factories declare the keys they accept through
-//! [`AttackFactory::param_schema`]; unknown keys, mistyped values, and
-//! out-of-range parameters are a clean `Err` from
-//! [`AttackFactory::build_clients`], so a typo'd `--attack` spec fails at
-//! startup (the harness probes a full build) instead of panicking three
-//! cells into a sweep.
+//! Scenarios reference attacks through [`AttackSel`], the shared
+//! [`Selection`] over this catalog (`"pieck-uea"`,
+//! `pieck-uea:scale=2.0,top_n=20` on the CLI); see
+//! `frs_federation::registry` for its wire forms. A selection's build checks
+//! its params against the factory's [`param_schema`](Factory::param_schema)
+//! before the factory runs, and the factory rejects mistyped and
+//! out-of-range values, so a typo'd `--attack` spec fails at startup (the
+//! CLI probes a `count = 0` build) instead of three cells into a sweep.
 //!
 //! ```
 //! use frs_attacks::{register_attack, AttackBuildCtx, AttackSel, FnAttackFactory};
@@ -34,14 +28,14 @@
 //!
 //! [`AttackKind`]: crate::AttackKind
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 
+use frs_federation::registry::{Catalog, Factory, Registry, Selection};
 use frs_federation::Client;
 use frs_model::ModelKind;
 
 use crate::catalog::AttackKind;
-use crate::variants::builtin_variant_factories;
+use crate::variants::{IpeAblation, MultiTargetPieck};
 
 pub use frs_federation::params::{ParamSpec, ParamValue};
 
@@ -51,6 +45,10 @@ pub use frs_federation::params::{ParamSpec, ParamValue};
 /// the caching invariants), aliased for readability. The defense registry
 /// aliases the same type as `frs_defense::DefenseParams`.
 pub type AttackParams = frs_federation::params::Params;
+
+/// A serializable, registry-backed reference to an attack (see the module
+/// docs).
+pub type AttackSel = Selection<Attacks>;
 
 /// Everything a scenario knows that an attack factory may consume when
 /// populating a run with malicious clients. Scenario-level values
@@ -85,10 +83,9 @@ pub struct AttackBuildCtx<'a> {
 
 impl<'a> AttackBuildCtx<'a> {
     /// A context carrying only the population coordinates; everything else
-    /// is a neutral default. Used by the legacy
-    /// [`AttackKind::build_clients`] entry point, the CLI's startup
-    /// try-build probe (`count = 0`: params are validated, no client is
-    /// constructed), and tests.
+    /// is a neutral default. Used by the CLI's startup try-build probe
+    /// (`count = 0`: params are validated, no client is constructed) and by
+    /// tests.
     pub fn minimal(first_id: usize, count: usize, targets: &'a [u32]) -> Self {
         Self {
             first_id,
@@ -106,45 +103,69 @@ impl<'a> AttackBuildCtx<'a> {
 }
 
 /// A named attack that can populate a scenario with malicious clients.
-pub trait AttackFactory: Send + Sync {
-    /// Stable registry key (kebab-case).
-    fn name(&self) -> &str;
-
-    /// Row label for experiment tables; defaults to the registry name.
-    fn label(&self) -> &str {
-        self.name()
-    }
-
-    /// The parameters this attack accepts, for validation and for
-    /// `paper attacks list`. Empty (the default) means "takes none".
-    fn param_schema(&self) -> Vec<ParamSpec> {
-        Vec::new()
-    }
-
+pub trait AttackFactory: Factory {
     /// Builds `ctx.count` malicious clients with dense ids starting at
-    /// `ctx.first_id`. Implementations validate `params` **before**
-    /// constructing any client (unknown keys and bad values are an `Err`,
-    /// and a `count = 0` probe must still exercise the validation), falling
-    /// back to context-derived defaults for missing keys.
+    /// `ctx.first_id`. Every key of `params` is in the declared schema;
+    /// implementations check the values **before** constructing any client
+    /// (a `count = 0` probe must still reject bad values), falling back to
+    /// context-derived defaults for missing keys.
     fn build_clients(
         &self,
         ctx: &AttackBuildCtx<'_>,
         params: &AttackParams,
     ) -> Result<Vec<Box<dyn Client>>, String>;
+}
 
-    /// Optional behaviour fingerprint, mixed into suite cache keys.
-    ///
-    /// Selection *params* need no fingerprint — they live in the config
-    /// JSON and key the cache directly. The fingerprint covers what a
-    /// runtime-registered factory *closed over*: a factory that returns a
-    /// stable string describing its captured parameters re-keys every
-    /// affected cell when the name is re-registered with different
-    /// behaviour. `None` (the default, and what the built-ins use — their
-    /// behaviour is code, versioned by the cache schema) keeps name-only
-    /// addressing.
-    fn fingerprint(&self) -> Option<String> {
-        None
+/// The attack family: [`AttackFactory`] entries building client
+/// populations from an [`AttackBuildCtx`].
+pub enum Attacks {}
+
+impl Catalog for Attacks {
+    type Factory = dyn AttackFactory;
+    type Ctx<'a> = AttackBuildCtx<'a>;
+    type Built = Vec<Box<dyn Client>>;
+    const NOUN: &'static str = "attack";
+
+    fn registry() -> &'static Registry<dyn AttackFactory> {
+        static REGISTRY: OnceLock<Registry<dyn AttackFactory>> = OnceLock::new();
+        fn shared(factory: impl AttackFactory + 'static) -> Arc<dyn AttackFactory> {
+            Arc::new(factory)
+        }
+        // The paper's Table VI / Table IX variants are ordinary catalog
+        // rows next to the `AttackKind` ones.
+        REGISTRY.get_or_init(|| {
+            let rows = AttackKind::all().map(shared).into_iter();
+            let variants = IpeAblation::all().map(shared).into_iter();
+            Registry::new(
+                rows.chain(variants)
+                    .chain(MultiTargetPieck::all().map(shared)),
+            )
+        })
     }
+
+    fn build(
+        factory: &Self::Factory,
+        ctx: &AttackBuildCtx<'_>,
+        params: &AttackParams,
+    ) -> Result<Vec<Box<dyn Client>>, String> {
+        factory.build_clients(ctx, params)
+    }
+}
+
+/// Registers (or replaces) an attack under its name. Returns the previously
+/// registered factory of that name, if any.
+pub fn register_attack(factory: impl AttackFactory + 'static) -> Option<Arc<dyn AttackFactory>> {
+    Attacks::registry().register(Arc::new(factory))
+}
+
+/// Looks an attack up by registry name.
+pub fn attack_factory(name: &str) -> Option<Arc<dyn AttackFactory>> {
+    Attacks::registry().get(name)
+}
+
+/// All registered attack names, sorted.
+pub fn registered_attacks() -> Vec<String> {
+    Attacks::registry().names()
 }
 
 type AttackBuildFn = Box<
@@ -190,25 +211,9 @@ impl FnAttackFactory {
         build: impl Fn(&AttackBuildCtx<'_>) -> Vec<Box<dyn Client>> + Send + Sync + 'static,
     ) -> Self {
         Self {
-            name: name.into(),
-            label: label.into(),
-            fingerprint: None,
-            schema: Vec::new(),
             params_aware: false,
-            build: Box::new(move |ctx, _params| Ok(build(ctx))),
+            ..Self::parameterized(name, label, move |ctx, _params| Ok(build(ctx)))
         }
-    }
-
-    /// Like [`FnAttackFactory::new`], additionally carrying a behaviour
-    /// fingerprint (see [`AttackFactory::fingerprint`]) so suite caches can
-    /// tell apart same-named registrations with different parameters.
-    pub fn fingerprinted(
-        name: impl Into<String>,
-        label: impl Into<String>,
-        fingerprint: impl Into<String>,
-        build: impl Fn(&AttackBuildCtx<'_>) -> Vec<Box<dyn Client>> + Send + Sync + 'static,
-    ) -> Self {
-        Self::new(name, label, build).with_fingerprint(fingerprint)
     }
 
     /// A params-aware, fallible attack: the closure also sees the
@@ -234,8 +239,7 @@ impl FnAttackFactory {
         }
     }
 
-    /// Declares a behaviour fingerprint (see [`AttackFactory::fingerprint`]
-    /// — the PR-3 cache contract for runtime registrations).
+    /// Declares a behaviour fingerprint (see [`Factory::fingerprint`]).
     pub fn with_fingerprint(mut self, fingerprint: impl Into<String>) -> Self {
         self.fingerprint = Some(fingerprint.into());
         self
@@ -259,7 +263,7 @@ impl FnAttackFactory {
     }
 }
 
-impl AttackFactory for FnAttackFactory {
+impl Factory for FnAttackFactory {
     fn name(&self) -> &str {
         &self.name
     }
@@ -272,227 +276,18 @@ impl AttackFactory for FnAttackFactory {
         self.schema.clone()
     }
 
-    fn build_clients(
-        &self,
-        ctx: &AttackBuildCtx<'_>,
-        params: &AttackParams,
-    ) -> Result<Vec<Box<dyn Client>>, String> {
-        if !params.is_empty() {
-            if self.schema.is_empty() {
-                return Err(format!(
-                    "attack `{}` takes no parameters (got `{params}`); declare a schema \
-                     with FnAttackFactory::with_param_schema",
-                    self.name
-                ));
-            }
-            let known: Vec<&str> = self.schema.iter().map(|s| s.key.as_str()).collect();
-            params.check_known(&known, &self.name)?;
-        }
-        (self.build)(ctx, params)
-    }
-
     fn fingerprint(&self) -> Option<String> {
         self.fingerprint.clone()
     }
 }
 
-type Registry = RwLock<BTreeMap<String, Arc<dyn AttackFactory>>>;
-
-static REGISTRY: OnceLock<Registry> = OnceLock::new();
-
-fn registry() -> &'static Registry {
-    REGISTRY.get_or_init(|| {
-        let mut map: BTreeMap<String, Arc<dyn AttackFactory>> = BTreeMap::new();
-        for kind in AttackKind::all() {
-            map.insert(kind.name().to_string(), Arc::new(kind));
-        }
-        // The paper's Table VI / Table IX attack variants are ordinary
-        // parameterized catalog entries — no runtime registration needed.
-        for factory in builtin_variant_factories() {
-            map.insert(factory.name().to_string(), factory);
-        }
-        RwLock::new(map)
-    })
-}
-
-/// Anything [`register_attack`] accepts: a factory by value (boxed into an
-/// `Arc` for you) or an already-shared `Arc<dyn AttackFactory>`.
-pub trait IntoAttackFactory {
-    fn into_attack_factory(self) -> Arc<dyn AttackFactory>;
-}
-
-impl<F: AttackFactory + 'static> IntoAttackFactory for F {
-    fn into_attack_factory(self) -> Arc<dyn AttackFactory> {
-        Arc::new(self)
-    }
-}
-
-impl IntoAttackFactory for Arc<dyn AttackFactory> {
-    fn into_attack_factory(self) -> Arc<dyn AttackFactory> {
-        self
-    }
-}
-
-/// Registers (or replaces) an attack under `factory.name()`. Returns the
-/// previously registered factory of that name, if any.
-pub fn register_attack(factory: impl IntoAttackFactory) -> Option<Arc<dyn AttackFactory>> {
-    let factory = factory.into_attack_factory();
-    registry()
-        .write()
-        .expect("attack registry poisoned")
-        .insert(factory.name().to_string(), factory)
-}
-
-/// Looks an attack up by registry name.
-pub fn attack_factory(name: &str) -> Option<Arc<dyn AttackFactory>> {
-    registry()
-        .read()
-        .expect("attack registry poisoned")
-        .get(name)
-        .cloned()
-}
-
-/// All registered attack names, sorted.
-pub fn registered_attacks() -> Vec<String> {
-    registry()
-        .read()
-        .expect("attack registry poisoned")
-        .keys()
-        .cloned()
-        .collect()
-}
-
-/// A serializable, registry-backed reference to an attack: its registry
-/// name plus a canonical [`AttackParams`] payload — what scenario
-/// configurations carry instead of the closed enum. Serializes as the plain
-/// name string when the params are empty, as `{"name", "params"}` otherwise
-/// — both forms deserialize.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct AttackSel {
-    name: String,
-    params: AttackParams,
-}
-
-impl AttackSel {
-    /// References a registered (or to-be-registered) attack by name, with
-    /// no parameter overrides.
-    pub fn named(name: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            params: AttackParams::new(),
-        }
-    }
-
-    /// The benign baseline.
-    pub fn none() -> Self {
-        AttackKind::NoAttack.into()
-    }
-
-    /// Parses the CLI form `name[:k=v,…]` (e.g. `pieck-uea:scale=2.0,top_n=20`).
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        let (name, params) = match spec.split_once(':') {
-            None => (spec.trim(), AttackParams::new()),
-            Some((name, list)) => (name.trim(), AttackParams::parse_list(list)?),
-        };
-        if name.is_empty() {
-            return Err("empty attack name".into());
-        }
-        Ok(Self {
-            name: name.to_string(),
-            params,
-        })
-    }
-
-    /// Registry key.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The parameter payload.
-    pub fn params(&self) -> &AttackParams {
-        &self.params
-    }
-
-    /// Sets a parameter (builder form).
-    pub fn with_param(mut self, key: impl Into<String>, value: impl Into<ParamValue>) -> Self {
-        self.params.set(key, value);
-        self
-    }
-
-    /// Sets a parameter in place.
-    pub fn set_param(&mut self, key: impl Into<String>, value: impl Into<ParamValue>) {
-        self.params.set(key, value);
-    }
-
-    /// True for the no-attack baseline.
-    pub fn is_no_attack(&self) -> bool {
-        self.name == AttackKind::NoAttack.name()
-    }
-
-    /// Table row label: the factory's, falling back to the raw name for
-    /// not-yet-registered references. Params do not change the label —
-    /// they surface through the variant axis and progress events instead.
-    pub fn label(&self) -> String {
-        match attack_factory(&self.name) {
-            Some(f) => f.label().to_string(),
-            None => self.name.clone(),
-        }
-    }
-
-    /// Resolves through the registry.
-    pub fn resolve(&self) -> Option<Arc<dyn AttackFactory>> {
-        attack_factory(&self.name)
-    }
-
-    /// The resolved factory's behaviour fingerprint, if it declares one
-    /// (unregistered names and fingerprint-less factories yield `None`).
-    pub fn fingerprint(&self) -> Option<String> {
-        self.resolve().and_then(|f| f.fingerprint())
-    }
-
-    /// Builds the malicious population; `Err` for unregistered names or
-    /// parameter errors (unknown keys, type mismatches, out-of-range
-    /// values). The CLI probes this with a `count = 0` context at startup
-    /// so a bad `--attack` spec is a clean exit, not a mid-sweep panic.
-    pub fn try_build_clients(
+impl AttackFactory for FnAttackFactory {
+    fn build_clients(
         &self,
         ctx: &AttackBuildCtx<'_>,
+        params: &AttackParams,
     ) -> Result<Vec<Box<dyn Client>>, String> {
-        match self.resolve() {
-            Some(f) => {
-                // Structural schema validation: every selection-driven build
-                // checks the params against the factory's declared schema
-                // here, so an out-of-crate `impl AttackFactory` that forgets
-                // its own `check_known` preamble still rejects typo'd keys
-                // instead of silently running defaults. (Factories keep
-                // their internal checks for direct `build_clients` callers.)
-                if !self.params.is_empty() {
-                    let schema = f.param_schema();
-                    if schema.is_empty() {
-                        return Err(format!(
-                            "attack `{}` takes no parameters (got `{}`)",
-                            self.name, self.params
-                        ));
-                    }
-                    let known: Vec<&str> = schema.iter().map(|s| s.key.as_str()).collect();
-                    self.params.check_known(&known, &self.name)?;
-                }
-                f.build_clients(ctx, &self.params)
-            }
-            None => Err(format!(
-                "attack `{}` is not registered (known: {:?})",
-                self.name,
-                registered_attacks()
-            )),
-        }
-    }
-
-    /// Builds the malicious population; panics on configuration errors (the
-    /// harness path — a scenario referencing a bad attack is a programming
-    /// error, mirroring `DefenseSel::build`).
-    pub fn build_clients(&self, ctx: &AttackBuildCtx<'_>) -> Vec<Box<dyn Client>> {
-        self.try_build_clients(ctx)
-            .unwrap_or_else(|e| panic!("cannot build attack `{self}`: {e}"))
+        (self.build)(ctx, params)
     }
 }
 
@@ -502,73 +297,11 @@ impl From<AttackKind> for AttackSel {
     }
 }
 
-impl From<&AttackKind> for AttackSel {
-    fn from(kind: &AttackKind) -> Self {
-        (*kind).into()
-    }
-}
-
 /// Name-only comparison: a parameterized `pieck-uea:scale=2` still *is* the
 /// `PieckUea` attack for labelling/reporting purposes.
 impl PartialEq<AttackKind> for AttackSel {
     fn eq(&self, kind: &AttackKind) -> bool {
-        self.name == kind.name()
-    }
-}
-
-impl PartialEq<AttackSel> for AttackKind {
-    fn eq(&self, sel: &AttackSel) -> bool {
-        sel == self
-    }
-}
-
-/// The CLI form: `name` or `name:k=v,…`.
-impl std::fmt::Display for AttackSel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.name)?;
-        if !self.params.is_empty() {
-            write!(f, ":{}", self.params)?;
-        }
-        Ok(())
-    }
-}
-
-impl serde::Serialize for AttackSel {
-    fn to_value(&self) -> serde::Value {
-        if self.params.is_empty() {
-            serde::Value::String(self.name.clone())
-        } else {
-            let mut map = serde::Map::new();
-            map.insert("name".into(), serde::Value::String(self.name.clone()));
-            map.insert("params".into(), serde::Serialize::to_value(&self.params));
-            serde::Value::Object(map)
-        }
-    }
-}
-
-impl serde::Deserialize for AttackSel {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::String(name) => Ok(AttackSel::named(name)),
-            serde::Value::Object(map) => {
-                let name = map
-                    .get("name")
-                    .and_then(|n| n.as_str())
-                    .ok_or_else(|| serde::Error::new("attack object needs a `name` string"))?;
-                let params = match map.get("params") {
-                    None => AttackParams::new(),
-                    Some(p) => serde::Deserialize::from_value(p)?,
-                };
-                Ok(AttackSel {
-                    name: name.to_string(),
-                    params,
-                })
-            }
-            other => Err(serde::Error::new(format!(
-                "expected attack name or {{name, params}}, got {}",
-                other.kind()
-            ))),
-        }
+        self.name() == kind.name()
     }
 }
 
@@ -587,35 +320,14 @@ mod tests {
     }
 
     #[test]
-    fn registry_path_matches_enum_path() {
-        let targets = [3u32, 4];
-        let ctx = AttackBuildCtx {
-            mined_top_n: 10,
-            poison_scale: 1.5,
-            seed: 9,
-            ..AttackBuildCtx::minimal(40, 2, &targets)
-        };
-        for kind in AttackKind::all() {
-            let via_enum = kind.build_clients(40, 2, &[3, 4], 10, 1.5, 9);
-            let via_registry = AttackSel::from(kind).build_clients(&ctx);
-            assert_eq!(via_enum.len(), via_registry.len(), "{kind:?}");
-            let enum_ids: Vec<usize> = via_enum.iter().map(|c| c.id()).collect();
-            let reg_ids: Vec<usize> = via_registry.iter().map(|c| c.id()).collect();
-            assert_eq!(enum_ids, reg_ids, "{kind:?}");
-        }
-    }
-
-    #[test]
     fn fingerprints_surface_through_selections() {
         assert!(AttackSel::named("never-registered").fingerprint().is_none());
         register_attack(FnAttackFactory::new("fp-none", "FpNone", |_| Vec::new()));
         assert!(AttackSel::named("fp-none").fingerprint().is_none());
-        register_attack(FnAttackFactory::fingerprinted(
-            "fp-some",
-            "FpSome",
-            "lambda=0.5",
-            |_| Vec::new(),
-        ));
+        register_attack(
+            FnAttackFactory::new("fp-some", "FpSome", |_| Vec::new())
+                .with_fingerprint("lambda=0.5"),
+        );
         assert_eq!(
             AttackSel::named("fp-some").fingerprint().as_deref(),
             Some("lambda=0.5")
@@ -696,13 +408,15 @@ mod tests {
     fn selection_path_validates_schema_even_for_lazy_factories() {
         /// An out-of-crate factory that "forgets" its check_known preamble.
         struct Lazy;
-        impl AttackFactory for Lazy {
+        impl Factory for Lazy {
             fn name(&self) -> &str {
                 "lazy"
             }
             fn param_schema(&self) -> Vec<ParamSpec> {
                 vec![ParamSpec::new("k", "the only key", "1")]
             }
+        }
+        impl AttackFactory for Lazy {
             fn build_clients(
                 &self,
                 _ctx: &AttackBuildCtx<'_>,
@@ -732,7 +446,7 @@ mod tests {
         let sel: AttackSel = AttackKind::PieckUea.into();
         assert_eq!(sel, AttackKind::PieckUea);
         assert_ne!(sel, AttackKind::PieckIpe);
-        assert!(AttackSel::none().is_no_attack());
+        assert!(AttackSel::none().is_none());
         let v = serde::Serialize::to_value(&sel);
         assert_eq!(v.as_str(), Some("pieck-uea"));
         let back: AttackSel = serde::Deserialize::from_value(&v).unwrap();

@@ -22,8 +22,7 @@
 //!
 //! [`AttackSel`]: crate::registry::AttackSel
 
-use std::sync::Arc;
-
+use frs_federation::registry::Factory;
 use frs_federation::Client;
 use pieck_core::{IpeConfig, MultiTargetStrategy, PieckClient, PieckConfig, SimilarityMetric};
 
@@ -33,19 +32,6 @@ use crate::catalog::{
 };
 use crate::registry::{AttackBuildCtx, AttackFactory, AttackParams, ParamSpec};
 use crate::scaled::ScaledClient;
-
-/// The builtin variant factories the registry seeds itself with, alongside
-/// the [`AttackKind`](crate::AttackKind) rows.
-pub(crate) fn builtin_variant_factories() -> Vec<Arc<dyn AttackFactory>> {
-    let mut factories: Vec<Arc<dyn AttackFactory>> = Vec::new();
-    for ablation in IpeAblation::all() {
-        factories.push(Arc::new(ablation));
-    }
-    for entry in MultiTargetPieck::all() {
-        factories.push(Arc::new(entry));
-    }
-    factories
-}
 
 // ------------------------------------------------- Table VI: L_IPE ablation
 
@@ -101,7 +87,7 @@ impl IpeAblation {
     }
 }
 
-impl AttackFactory for IpeAblation {
+impl Factory for IpeAblation {
     fn name(&self) -> &str {
         self.name
     }
@@ -122,15 +108,14 @@ impl AttackFactory for IpeAblation {
             ),
         ]
     }
+}
 
+impl AttackFactory for IpeAblation {
     fn build_clients(
         &self,
         ctx: &AttackBuildCtx<'_>,
         params: &AttackParams,
     ) -> Result<Vec<Box<dyn Client>>, String> {
-        let schema = self.param_schema();
-        let known: Vec<&str> = schema.iter().map(|s| s.key.as_str()).collect();
-        params.check_known(&known, self.name)?;
         let (top_n, mining_rounds, scale) = resolve_pieck_knobs(ctx, params)?;
         let mut ipe = self.ipe.clone();
         if let Some(lambda) = params.get_f32("lambda")? {
@@ -207,7 +192,7 @@ impl MultiTargetPieck {
     }
 }
 
-impl AttackFactory for MultiTargetPieck {
+impl Factory for MultiTargetPieck {
     fn name(&self) -> &str {
         self.name
     }
@@ -236,15 +221,14 @@ impl AttackFactory for MultiTargetPieck {
         });
         schema
     }
+}
 
+impl AttackFactory for MultiTargetPieck {
     fn build_clients(
         &self,
         ctx: &AttackBuildCtx<'_>,
         params: &AttackParams,
     ) -> Result<Vec<Box<dyn Client>>, String> {
-        let schema = self.param_schema();
-        let known: Vec<&str> = schema.iter().map(|s| s.key.as_str()).collect();
-        params.check_known(&known, self.name)?;
         // Table IX pins the mined-set size per solution: the scenario's
         // mined_top_n *default* deliberately does not apply (the
         // pre-catalog closures pinned it the same way). An explicit

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use frs_bench::bench_uploads;
-use frs_defense::DefenseKind;
+use frs_defense::{DefenseBuildCtx, DefenseKind, DefenseSel};
 
 fn aggregation(c: &mut Criterion) {
     let uploads = bench_uploads(64, 3, 400, 16);
@@ -12,7 +12,9 @@ fn aggregation(c: &mut Criterion) {
         if defense == DefenseKind::Ours {
             continue; // client-side; server part equals NoDefense
         }
-        let agg = defense.build_aggregator(0.05, 0.05);
+        let agg = DefenseSel::from(defense)
+            .build(&DefenseBuildCtx::minimal(0.05, 0.05))
+            .aggregator;
         group.bench_with_input(
             BenchmarkId::from_parameter(defense.label()),
             &uploads,

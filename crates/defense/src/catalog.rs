@@ -1,16 +1,17 @@
 //! Defense catalogue: the rows of Table IV.
 //!
-//! Like `frs_attacks::catalog`, [`DefenseKind`] is a thin wrapper over the
-//! open registry in [`crate::registry`]: the enum carries the builtin
-//! construction logic as its [`DefenseFactory`] implementation, and the
-//! legacy [`DefenseKind::build_aggregator`] method resolves by name so
-//! overrides and out-of-crate defenses compose with existing callers.
+//! Like `frs_attacks::catalog`, each [`DefenseKind`] row is a
+//! [`DefenseFactory`] carrying its construction logic, and the rows seed
+//! the defense registry in [`crate::registry`]. Scenarios reference them
+//! through selections (`DefenseSel::from(DefenseKind::Krum)`), so overrides
+//! and out-of-crate defenses compose with every caller.
 //!
 //! The paper's client-side defense (`Ours`, `pieck_core::defense`) is an
 //! ordinary factory here: it reads its β/γ weights, Re1/Re2 switches, and
 //! mining parameters from the selection's [`DefenseParams`], falling back
 //! to the model-tuned defaults the [`DefenseBuildCtx`] carries.
 
+use frs_federation::registry::Factory;
 use frs_federation::{Aggregator, ShardedAggregator, SumAggregator};
 use pieck_core::{DefenseConfig, PieckDefense};
 use serde::{Deserialize, Serialize};
@@ -18,9 +19,7 @@ use serde::{Deserialize, Serialize};
 use crate::krum::{Bulyan, Krum, MultiKrum};
 use crate::median::{Median, TrimmedMean};
 use crate::norm_bound::NormBound;
-use crate::registry::{
-    DefenseBuildCtx, DefenseFactory, DefenseInstance, DefenseParams, DefenseSel, ParamSpec,
-};
+use crate::registry::{DefenseBuildCtx, DefenseFactory, DefenseInstance, DefenseParams, ParamSpec};
 
 /// Every defense evaluated in the paper, in Table IV row order. `Ours` is
 /// client-side (see `pieck_core::defense`) and pairs with plain-sum server
@@ -67,11 +66,6 @@ impl DefenseKind {
         }
     }
 
-    /// Parses a registry name back into the enum.
-    pub fn from_name(name: &str) -> Option<Self> {
-        Self::all().into_iter().find(|k| k.name() == name)
-    }
-
     /// Row label matching the paper.
     pub fn label(&self) -> &'static str {
         match self {
@@ -85,45 +79,15 @@ impl DefenseKind {
             DefenseKind::Ours => "ours",
         }
     }
-
-    /// True for defenses that run inside benign clients rather than in the
-    /// server's aggregation rule.
-    pub fn is_client_side(&self) -> bool {
-        matches!(self, DefenseKind::Ours)
-    }
-
-    /// Legacy entry point, kept for backwards compatibility: builds the
-    /// server-side aggregator for this defense. `assumed_ratio` is the
-    /// malicious fraction `p̃` the defense is tuned for;
-    /// `norm_bound_threshold` parameterizes [`NormBound`]. Resolves through
-    /// the registry, so re-registered names take effect here too.
-    pub fn build_aggregator(
-        &self,
-        assumed_ratio: f64,
-        norm_bound_threshold: f32,
-    ) -> Box<dyn Aggregator> {
-        DefenseSel::from(*self)
-            .build(&DefenseBuildCtx::minimal(
-                assumed_ratio,
-                norm_bound_threshold,
-            ))
-            .aggregator
-    }
 }
 
-/// The builtin construction logic (the old closed-enum dispatch, now one
-/// factory implementation among equals).
-impl DefenseFactory for DefenseKind {
+impl Factory for DefenseKind {
     fn name(&self) -> &str {
         DefenseKind::name(self)
     }
 
     fn label(&self) -> &str {
         DefenseKind::label(self)
-    }
-
-    fn is_client_side(&self) -> bool {
-        DefenseKind::is_client_side(self)
     }
 
     fn param_schema(&self) -> Vec<ParamSpec> {
@@ -167,15 +131,19 @@ impl DefenseFactory for DefenseKind {
             ],
         }
     }
+}
+
+/// The builtin construction logic.
+impl DefenseFactory for DefenseKind {
+    fn is_client_side(&self) -> bool {
+        matches!(self, DefenseKind::Ours)
+    }
 
     fn build(
         &self,
         ctx: &DefenseBuildCtx,
         params: &DefenseParams,
     ) -> Result<DefenseInstance, String> {
-        let schema = DefenseFactory::param_schema(self);
-        let known: Vec<&str> = schema.iter().map(|s| s.key.as_str()).collect();
-        params.check_known(&known, DefenseKind::name(self))?;
         // Robust rules assume a minority of malicious uploads; clamp.
         let ratio = params
             .get_f64("ratio")?
@@ -239,6 +207,7 @@ impl DefenseFactory for DefenseKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::DefenseSel;
 
     #[test]
     fn labels_are_unique() {
@@ -258,7 +227,9 @@ mod tests {
     fn aggregators_build_and_name_sensibly() {
         use frs_model::GlobalGradients;
         for k in DefenseKind::all() {
-            let agg = k.build_aggregator(0.05, 1.0);
+            let agg = DefenseSel::from(k)
+                .build(&DefenseBuildCtx::minimal(0.05, 1.0))
+                .aggregator;
             let mut u1 = GlobalGradients::new();
             u1.add_item_grad(0, &[0.5, 0.5]);
             let mut u2 = GlobalGradients::new();
@@ -275,7 +246,9 @@ mod tests {
     fn extreme_assumed_ratio_is_clamped() {
         use frs_model::GlobalGradients;
         // Must not panic even with a ratio >= 0.5 — from ctx or from params.
-        let agg = DefenseKind::Krum.build_aggregator(0.9, 1.0);
+        let agg = DefenseSel::from(DefenseKind::Krum)
+            .build(&DefenseBuildCtx::minimal(0.9, 1.0))
+            .aggregator;
         let mut u = GlobalGradients::new();
         u.add_item_grad(0, &[1.0]);
         assert!(agg.aggregate(&[u]).items[&0][0].is_finite());

@@ -32,6 +32,6 @@ pub use median::{Median, TrimmedMean};
 pub use norm_bound::NormBound;
 pub use registry::{
     defense_factory, register_defense, registered_defenses, DefenseBuildCtx, DefenseFactory,
-    DefenseInstance, DefenseParams, DefenseSel, FnDefenseFactory, IntoDefenseFactory, ParamSpec,
-    ParamValue, RegularizerFactory,
+    DefenseInstance, DefenseParams, DefenseSel, Defenses, FnDefenseFactory, ParamSpec, ParamValue,
+    RegularizerFactory,
 };

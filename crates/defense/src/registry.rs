@@ -1,18 +1,17 @@
-//! The open defense registry — mirror image of `frs_attacks::registry`.
+//! The defense family of the shared registry (`frs_federation::registry`).
 //!
 //! Defenses are [`DefenseFactory`] trait objects registered by name. A
-//! factory turns a scenario-level [`DefenseBuildCtx`] plus a serializable
-//! [`DefenseParams`] payload into a [`DefenseInstance`]: the server-side
+//! factory turns a scenario-level [`DefenseBuildCtx`] plus the selection's
+//! [`DefenseParams`] into a [`DefenseInstance`]: the server-side
 //! [`Aggregator`] and — for client-side schemes like the paper's
 //! regularization defense — a per-client [`LocalRegularizer`] factory the
-//! harness invokes once per benign client.
+//! harness invokes once per benign client. [`Defenses`] is the family's
+//! [`Catalog`]; its registry starts out holding the [`DefenseKind`] rows.
 //!
-//! Scenarios reference defenses through [`DefenseSel`], a `{name, params}`
-//! pair that serializes as a plain string when the params are empty
-//! (`"ours"`) and as `{"name": "ours", "params": {"beta": 0.9}}` otherwise.
-//! The params map is sorted-key and canonical, so structurally equal
-//! selections always produce the same JSON bytes — which is what lets suite
-//! cache keys see defense hyper-parameters (see `frs_experiments::cache`).
+//! Scenarios reference defenses through [`DefenseSel`], the shared
+//! [`Selection`] over this catalog (`"ours"`, `ours:beta=0.9` on the CLI);
+//! see `frs_federation::registry` for its wire forms and for the schema
+//! check every build runs before the factory does.
 //!
 //! The paper's own defense (`"ours"`) goes through this registry like every
 //! other factory: its β/γ weights, the Re1/Re2 ablation switches, and the
@@ -33,22 +32,18 @@
 //! assert!(DefenseSel::named("plain-sum").resolve().is_some());
 //! ```
 //!
-//! The legacy [`DefenseKind`] enum remains as a thin wrapper over registry
-//! lookups.
-//!
 //! [`DefenseKind`]: crate::DefenseKind
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 
+use frs_federation::registry::{Catalog, Factory, Registry, Selection};
 use frs_federation::{Aggregator, LocalRegularizer};
 use frs_model::ModelKind;
 
 use crate::catalog::DefenseKind;
 
-// ------------------------------------------------------------------ params
-
 pub use frs_federation::params::{ParamSpec, ParamValue};
+pub use frs_federation::RegularizerFactory;
 
 /// The canonical defense hyper-parameter payload a [`DefenseSel`] carries:
 /// the shared [`frs_federation::params::Params`] map (sorted keys, one
@@ -57,7 +52,9 @@ pub use frs_federation::params::{ParamSpec, ParamValue};
 /// aliases the same type as `frs_attacks::AttackParams`.
 pub type DefenseParams = frs_federation::params::Params;
 
-// ----------------------------------------------------------------- context
+/// A serializable, registry-backed reference to a defense (see the module
+/// docs).
+pub type DefenseSel = Selection<Defenses>;
 
 /// Everything a scenario knows that a defense may consume when
 /// instantiating — the paper's defense needs most of it (mined `N`, the
@@ -89,8 +86,8 @@ pub struct DefenseBuildCtx {
 
 impl DefenseBuildCtx {
     /// A context carrying only the two classic server-side knobs; the rest
-    /// are neutral defaults. Used by the legacy
-    /// [`DefenseKind::build_aggregator`] entry point and by tests.
+    /// are neutral defaults. Used by the CLI's startup try-build probe and
+    /// by tests.
     pub fn minimal(assumed_malicious_ratio: f64, norm_bound_threshold: f32) -> Self {
         Self {
             assumed_malicious_ratio,
@@ -104,13 +101,6 @@ impl DefenseBuildCtx {
         }
     }
 }
-
-// ---------------------------------------------------------------- instance
-
-/// Builds one fresh [`LocalRegularizer`] per benign client (argument: the
-/// client/user id). Each client must get its own instance — regularizers
-/// keep per-client mining state.
-pub type RegularizerFactory = Box<dyn Fn(usize) -> Box<dyn LocalRegularizer> + Send + Sync>;
 
 /// A fully instantiated defense: what [`DefenseFactory::build`] returns and
 /// the harness wires into a simulation.
@@ -154,50 +144,68 @@ impl DefenseInstance {
     }
 }
 
-// ----------------------------------------------------------------- factory
-
 /// A named defense that can arm a scenario.
-pub trait DefenseFactory: Send + Sync {
-    /// Stable registry key (kebab-case).
-    fn name(&self) -> &str;
-
-    /// Row label for experiment tables; defaults to the registry name.
-    fn label(&self) -> &str {
-        self.name()
-    }
-
+pub trait DefenseFactory: Factory {
     /// True for defenses that run inside benign clients rather than in the
     /// server's aggregation rule.
     fn is_client_side(&self) -> bool {
         false
     }
 
-    /// The parameters this defense accepts, for validation and for
-    /// `paper defenses list`. Empty (the default) means "takes none".
-    fn param_schema(&self) -> Vec<ParamSpec> {
-        Vec::new()
-    }
-
-    /// Instantiates the defense for one scenario. Implementations validate
-    /// `params` (unknown keys are an error) and fall back to
-    /// context-derived defaults for missing ones.
+    /// Instantiates the defense for one scenario. Every key of `params` is
+    /// in the declared schema; implementations check the values and fall
+    /// back to context-derived defaults for missing keys.
     fn build(
         &self,
         ctx: &DefenseBuildCtx,
         params: &DefenseParams,
     ) -> Result<DefenseInstance, String>;
+}
 
-    /// Optional behaviour fingerprint, mixed into suite cache keys — same
-    /// contract as `AttackFactory::fingerprint` in `frs_attacks`: a stable
-    /// string describing closed-over parameters, so re-registering this
-    /// name with different behaviour re-keys cached cells. (`DefenseSel`
-    /// *params* need no fingerprint — they live in the config JSON and key
-    /// the cache directly; the fingerprint covers what the factory closed
-    /// over.) `None` (the default, used by the built-ins) keeps name-only
-    /// addressing.
-    fn fingerprint(&self) -> Option<String> {
-        None
+/// The defense family: [`DefenseFactory`] entries building a
+/// [`DefenseInstance`] from a [`DefenseBuildCtx`].
+pub enum Defenses {}
+
+impl Catalog for Defenses {
+    type Factory = dyn DefenseFactory;
+    type Ctx<'a> = DefenseBuildCtx;
+    type Built = DefenseInstance;
+    const NOUN: &'static str = "defense";
+
+    fn registry() -> &'static Registry<dyn DefenseFactory> {
+        static REGISTRY: OnceLock<Registry<dyn DefenseFactory>> = OnceLock::new();
+        REGISTRY.get_or_init(|| {
+            Registry::new(
+                DefenseKind::all()
+                    .into_iter()
+                    .map(|kind| Arc::new(kind) as Arc<dyn DefenseFactory>),
+            )
+        })
     }
+
+    fn build(
+        factory: &Self::Factory,
+        ctx: &DefenseBuildCtx,
+        params: &DefenseParams,
+    ) -> Result<DefenseInstance, String> {
+        factory.build(ctx, params)
+    }
+}
+
+/// Registers (or replaces) a defense under its name. Returns the previously
+/// registered factory of that name, if any.
+pub fn register_defense(factory: impl DefenseFactory + 'static) -> Option<Arc<dyn DefenseFactory>> {
+    Defenses::registry().register(Arc::new(factory))
+}
+
+/// Looks a defense up by registry name.
+pub fn defense_factory(name: &str) -> Option<Arc<dyn DefenseFactory>> {
+    Defenses::registry().get(name)
+}
+
+/// All registered defense names, sorted.
+pub fn registered_defenses() -> Vec<String> {
+    Defenses::registry().names()
 }
 
 type AggregatorBuildFn =
@@ -212,7 +220,7 @@ type RegularizerBuildFn =
 /// ```ignore
 /// register_defense(
 ///     FnDefenseFactory::new("my-defense", "MyDefense", |_ctx| Box::new(SumAggregator))
-///         .with_regularizer(|ctx| Box::new(MyRegularizer::new(ctx.mined_top_n)))
+///         .with_params_regularizer(|_ctx, params, _id| Box::new(MyRegularizer::new(params)))
 ///         .with_param_schema([ParamSpec::new("tau", "attenuation", "1.0")])
 ///         .with_fingerprint("tau-default=1.0"),
 /// );
@@ -224,6 +232,11 @@ pub struct FnDefenseFactory {
     schema: Vec<ParamSpec>,
     aggregator: AggregatorBuildFn,
     regularizer: Option<RegularizerBuildFn>,
+    /// Whether the aggregator / regularizer closure receives the params. A
+    /// declared schema needs one of them, or the keys it admits would be
+    /// validated, cache-keyed, and then silently ignored.
+    aggregator_reads_params: bool,
+    regularizer_reads_params: bool,
 }
 
 impl FnDefenseFactory {
@@ -236,24 +249,9 @@ impl FnDefenseFactory {
         aggregator: impl Fn(&DefenseBuildCtx) -> Box<dyn Aggregator> + Send + Sync + 'static,
     ) -> Self {
         Self {
-            name: name.into(),
-            label: label.into(),
-            fingerprint: None,
-            schema: Vec::new(),
-            aggregator: Box::new(move |ctx, _params| aggregator(ctx)),
-            regularizer: None,
+            aggregator_reads_params: false,
+            ..Self::parameterized(name, label, move |ctx, _params| aggregator(ctx))
         }
-    }
-
-    /// Like [`FnDefenseFactory::new`], additionally carrying a behaviour
-    /// fingerprint (see [`DefenseFactory::fingerprint`]).
-    pub fn fingerprinted(
-        name: impl Into<String>,
-        label: impl Into<String>,
-        fingerprint: impl Into<String>,
-        aggregator: impl Fn(&DefenseBuildCtx) -> Box<dyn Aggregator> + Send + Sync + 'static,
-    ) -> Self {
-        Self::new(name, label, aggregator).with_fingerprint(fingerprint)
     }
 
     /// A params-aware server-side defense: the aggregator closure also sees
@@ -275,18 +273,22 @@ impl FnDefenseFactory {
             schema: Vec::new(),
             aggregator: Box::new(aggregator),
             regularizer: None,
+            aggregator_reads_params: true,
+            regularizer_reads_params: false,
         }
     }
 
-    /// Declares a behaviour fingerprint (see [`DefenseFactory::fingerprint`]
-    /// — the PR-3 cache contract for runtime registrations).
+    /// Declares a behaviour fingerprint (see [`Factory::fingerprint`]).
     pub fn with_fingerprint(mut self, fingerprint: impl Into<String>) -> Self {
         self.fingerprint = Some(fingerprint.into());
         self
     }
 
     /// Declares the accepted parameters. Without a schema, any non-empty
-    /// [`DefenseParams`] fails the build.
+    /// [`DefenseParams`] fails the build. A schema also needs a closure
+    /// that reads the params ([`FnDefenseFactory::parameterized`] or
+    /// [`FnDefenseFactory::with_params_regularizer`]); otherwise the build
+    /// fails.
     pub fn with_param_schema(mut self, schema: impl IntoIterator<Item = ParamSpec>) -> Self {
         self.schema = schema.into_iter().collect();
         self
@@ -296,11 +298,13 @@ impl FnDefenseFactory {
     /// client to produce that client's own [`LocalRegularizer`] (state is
     /// per-client, so instances are never shared).
     pub fn with_regularizer(
-        mut self,
+        self,
         build: impl Fn(&DefenseBuildCtx) -> Box<dyn LocalRegularizer> + Send + Sync + 'static,
     ) -> Self {
-        self.regularizer = Some(Arc::new(move |ctx, _params, _client_id| build(ctx)));
-        self
+        Self {
+            regularizer_reads_params: false,
+            ..self.with_params_regularizer(move |ctx, _params, _client_id| build(ctx))
+        }
     }
 
     /// Params-aware variant of [`FnDefenseFactory::with_regularizer`]: the
@@ -314,11 +318,12 @@ impl FnDefenseFactory {
             + 'static,
     ) -> Self {
         self.regularizer = Some(Arc::new(build));
+        self.regularizer_reads_params = true;
         self
     }
 }
 
-impl DefenseFactory for FnDefenseFactory {
+impl Factory for FnDefenseFactory {
     fn name(&self) -> &str {
         &self.name
     }
@@ -327,12 +332,18 @@ impl DefenseFactory for FnDefenseFactory {
         &self.label
     }
 
-    fn is_client_side(&self) -> bool {
-        self.regularizer.is_some()
-    }
-
     fn param_schema(&self) -> Vec<ParamSpec> {
         self.schema.clone()
+    }
+
+    fn fingerprint(&self) -> Option<String> {
+        self.fingerprint.clone()
+    }
+}
+
+impl DefenseFactory for FnDefenseFactory {
+    fn is_client_side(&self) -> bool {
+        self.regularizer.is_some()
     }
 
     fn build(
@@ -340,16 +351,15 @@ impl DefenseFactory for FnDefenseFactory {
         ctx: &DefenseBuildCtx,
         params: &DefenseParams,
     ) -> Result<DefenseInstance, String> {
-        if !params.is_empty() {
-            if self.schema.is_empty() {
-                return Err(format!(
-                    "defense `{}` takes no parameters (got `{params}`); declare a schema \
-                     with FnDefenseFactory::with_param_schema",
-                    self.name
-                ));
-            }
-            let known: Vec<&str> = self.schema.iter().map(|s| s.key.as_str()).collect();
-            params.check_known(&known, &self.name)?;
+        if !self.schema.is_empty()
+            && !self.aggregator_reads_params
+            && !self.regularizer_reads_params
+        {
+            return Err(format!(
+                "defense `{}` declares parameters but neither of its closures reads them; \
+                 build it with FnDefenseFactory::parameterized or with_params_regularizer",
+                self.name
+            ));
         }
         let aggregator = (self.aggregator)(ctx, params);
         Ok(match &self.regularizer {
@@ -365,187 +375,6 @@ impl DefenseFactory for FnDefenseFactory {
             }
         })
     }
-
-    fn fingerprint(&self) -> Option<String> {
-        self.fingerprint.clone()
-    }
-}
-
-// ---------------------------------------------------------------- registry
-
-type Registry = RwLock<BTreeMap<String, Arc<dyn DefenseFactory>>>;
-
-static REGISTRY: OnceLock<Registry> = OnceLock::new();
-
-fn registry() -> &'static Registry {
-    REGISTRY.get_or_init(|| {
-        let mut map: BTreeMap<String, Arc<dyn DefenseFactory>> = BTreeMap::new();
-        for kind in DefenseKind::all() {
-            map.insert(DefenseKind::name(&kind).to_string(), Arc::new(kind));
-        }
-        RwLock::new(map)
-    })
-}
-
-/// Anything [`register_defense`] accepts: a factory by value (boxed into an
-/// `Arc` for you) or an already-shared `Arc<dyn DefenseFactory>`.
-pub trait IntoDefenseFactory {
-    fn into_defense_factory(self) -> Arc<dyn DefenseFactory>;
-}
-
-impl<F: DefenseFactory + 'static> IntoDefenseFactory for F {
-    fn into_defense_factory(self) -> Arc<dyn DefenseFactory> {
-        Arc::new(self)
-    }
-}
-
-impl IntoDefenseFactory for Arc<dyn DefenseFactory> {
-    fn into_defense_factory(self) -> Arc<dyn DefenseFactory> {
-        self
-    }
-}
-
-/// Registers (or replaces) a defense under `factory.name()`. Returns the
-/// previously registered factory of that name, if any.
-pub fn register_defense(factory: impl IntoDefenseFactory) -> Option<Arc<dyn DefenseFactory>> {
-    let factory = factory.into_defense_factory();
-    registry()
-        .write()
-        .expect("defense registry poisoned")
-        .insert(factory.name().to_string(), factory)
-}
-
-/// Looks a defense up by registry name.
-pub fn defense_factory(name: &str) -> Option<Arc<dyn DefenseFactory>> {
-    registry()
-        .read()
-        .expect("defense registry poisoned")
-        .get(name)
-        .cloned()
-}
-
-/// All registered defense names, sorted.
-pub fn registered_defenses() -> Vec<String> {
-    registry()
-        .read()
-        .expect("defense registry poisoned")
-        .keys()
-        .cloned()
-        .collect()
-}
-
-// --------------------------------------------------------------- selection
-
-/// A serializable, registry-backed reference to a defense: its registry
-/// name plus a canonical [`DefenseParams`] payload. Serializes as the plain
-/// name string when the params are empty, as `{"name", "params"}` otherwise
-/// — both forms deserialize.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct DefenseSel {
-    name: String,
-    params: DefenseParams,
-}
-
-impl DefenseSel {
-    /// References a registered (or to-be-registered) defense by name, with
-    /// no parameter overrides.
-    pub fn named(name: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            params: DefenseParams::new(),
-        }
-    }
-
-    /// The undefended baseline.
-    pub fn none() -> Self {
-        DefenseKind::NoDefense.into()
-    }
-
-    /// Parses the CLI form `name[:k=v,…]` (e.g. `ours:beta=0.9,re2=false`).
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        let (name, params) = match spec.split_once(':') {
-            None => (spec.trim(), DefenseParams::new()),
-            Some((name, list)) => (name.trim(), DefenseParams::parse_list(list)?),
-        };
-        if name.is_empty() {
-            return Err("empty defense name".into());
-        }
-        Ok(Self {
-            name: name.to_string(),
-            params,
-        })
-    }
-
-    /// Registry key.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The parameter payload.
-    pub fn params(&self) -> &DefenseParams {
-        &self.params
-    }
-
-    /// Sets a parameter (builder form).
-    pub fn with_param(mut self, key: impl Into<String>, value: impl Into<ParamValue>) -> Self {
-        self.params.set(key, value);
-        self
-    }
-
-    /// Sets a parameter in place ([`crate::registry::DefenseParams::set`]).
-    pub fn set_param(&mut self, key: impl Into<String>, value: impl Into<ParamValue>) {
-        self.params.set(key, value);
-    }
-
-    /// True for the undefended baseline.
-    pub fn is_no_defense(&self) -> bool {
-        self.name == DefenseKind::NoDefense.name()
-    }
-
-    /// Table row label (the factory's; params do not change the label —
-    /// they surface through the variant axis and progress events instead).
-    pub fn label(&self) -> String {
-        match defense_factory(&self.name) {
-            Some(f) => f.label().to_string(),
-            None => self.name.clone(),
-        }
-    }
-
-    /// True when the resolved defense runs client-side.
-    pub fn is_client_side(&self) -> bool {
-        self.resolve().map(|f| f.is_client_side()).unwrap_or(false)
-    }
-
-    /// Resolves through the registry.
-    pub fn resolve(&self) -> Option<Arc<dyn DefenseFactory>> {
-        defense_factory(&self.name)
-    }
-
-    /// The resolved factory's behaviour fingerprint, if it declares one.
-    pub fn fingerprint(&self) -> Option<String> {
-        self.resolve().and_then(|f| f.fingerprint())
-    }
-
-    /// Instantiates the defense; `Err` for unregistered names or parameter
-    /// errors (unknown keys, type mismatches).
-    pub fn try_build(&self, ctx: &DefenseBuildCtx) -> Result<DefenseInstance, String> {
-        match self.resolve() {
-            Some(f) => f.build(ctx, &self.params),
-            None => Err(format!(
-                "defense `{}` is not registered (known: {:?})",
-                self.name,
-                registered_defenses()
-            )),
-        }
-    }
-
-    /// Instantiates the defense; panics on configuration errors (the
-    /// harness path — a scenario referencing a bad defense is a programming
-    /// error, mirroring `AttackSel::build_clients`).
-    pub fn build(&self, ctx: &DefenseBuildCtx) -> DefenseInstance {
-        self.try_build(ctx)
-            .unwrap_or_else(|e| panic!("cannot build defense `{self}`: {e}"))
-    }
 }
 
 impl From<DefenseKind> for DefenseSel {
@@ -554,73 +383,11 @@ impl From<DefenseKind> for DefenseSel {
     }
 }
 
-impl From<&DefenseKind> for DefenseSel {
-    fn from(kind: &DefenseKind) -> Self {
-        (*kind).into()
-    }
-}
-
 /// Name-only comparison: a parameterized `ours:beta=0.9` still *is* the
 /// `Ours` defense for labelling/reporting purposes.
 impl PartialEq<DefenseKind> for DefenseSel {
     fn eq(&self, kind: &DefenseKind) -> bool {
-        self.name == kind.name()
-    }
-}
-
-impl PartialEq<DefenseSel> for DefenseKind {
-    fn eq(&self, sel: &DefenseSel) -> bool {
-        sel == self
-    }
-}
-
-/// The CLI form: `name` or `name:k=v,…`.
-impl std::fmt::Display for DefenseSel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.name)?;
-        if !self.params.is_empty() {
-            write!(f, ":{}", self.params)?;
-        }
-        Ok(())
-    }
-}
-
-impl serde::Serialize for DefenseSel {
-    fn to_value(&self) -> serde::Value {
-        if self.params.is_empty() {
-            serde::Value::String(self.name.clone())
-        } else {
-            let mut map = serde::Map::new();
-            map.insert("name".into(), serde::Value::String(self.name.clone()));
-            map.insert("params".into(), serde::Serialize::to_value(&self.params));
-            serde::Value::Object(map)
-        }
-    }
-}
-
-impl serde::Deserialize for DefenseSel {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::String(name) => Ok(DefenseSel::named(name)),
-            serde::Value::Object(map) => {
-                let name = map
-                    .get("name")
-                    .and_then(|n| n.as_str())
-                    .ok_or_else(|| serde::Error::new("defense object needs a `name` string"))?;
-                let params = match map.get("params") {
-                    None => DefenseParams::new(),
-                    Some(p) => serde::Deserialize::from_value(p)?,
-                };
-                Ok(DefenseSel {
-                    name: name.to_string(),
-                    params,
-                })
-            }
-            other => Err(serde::Error::new(format!(
-                "expected defense name or {{name, params}}, got {}",
-                other.kind()
-            ))),
-        }
+        self.name() == kind.name()
     }
 }
 
@@ -640,31 +407,13 @@ mod tests {
     }
 
     #[test]
-    fn registry_path_matches_enum_path() {
-        let ctx = DefenseBuildCtx::minimal(0.05, 0.5);
-        let mut u1 = GlobalGradients::new();
-        u1.add_item_grad(0, &[0.5, 0.5]);
-        let mut u2 = GlobalGradients::new();
-        u2.add_item_grad(0, &[0.1, -0.4]);
-        let uploads = [u1, u2];
-        for kind in DefenseKind::all() {
-            let via_enum = kind.build_aggregator(0.05, 0.5).aggregate(&uploads);
-            let via_registry = DefenseSel::from(kind)
-                .build(&ctx)
-                .aggregator
-                .aggregate(&uploads);
-            assert_eq!(via_enum, via_registry, "{kind:?}");
-        }
-    }
-
-    #[test]
     fn custom_defense_round_trips() {
         register_defense(FnDefenseFactory::new("sum-again", "SumAgain", |_| {
             Box::new(SumAggregator)
         }));
         let sel = DefenseSel::named("sum-again");
         assert_eq!(sel.label(), "SumAgain");
-        assert!(!sel.is_client_side());
+        assert!(!sel.resolve().unwrap().is_client_side());
         let ctx = DefenseBuildCtx::minimal(0.0, 1.0);
         assert_eq!(sel.build(&ctx).aggregator.name(), "NoDefense");
     }
@@ -696,7 +445,7 @@ mod tests {
                 .with_fingerprint("inert-v1"),
         );
         let sel = DefenseSel::named("inert-client");
-        assert!(sel.is_client_side());
+        assert!(sel.resolve().unwrap().is_client_side());
         assert_eq!(sel.fingerprint().as_deref(), Some("inert-v1"));
         let instance = sel.build(&DefenseBuildCtx::minimal(0.05, 1.0));
         assert!(instance.regularizer_for(3).is_some());
@@ -714,6 +463,78 @@ mod tests {
             .try_build(&DefenseBuildCtx::minimal(0.05, 1.0))
             .unwrap_err();
         assert!(err.contains("takes no parameters"), "{err}");
+    }
+
+    #[test]
+    fn params_blind_schema_is_a_build_error() {
+        // Neither closure reads the params, so the declared `tau` would be
+        // validated, cache-keyed, and silently ignored.
+        register_defense(
+            FnDefenseFactory::new("blind-defense", "Blind", |_| Box::new(SumAggregator))
+                .with_param_schema([ParamSpec::new("tau", "ignored", "1.0")]),
+        );
+        let ctx = DefenseBuildCtx::minimal(0.05, 1.0);
+        for sel in [
+            DefenseSel::named("blind-defense").with_param("tau", 0.5f32),
+            DefenseSel::named("blind-defense"),
+        ] {
+            let err = sel.try_build(&ctx).unwrap_err();
+            assert!(err.contains("neither of its closures reads them"), "{err}");
+        }
+        // A params-blind regularizer does not read them either.
+        register_defense(
+            FnDefenseFactory::new("blind-client", "BlindClient", |_| Box::new(SumAggregator))
+                .with_param_schema([ParamSpec::new("tau", "ignored", "1.0")])
+                .with_regularizer(|_ctx| Box::new(InertReg)),
+        );
+        assert!(DefenseSel::named("blind-client").try_build(&ctx).is_err());
+        // A params-aware aggregator does.
+        register_defense(
+            FnDefenseFactory::parameterized("aware-defense", "Aware", |_, _| {
+                Box::new(SumAggregator)
+            })
+            .with_param_schema([ParamSpec::new("tau", "read", "1.0")]),
+        );
+        assert!(DefenseSel::named("aware-defense")
+            .with_param("tau", 0.5f32)
+            .try_build(&ctx)
+            .is_ok());
+    }
+
+    #[test]
+    fn selection_path_validates_schema_even_for_lazy_factories() {
+        /// An out-of-crate factory that checks none of its keys itself.
+        struct Lazy;
+        impl Factory for Lazy {
+            fn name(&self) -> &str {
+                "lazy"
+            }
+            fn param_schema(&self) -> Vec<ParamSpec> {
+                vec![ParamSpec::new("k", "the only key", "1")]
+            }
+        }
+        impl DefenseFactory for Lazy {
+            fn build(
+                &self,
+                _ctx: &DefenseBuildCtx,
+                _params: &DefenseParams,
+            ) -> Result<DefenseInstance, String> {
+                Ok(DefenseInstance::server(Box::new(SumAggregator)))
+            }
+        }
+        register_defense(Lazy);
+        let ctx = DefenseBuildCtx::minimal(0.05, 1.0);
+        // The selection path rejects typo'd keys structurally…
+        let err = DefenseSel::named("lazy")
+            .with_param("kk", 1u64)
+            .try_build(&ctx)
+            .unwrap_err();
+        assert!(err.contains("unknown parameter"), "{err}");
+        // …and declared keys still pass through.
+        assert!(DefenseSel::named("lazy")
+            .with_param("k", 1u64)
+            .try_build(&ctx)
+            .is_ok());
     }
 
     #[test]
@@ -748,12 +569,10 @@ mod tests {
 
     #[test]
     fn fingerprints_surface_through_selections() {
-        register_defense(FnDefenseFactory::fingerprinted(
-            "fp-defense",
-            "FpDefense",
-            "threshold=0.25",
-            |_| Box::new(SumAggregator),
-        ));
+        register_defense(
+            FnDefenseFactory::new("fp-defense", "FpDefense", |_| Box::new(SumAggregator))
+                .with_fingerprint("threshold=0.25"),
+        );
         assert_eq!(
             DefenseSel::named("fp-defense").fingerprint().as_deref(),
             Some("threshold=0.25")
@@ -768,8 +587,8 @@ mod tests {
     fn sel_compares_and_serializes() {
         let sel: DefenseSel = DefenseKind::Ours.into();
         assert_eq!(sel, DefenseKind::Ours);
-        assert!(sel.is_client_side());
-        assert!(DefenseSel::none().is_no_defense());
+        assert!(sel.resolve().unwrap().is_client_side());
+        assert!(DefenseSel::none().is_none());
         let v = serde::Serialize::to_value(&sel);
         assert_eq!(v.as_str(), Some("ours"));
         let back: DefenseSel = serde::Deserialize::from_value(&v).unwrap();

@@ -40,10 +40,12 @@
 // binary's command dispatch.
 #![allow(clippy::exit)]
 
+use frs_attacks::Attacks;
+use frs_defense::Defenses;
 use frs_experiments::paper::PaperCommand;
 use frs_experiments::suite::ExecOptions;
 use frs_experiments::{CommonArgs, JsonlSink, Report, ReportFormat, SuiteCache};
-use frs_federation::CoreBudget;
+use frs_federation::{Catalog, CoreBudget, Factory, Selection};
 
 fn print_usage() {
     eprintln!("usage: paper <command> [operands] [--scale f] [--rounds n] [--seed s] [--full]");
@@ -69,41 +71,29 @@ fn print_usage() {
     }
 }
 
-/// `paper defenses list`: every registered defense with its label, side,
-/// and parameter schema (the keys `--defense name:k=v,…` accepts).
-fn defenses_list() {
-    println!("{:<14} {:<14} {:<7} params", "name", "label", "side");
-    for name in frs_defense::registered_defenses() {
-        let Some(factory) = frs_defense::defense_factory(&name) else {
-            continue;
-        };
-        let side = if factory.is_client_side() {
-            "client"
-        } else {
-            "server"
-        };
-        let schema = factory.param_schema();
-        let params = if schema.is_empty() {
-            "-".to_string()
-        } else {
-            schema
-                .iter()
-                .map(|p| format!("{} ({}; default: {})", p.key, p.doc, p.default))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        println!("{:<14} {:<14} {:<7} {params}", name, factory.label(), side);
+/// Exits 2 with the error when `sel` does not build against `ctx`.
+fn probe<C: Catalog>(sel: &Selection<C>, ctx: &C::Ctx<'_>, flag: &str) {
+    if let Err(e) = sel.try_build(ctx) {
+        eprintln!("bad {flag} {sel}: {e}");
+        std::process::exit(2);
     }
 }
 
-/// `paper attacks list`: every registered attack with its table label and
-/// parameter schema (the keys `--attack name:k=v,…` accepts).
-fn attacks_list() {
-    println!("{:<22} {:<14} params", "name", "label");
-    for name in frs_attacks::registered_attacks() {
-        let Some(factory) = frs_attacks::attack_factory(&name) else {
+/// `paper attacks list` / `paper defenses list`: every registered entry of
+/// catalog `C` with its table label, its `side` column when the family has
+/// one, and its parameter schema (the keys `--attack`/`--defense
+/// name:k=v,…` accepts).
+fn list<C: Catalog>(name_width: usize, side: Option<fn(&C::Factory) -> &'static str>) {
+    let side_header = side.map_or(String::new(), |_| format!("{:<7} ", "side"));
+    println!(
+        "{:<name_width$} {:<14} {side_header}params",
+        "name", "label"
+    );
+    for name in C::registry().names() {
+        let Some(factory) = C::registry().get(&name) else {
             continue;
         };
+        let side_cell = side.map_or(String::new(), |side| format!("{:<7} ", side(&factory)));
         let schema = factory.param_schema();
         let params = if schema.is_empty() {
             "-".to_string()
@@ -115,10 +105,8 @@ fn attacks_list() {
                 .join(", ")
         };
         println!(
-            "{:<22} {:<14} {params}",
-            name,
-            factory.label(),
-            params = params
+            "{name:<name_width$} {:<14} {side_cell}{params}",
+            factory.label()
         );
     }
 }
@@ -463,9 +451,18 @@ fn main() {
                 }
             }
             if cmd == "defenses" {
-                defenses_list();
+                list::<Defenses>(
+                    14,
+                    Some(|f| {
+                        if f.is_client_side() {
+                            "client"
+                        } else {
+                            "server"
+                        }
+                    }),
+                );
             } else {
-                attacks_list();
+                list::<Attacks>(22, None);
             }
             return;
         }
@@ -486,33 +483,26 @@ fn main() {
         },
     };
 
-    // Validate an --attack override up front with a full try-build probe
-    // (count = 0: params are validated, no client is constructed): unknown
-    // names, typo'd keys, and mistyped/out-of-range values are all a clean
-    // exit 2 instead of a worker panic three cells into a sweep. Unlike
-    // defenses, every attack the paper CLI can sweep — the table6/table9
-    // ablation variants included — is a builtin catalog entry, so an
-    // unresolved name here is always an error.
+    // Validate --attack/--defense overrides up front with a full try-build
+    // probe against a neutral context (for attacks, count = 0: params are
+    // validated, no client is constructed): unknown names, typo'd keys, and
+    // mistyped/out-of-range values are all a clean exit 2 instead of a
+    // worker panic three cells into a sweep. Every attack and defense the
+    // paper CLI can sweep is a builtin catalog entry, so an unresolved name
+    // here is always an error.
     if let Some(sel) = &args.attack {
-        if let Err(e) = sel.try_build_clients(&frs_attacks::AttackBuildCtx::minimal(0, 0, &[])) {
-            eprintln!("bad --attack {sel}: {e}");
-            std::process::exit(2);
-        }
+        probe(
+            sel,
+            &frs_attacks::AttackBuildCtx::minimal(0, 0, &[]),
+            "--attack",
+        );
     }
-
-    // Validate a --defense override up front when the name already resolves
-    // (built-ins always do): typo'd keys, mistyped values, and out-of-range
-    // parameters should all be a clean exit, not a worker panic three cells
-    // into a sweep — so probe a full build against a neutral context.
-    // Unregistered names are left to runtime — table6/table9-style
-    // factories register during suite declaration.
     if let Some(sel) = &args.defense {
-        if sel.resolve().is_some() {
-            if let Err(e) = sel.try_build(&frs_defense::DefenseBuildCtx::minimal(0.05, 0.05)) {
-                eprintln!("bad --defense {sel}: {e}");
-                std::process::exit(2);
-            }
-        }
+        probe(
+            sel,
+            &frs_defense::DefenseBuildCtx::minimal(0.05, 0.05),
+            "--defense",
+        );
     }
 
     // Same courtesy for --dataset file:PATH — a missing file should be a

@@ -34,7 +34,7 @@
 //! defenses live in the config as registry *names* (`AttackSel` /
 //! `DefenseSel`), so by itself the key cannot see a factory's closed-over
 //! behaviour. Factories may declare an optional behaviour **fingerprint**
-//! (`AttackFactory::fingerprint` / `DefenseFactory::fingerprint`), which
+//! (`frs_federation::Factory::fingerprint`), which
 //! [`scenario_key`] hashes alongside the config — re-registering a name
 //! with different parameters then re-keys every affected cell, as the
 //! `paper` ablation suites do. A factory without a fingerprint keeps
@@ -852,6 +852,48 @@ mod tests {
         assert_eq!(key, scenario_key(&auto));
     }
 
+    /// Literal keys: a change to how configs or selections serialize would
+    /// re-key every cached cell, and comparisons within one build cannot
+    /// see that. Changing one of these values needs a schema bump.
+    #[test]
+    fn keys_are_pinned_across_builds() {
+        use frs_attacks::AttackSel;
+        use frs_defense::DefenseSel;
+
+        let baseline = ScenarioConfig::baseline(DatasetSpec::tiny(), ModelKind::Mf, 7);
+        let mut attacked = baseline.clone();
+        attacked.attack = AttackSel::named("pieck-uea");
+        attacked.defense = DefenseSel::named("ours");
+        let mut parameterized = baseline.clone();
+        parameterized.attack = AttackSel::parse("pieck-uea:scale=2,top_n=20").unwrap();
+        parameterized.defense = DefenseSel::parse("ours:beta=0.9,re2=false").unwrap();
+        let mut variant = ScenarioConfig::baseline(DatasetSpec::tiny(), ModelKind::Ncf, 3);
+        variant.attack = AttackSel::named("ipe-ablation-pkl");
+        variant.defense = DefenseSel::parse("median:shards=8").unwrap();
+
+        assert_eq!(CACHE_SCHEMA_VERSION, 6);
+        for (cfg, key) in [
+            (
+                &baseline,
+                "7eaa8927b24dcb4a902a794995f0fa06296c96994fdc67dda28ee2a8d5a3d14b",
+            ),
+            (
+                &attacked,
+                "400fef131470de7636a5fa4d88baf9dfa3c80d09b0dddbc099ede61dd41cce05",
+            ),
+            (
+                &parameterized,
+                "b76f352d804d64ec211eb3785367435cd4b0b6e28c82044b681b7fd73b1cbd80",
+            ),
+            (
+                &variant,
+                "97b4f1b1b07661f79bb92c0f628d6fbfe384d15dd6fea275e9086ea7659ef84d",
+            ),
+        ] {
+            assert_eq!(scenario_key(cfg), key, "{}", cfg.canonical_json());
+        }
+    }
+
     #[test]
     fn defense_params_are_part_of_the_key() {
         use frs_defense::DefenseSel;
@@ -913,33 +955,27 @@ mod tests {
         assert_eq!(unregistered, scenario_key(&cfg));
 
         // A fingerprint joins the hash payload…
-        register_attack(FnAttackFactory::fingerprinted(
-            "fp-cache-probe",
-            "Probe",
-            "lambda=1.0",
-            |_| Vec::new(),
-        ));
+        register_attack(
+            FnAttackFactory::new("fp-cache-probe", "Probe", |_| Vec::new())
+                .with_fingerprint("lambda=1.0"),
+        );
         let v1 = scenario_key(&cfg);
         assert_ne!(unregistered, v1);
 
         // …and re-registering the same name with different parameters
         // addresses different entries (the staleness hole this closes).
-        register_attack(FnAttackFactory::fingerprinted(
-            "fp-cache-probe",
-            "Probe",
-            "lambda=2.0",
-            |_| Vec::new(),
-        ));
+        register_attack(
+            FnAttackFactory::new("fp-cache-probe", "Probe", |_| Vec::new())
+                .with_fingerprint("lambda=2.0"),
+        );
         let v2 = scenario_key(&cfg);
         assert_ne!(v1, v2);
 
         // Re-registering the original parameters restores the original key.
-        register_attack(FnAttackFactory::fingerprinted(
-            "fp-cache-probe",
-            "Probe",
-            "lambda=1.0",
-            |_| Vec::new(),
-        ));
+        register_attack(
+            FnAttackFactory::new("fp-cache-probe", "Probe", |_| Vec::new())
+                .with_fingerprint("lambda=1.0"),
+        );
         assert_eq!(v1, scenario_key(&cfg));
     }
 
@@ -955,29 +991,22 @@ mod tests {
         let mut forged = ScenarioConfig::baseline(DatasetSpec::tiny(), ModelKind::Mf, 7);
         forged.attack = AttackSel::named("forge-attack");
         forged.defense = DefenseSel::named("forge-defense");
-        register_attack(FnAttackFactory::fingerprinted(
-            "forge-attack",
-            "Forge",
-            "x\ndefense-fingerprint:y",
-            |_| Vec::new(),
-        ));
+        register_attack(
+            FnAttackFactory::new("forge-attack", "Forge", |_| Vec::new())
+                .with_fingerprint("x\ndefense-fingerprint:y"),
+        );
         register_defense(FnDefenseFactory::new("forge-defense", "Forge", |_| {
             Box::new(SumAggregator)
         }));
         let key_forged = scenario_key(&forged);
 
-        register_attack(FnAttackFactory::fingerprinted(
-            "forge-attack",
-            "Forge",
-            "x",
-            |_| Vec::new(),
-        ));
-        register_defense(FnDefenseFactory::fingerprinted(
-            "forge-defense",
-            "Forge",
-            "y",
-            |_| Box::new(SumAggregator),
-        ));
+        register_attack(
+            FnAttackFactory::new("forge-attack", "Forge", |_| Vec::new()).with_fingerprint("x"),
+        );
+        register_defense(
+            FnDefenseFactory::new("forge-defense", "Forge", |_| Box::new(SumAggregator))
+                .with_fingerprint("y"),
+        );
         assert_ne!(key_forged, scenario_key(&forged));
     }
 
@@ -989,12 +1018,10 @@ mod tests {
         let mut cfg = ScenarioConfig::baseline(DatasetSpec::tiny(), ModelKind::Mf, 7);
         cfg.defense = DefenseSel::named("fp-cache-defense");
         let unfingerprinted = scenario_key(&cfg);
-        register_defense(FnDefenseFactory::fingerprinted(
-            "fp-cache-defense",
-            "Probe",
-            "tau=0.1",
-            |_| Box::new(SumAggregator),
-        ));
+        register_defense(
+            FnDefenseFactory::new("fp-cache-defense", "Probe", |_| Box::new(SumAggregator))
+                .with_fingerprint("tau=0.1"),
+        );
         assert_ne!(unfingerprinted, scenario_key(&cfg));
     }
 

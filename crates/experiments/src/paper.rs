@@ -939,7 +939,7 @@ fn fig6b(
     for r in result.all_cells() {
         let label = if r.cell.defense == DefenseKind::Ours {
             "DEFENSE(ours)".to_string()
-        } else if r.cell.attack.is_no_attack() {
+        } else if r.cell.attack.is_none() {
             "No(Att.&Def.)".to_string()
         } else {
             r.cell.attack.label()

@@ -108,7 +108,7 @@ impl ScenarioConfig {
 
     /// Number of malicious clients so that `p̃ = n_mal/(n_benign + n_mal)`.
     pub fn n_malicious(&self, n_benign: usize) -> usize {
-        if self.attack.is_no_attack() || self.malicious_ratio <= 0.0 {
+        if self.attack.is_none() || self.malicious_ratio <= 0.0 {
             return 0;
         }
         let p = self.malicious_ratio.min(0.9);
@@ -283,8 +283,8 @@ pub fn build_simulation_with(
 
     // Benign clients are *lazy*: only arena rows until sampled, so a cell
     // scales to millions of registered users without a million boxed
-    // clients. Seeds match what the eager `BenignClient::new` loop drew,
-    // so results are unchanged (the pools are bit-identical by contract).
+    // clients. Seeds match what a `BenignClient::new` per user would draw,
+    // so results are unchanged (the two are bit-identical by contract).
     let seed = cfg.federation.seed;
     let pool = LazyClientPool::new(
         n_benign,

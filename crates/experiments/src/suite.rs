@@ -19,10 +19,10 @@
 //! seeded and results are placed by grid index), and renders a unified
 //! [`Report`] with Markdown/CSV/JSON sinks.
 //!
-//! Everything in a suite is plain serde-serializable data: attacks are
-//! registry names ([`AttackSel`]), defenses are registry names plus a
-//! canonical params payload ([`DefenseSel`], e.g. `ours:beta=0.9`), variant
-//! axes are [`ConfigPatch`] value patches. A suite can therefore be written
+//! Everything in a suite is plain serde-serializable data: attacks and
+//! defenses are registry names plus a canonical params payload
+//! ([`AttackSel`], [`DefenseSel`], e.g. `ours:beta=0.9`), variant axes are
+//! [`ConfigPatch`] value patches. A suite can therefore be written
 //! to JSON, inspected, or rebuilt elsewhere — and an attack or defense
 //! registered at runtime via `frs_attacks::register_attack` /
 //! `frs_defense::register_defense` sweeps exactly like a builtin.
@@ -134,19 +134,14 @@ impl ConfigPatch {
         // applied only when the cell's resolved attack declares it, so an
         // inert knob flip (poison scale on the no-attack baseline, mined N
         // on a mining-free attack) cannot re-key — and thereby duplicate —
-        // cache cells whose outcome it cannot change. (Unresolved names
-        // accept everything; the build still rejects strays.)
-        let attack_accepts = |cfg: &ScenarioConfig, key: &str| match cfg.attack.resolve() {
-            Some(factory) => factory.param_schema().iter().any(|spec| spec.key == key),
-            None => true,
-        };
+        // cache cells whose outcome it cannot change.
         if let Some(v) = self.mined_top_n {
-            if attack_accepts(cfg, "top_n") {
+            if cfg.attack.accepts("top_n") {
                 cfg.attack.set_param("top_n", v);
             }
         }
         if let Some(v) = self.poison_scale {
-            if attack_accepts(cfg, "scale") {
+            if cfg.attack.accepts("scale") {
                 cfg.attack.set_param("scale", v);
             }
         }
@@ -156,29 +151,23 @@ impl ConfigPatch {
         // resolved defense declares it, so a `--defense krum` override
         // running through table6's `ours`-specific ablation variants skips
         // the inapplicable switches instead of panicking mid-sweep.
-        // (Unresolved names accept everything — their schema is unknowable
-        // here; the build still rejects strays.)
-        let accepts = |cfg: &ScenarioConfig, key: &str| match cfg.defense.resolve() {
-            Some(factory) => factory.param_schema().iter().any(|spec| spec.key == key),
-            None => true,
-        };
         if let Some(v) = self.use_re1 {
-            if accepts(cfg, "re1") {
+            if cfg.defense.accepts("re1") {
                 cfg.defense.set_param("re1", v);
             }
         }
         if let Some(v) = self.use_re2 {
-            if accepts(cfg, "re2") {
+            if cfg.defense.accepts("re2") {
                 cfg.defense.set_param("re2", v);
             }
         }
         if let Some(v) = self.beta {
-            if accepts(cfg, "beta") {
+            if cfg.defense.accepts("beta") {
                 cfg.defense.set_param("beta", v);
             }
         }
         if let Some(v) = self.gamma {
-            if accepts(cfg, "gamma") {
+            if cfg.defense.accepts("gamma") {
                 cfg.defense.set_param("gamma", v);
             }
         }
@@ -186,7 +175,7 @@ impl ConfigPatch {
         // the same `N` as the attacker (Section V-B), so a defense whose
         // schema declares `top_n` receives the override too.
         if let Some(v) = self.mined_top_n {
-            if accepts(cfg, "top_n") {
+            if cfg.defense.accepts("top_n") {
                 cfg.defense.set_param("top_n", v);
             }
         }

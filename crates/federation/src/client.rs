@@ -129,9 +129,9 @@ impl BenignClient {
         )
     }
 
-    /// The seeded initial embedding draw, factored out so arena-backed
-    /// populations (see [`ClientPool`](crate::ClientPool)) initialize rows
-    /// bit-identically to eagerly constructed clients.
+    /// The seeded initial embedding draw, factored out so arena users (see
+    /// [`LazyClientPool`](crate::LazyClientPool)) initialize rows
+    /// bit-identically to boxed `BenignClient`s.
     pub fn init_embedding(dim: usize, init_scale: f32, seed: u64) -> Vec<f32> {
         use rand::Rng;
         let mut rng = StdRng::seed_from_u64(seed);
@@ -329,7 +329,7 @@ impl Client for BenignClient {
 
 /// Serialized mutable state of a [`BenignClient`]. Shared with the lazy
 /// client pool, which emits the identical shape for arena-resident users so
-/// checkpoints are interchangeable between eager and lazy populations.
+/// checkpoints are interchangeable between arena users and boxed clients.
 #[derive(serde::Serialize, serde::Deserialize)]
 pub(crate) struct BenignClientState {
     pub(crate) user_embedding: Vec<f32>,

@@ -34,6 +34,7 @@ pub mod context;
 pub mod params;
 pub mod pool;
 pub mod population;
+pub mod registry;
 pub mod server;
 pub mod stats;
 pub mod wire;
@@ -51,5 +52,6 @@ pub use config::{ClientsPerRound, FederationConfig, RoundThreads};
 pub use context::RoundContext;
 pub use params::{ParamSpec, ParamValue, Params};
 pub use population::{ClientPool, LazyClientPool, RegularizerFactory};
+pub use registry::{Catalog, Factory, Registry, Selection};
 pub use server::{Simulation, SimulationBuilder};
 pub use stats::{RoundStats, TrainingStats};

@@ -1,26 +1,25 @@
-//! Client populations: eager boxes, or a lazily-materialized arena pool.
+//! The client population: benign users as arena rows, plus boxed clients.
 //!
-//! The original `Simulation` owned one boxed [`Client`] per user. At paper
-//! scale (thousands of users) that is fine; at the ROADMAP's million-client
-//! target it is 1M allocations of which a round touches a few hundred. A
-//! [`ClientPool`] abstracts the population behind the operations the server
-//! actually needs, with two implementations:
+//! At paper scale (thousands of users) one boxed [`Client`] per user is
+//! fine; at the million-client target it is 1M allocations of which a round
+//! touches a few hundred. A [`LazyClientPool`] therefore keeps benign users
+//! as rows of an [`EmbeddingStore`] arena plus a seed function: a real
+//! [`BenignClient`] is constructed for exactly the sampled subset each round
+//! and torn back down into the arena afterwards. Stateful client-side
+//! defenses persist across samplings in a sparse map, built on demand from
+//! a [`RegularizerFactory`].
 //!
-//! - [`ClientPool::Eager`] — the original `Vec<Box<dyn Client>>`, still used
-//!   when callers hand the builder explicit client objects.
-//! - [`ClientPool::Lazy`] ([`LazyClientPool`]) — benign clients exist only
-//!   as rows of an [`EmbeddingStore`] arena plus a seed function; a
-//!   real [`BenignClient`] is constructed for exactly the sampled subset
-//!   each round and torn back down into the arena afterwards. Stateful
-//!   client-side defenses persist across samplings in a sparse map, built
-//!   on demand from a [`RegularizerFactory`]. Attacker-controlled clients
-//!   stay materialized (they are few, stateful, and arbitrary types).
+//! Boxed clients occupy the ids above the arena users. They are the
+//! attacker cohort (few, stateful, arbitrary types), or a whole hand-built
+//! population: [`LazyClientPool::from_clients`] has no arena users and boxes
+//! every client.
 //!
-//! The two representations are **bit-identical** under every seed, width,
-//! and checkpoint cut: the arena rows are initialized by the same
-//! [`BenignClient::init_embedding`] draw the eager constructor uses, rounds
+//! Both forms of a benign user are **bit-identical** under every seed,
+//! width, and checkpoint cut: arena rows are initialized by the same
+//! [`BenignClient::init_embedding`] draw `BenignClient::new` makes, rounds
 //! run the same `local_round` code, and checkpoints serialize the same
-//! per-client state shape (`server::tests::lazy_pool_matches_eager_pool`).
+//! per-client state shape
+//! (`server::tests::arena_users_match_boxed_clients_bit_for_bit`).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -32,20 +31,19 @@ use crate::client::{BenignClient, BenignClientState, Client, LocalRegularizer};
 use crate::context::RoundContext;
 use crate::pool;
 
-/// Builds the client-side defense regularizer for a given user id. Same
-/// shape as the defense registry's factory type, so a `DefenseInstance`
-/// factory plugs in directly.
+/// Builds the client-side defense regularizer for a given user id. A
+/// `DefenseInstance` factory plugs in directly.
 pub type RegularizerFactory = Box<dyn Fn(usize) -> Box<dyn LocalRegularizer> + Send + Sync>;
 
-/// The server's view of its client population.
+/// The population `SimulationBuilder::pool` takes. A one-variant enum only
+/// because the repository benchmark (`perfbench/`) spells it
+/// `ClientPool::Lazy(..)`.
 pub enum ClientPool {
-    /// Every client is a live boxed object (the original representation).
-    Eager(Vec<Box<dyn Client>>),
     /// Benign clients materialize per round from an embedding arena.
     Lazy(LazyClientPool),
 }
 
-/// Benign users as arena rows + construction recipe, with the (few) boxed
+/// Benign users as arena rows + construction recipe, with the boxed
 /// clients occupying the id range above them. See the module docs.
 pub struct LazyClientPool {
     n_benign: usize,
@@ -58,7 +56,7 @@ pub struct LazyClientPool {
     /// Stateful per-user defense regularizers, kept only for users that
     /// have been sampled (or restored) so far.
     regs: BTreeMap<usize, Box<dyn LocalRegularizer>>,
-    /// Materialized clients above the benign range — the attacker cohort.
+    /// Materialized clients above the benign range.
     /// Ids must be dense in `n_benign..n_benign + boxed.len()`.
     boxed: Vec<Box<dyn Client>>,
 }
@@ -105,6 +103,14 @@ impl LazyClientPool {
         }
     }
 
+    /// A hand-built population: no arena users, every client boxed. Ids
+    /// must be dense `0..clients.len()`, in order; `dim` sizes the
+    /// evaluation table.
+    pub fn from_clients(clients: Vec<Box<dyn Client>>, dim: usize) -> Self {
+        let no_users = Arc::new(Dataset::from_user_items(0, Vec::new()));
+        Self::new(0, no_users, dim, 0.0, |_| 0, None, clients)
+    }
+
     fn materialize(&mut self, user: usize) -> BenignClient {
         let reg = self
             .regs
@@ -120,7 +126,7 @@ impl LazyClientPool {
 
     /// The regularizer state a checkpoint records for user `u`: the live
     /// state when one exists, otherwise a factory-fresh one — exactly what
-    /// an eager never-sampled client would serialize.
+    /// a boxed never-sampled client would serialize.
     fn reg_state(&self, u: usize) -> serde::Value {
         match self.regs.get(&u) {
             Some(reg) => reg.checkpoint_state(),
@@ -130,15 +136,10 @@ impl LazyClientPool {
             },
         }
     }
-}
 
-impl ClientPool {
     /// Total number of registered clients.
     pub fn len(&self) -> usize {
-        match self {
-            Self::Eager(clients) => clients.len(),
-            Self::Lazy(pool) => pool.n_benign + pool.boxed.len(),
-        }
+        self.n_benign + self.boxed.len()
     }
 
     /// True when the pool holds no clients at all.
@@ -149,105 +150,65 @@ impl ClientPool {
     /// Panics unless client ids are unique and dense in `0..len()` (the
     /// invariant the whole sampling/aggregation path relies on).
     pub fn assert_dense_ids(&self) {
-        match self {
-            Self::Eager(clients) => {
-                let mut ids: Vec<usize> = clients.iter().map(|c| c.id()).collect();
-                ids.sort_unstable();
-                for (expect, &got) in ids.iter().enumerate() {
-                    assert_eq!(expect, got, "client ids must be dense 0..n");
-                }
-            }
-            Self::Lazy(pool) => {
-                for (offset, client) in pool.boxed.iter().enumerate() {
-                    assert_eq!(
-                        pool.n_benign + offset,
-                        client.id(),
-                        "client ids must be dense 0..n (boxed clients start at n_benign)"
-                    );
-                }
-            }
+        for (offset, client) in self.boxed.iter().enumerate() {
+            assert_eq!(
+                self.n_benign + offset,
+                client.id(),
+                "client ids must be dense 0..n (boxed clients start at n_benign)"
+            );
         }
     }
 
     /// Ids of benign clients (the evaluation population `Ū`).
     pub fn benign_ids(&self) -> Vec<usize> {
-        match self {
-            Self::Eager(clients) => clients
-                .iter()
-                .filter(|c| !c.is_malicious())
-                .map(|c| c.id())
-                .collect(),
-            Self::Lazy(pool) => (0..pool.n_benign)
-                .chain(
-                    pool.boxed
-                        .iter()
-                        .filter(|c| !c.is_malicious())
-                        .map(|c| c.id()),
-                )
-                .collect(),
-        }
+        (0..self.n_benign)
+            .chain(
+                self.boxed
+                    .iter()
+                    .filter(|c| !c.is_malicious())
+                    .map(|c| c.id()),
+            )
+            .collect()
     }
 
     /// Ids of attacker-controlled clients (`Ũ`).
     pub fn malicious_ids(&self) -> Vec<usize> {
-        match self {
-            Self::Eager(clients) => clients
-                .iter()
-                .filter(|c| c.is_malicious())
-                .map(|c| c.id())
-                .collect(),
-            Self::Lazy(pool) => pool
-                .boxed
-                .iter()
-                .filter(|c| c.is_malicious())
-                .map(|c| c.id())
-                .collect(),
-        }
+        self.boxed
+            .iter()
+            .filter(|c| c.is_malicious())
+            .map(|c| c.id())
+            .collect()
     }
 
     /// How many of the given (sorted) selected ids are attacker-controlled.
     pub fn count_malicious(&self, selected: &[usize]) -> usize {
-        match self {
-            Self::Eager(clients) => {
-                let mal: std::collections::HashSet<usize> = clients
-                    .iter()
-                    .filter(|c| c.is_malicious())
-                    .map(|c| c.id())
-                    .collect();
-                selected.iter().filter(|id| mal.contains(id)).count()
-            }
-            Self::Lazy(pool) => selected
-                .iter()
-                .filter(|&&id| id >= pool.n_benign && pool.boxed[id - pool.n_benign].is_malicious())
-                .count(),
-        }
+        selected
+            .iter()
+            .filter(|&&id| id >= self.n_benign && self.boxed[id - self.n_benign].is_malicious())
+            .count()
     }
 
-    /// Dense per-client-id embedding table for metric evaluation. Clients
-    /// without a personal embedding (malicious) get zero rows — metrics
-    /// only ever index benign ids.
-    pub fn user_embeddings(&self, dim: usize) -> EmbeddingStore {
-        match self {
-            Self::Eager(clients) => {
-                let mut out = EmbeddingStore::zeros(clients.len(), dim);
-                for c in clients {
-                    if let Some(emb) = c.user_embedding() {
-                        out.row_mut(c.id()).copy_from_slice(emb);
-                    }
-                }
-                out
+    /// Dense per-client-id embedding table for metric evaluation. The arena
+    /// is the table for arena users; boxed clients that keep their own
+    /// embedding (hand-built benign clients) overlay their rows, and the
+    /// rest (malicious) stay zero — metrics only ever index benign ids. A
+    /// heap clone shares the arena's chunks copy-on-write, so this costs
+    /// O(chunks) plus the chunks an overlay touches; an mmap arena's clone
+    /// materializes to the heap.
+    pub fn user_embeddings(&self) -> EmbeddingStore {
+        let mut table = self.arena.clone();
+        for client in &self.boxed {
+            if let Some(embedding) = client.user_embedding() {
+                table.row_mut(client.id()).copy_from_slice(embedding);
             }
-            // The arena *is* the table (boxed rows stay zero). A heap clone
-            // shares the arena's chunks copy-on-write, so this costs
-            // O(chunks); an mmap arena's clone materializes to the heap.
-            Self::Lazy(pool) => pool.arena.clone(),
         }
+        table
     }
 
     /// Runs `local_round` for the selected (sorted, deduplicated) client
     /// ids, fanning out over `width` threads, and returns the id-tagged
-    /// uploads in selection order. Lazy pools materialize benign clients
-    /// here and retire their state back to the arena before returning.
+    /// uploads in selection order. Arena users materialize here and retire
+    /// their state back to the arena before returning.
     pub fn run_selected(
         &mut self,
         selected_sorted: &[usize],
@@ -255,138 +216,105 @@ impl ClientPool {
         ctx: &RoundContext,
         model: &GlobalModel,
     ) -> Vec<(usize, GlobalGradients)> {
-        match self {
-            Self::Eager(clients) => {
-                // Pull disjoint mutable references to the sampled clients.
-                let mut flags = vec![false; clients.len()];
-                for &i in selected_sorted {
-                    flags[i] = true;
-                }
-                let participants: Vec<&mut Box<dyn Client>> = clients
-                    .iter_mut()
-                    .enumerate()
-                    .filter(|(i, _)| flags[*i])
-                    .map(|(_, c)| c)
-                    .collect();
-                pool::map_ordered(participants, width, |c| (c.id(), c.local_round(ctx, model)))
-            }
-            Self::Lazy(lazy) => {
-                // Benign ids sit below the boxed range, so after the sort
-                // all Owned participants precede all Borrowed ones.
-                let n_benign = lazy.n_benign;
-                let mut participants: Vec<Participant> = Vec::with_capacity(selected_sorted.len());
-                for &id in selected_sorted.iter().filter(|&&id| id < n_benign) {
-                    participants.push(Participant::Owned(lazy.materialize(id)));
-                }
-                let mut flags = vec![false; lazy.boxed.len()];
-                for &id in selected_sorted.iter().filter(|&&id| id >= n_benign) {
-                    flags[id - n_benign] = true;
-                }
-                participants.extend(
-                    lazy.boxed
-                        .iter_mut()
-                        .enumerate()
-                        .filter(|(i, _)| flags[*i])
-                        .map(|(_, c)| Participant::Borrowed(c)),
-                );
-
-                let results = pool::map_ordered(participants, width, |p| match p {
-                    Participant::Owned(mut c) => {
-                        let grads = c.local_round(ctx, model);
-                        let id = c.id();
-                        (id, grads, Some(c))
-                    }
-                    Participant::Borrowed(c) => (c.id(), c.local_round(ctx, model), None),
-                });
-
-                // The write-back copies each chunk a published snapshot or
-                // an evaluation table still shares, and only those.
-                let mut uploads = Vec::with_capacity(results.len());
-                for (id, grads, owned) in results {
-                    if let Some(client) = owned {
-                        let (embedding, reg) = client.into_parts();
-                        lazy.arena.row_mut(id).copy_from_slice(&embedding);
-                        if let Some(reg) = reg {
-                            lazy.regs.insert(id, reg);
-                        }
-                    }
-                    uploads.push((id, grads));
-                }
-                uploads
-            }
+        // Benign ids sit below the boxed range, so after the sort all
+        // Owned participants precede all Borrowed ones.
+        let n_benign = self.n_benign;
+        let mut participants: Vec<Participant> = Vec::with_capacity(selected_sorted.len());
+        for &id in selected_sorted.iter().filter(|&&id| id < n_benign) {
+            participants.push(Participant::Owned(self.materialize(id)));
         }
+        let mut flags = vec![false; self.boxed.len()];
+        for &id in selected_sorted.iter().filter(|&&id| id >= n_benign) {
+            flags[id - n_benign] = true;
+        }
+        participants.extend(
+            self.boxed
+                .iter_mut()
+                .enumerate()
+                .filter(|(i, _)| flags[*i])
+                .map(|(_, c)| Participant::Borrowed(c)),
+        );
+
+        let results = pool::map_ordered(participants, width, |p| match p {
+            Participant::Owned(mut c) => {
+                let grads = c.local_round(ctx, model);
+                let id = c.id();
+                (id, grads, Some(c))
+            }
+            Participant::Borrowed(c) => (c.id(), c.local_round(ctx, model), None),
+        });
+
+        // The write-back copies each chunk a published snapshot or an
+        // evaluation table still shares, and only those.
+        let mut uploads = Vec::with_capacity(results.len());
+        for (id, grads, owned) in results {
+            if let Some(client) = owned {
+                let (embedding, reg) = client.into_parts();
+                self.arena.row_mut(id).copy_from_slice(&embedding);
+                if let Some(reg) = reg {
+                    self.regs.insert(id, reg);
+                }
+            }
+            uploads.push((id, grads));
+        }
+        uploads
     }
 
-    /// Per-client checkpoint states, dense by id. Lazy pools emit the same
-    /// `BenignClientState` shape eager `BenignClient`s serialize, so the
-    /// two populations' checkpoints are interchangeable.
+    /// Per-client checkpoint states, dense by id. Arena users emit the same
+    /// `BenignClientState` shape a boxed `BenignClient` serializes, so the
+    /// two forms' checkpoints are interchangeable.
     pub fn checkpoint_states(&self) -> Vec<serde::Value> {
-        match self {
-            Self::Eager(clients) => clients.iter().map(|c| c.checkpoint_state()).collect(),
-            Self::Lazy(pool) => {
-                let mut out = Vec::with_capacity(self.len());
-                for u in 0..pool.n_benign {
-                    let state = BenignClientState {
-                        user_embedding: pool.arena.row(u).to_vec(),
-                        regularizer: pool.reg_state(u),
-                    };
-                    out.push(serde::Serialize::to_value(&state));
-                }
-                out.extend(pool.boxed.iter().map(|c| c.checkpoint_state()));
-                out
-            }
+        let mut out = Vec::with_capacity(self.len());
+        for u in 0..self.n_benign {
+            let state = BenignClientState {
+                user_embedding: self.arena.row(u).to_vec(),
+                regularizer: self.reg_state(u),
+            };
+            out.push(serde::Serialize::to_value(&state));
         }
+        out.extend(self.boxed.iter().map(|c| c.checkpoint_state()));
+        out
     }
 
     /// Overlays per-client checkpoint states captured by
-    /// [`ClientPool::checkpoint_states`] (caller has already validated the
-    /// count).
+    /// [`LazyClientPool::checkpoint_states`] (caller has already validated
+    /// the count).
     pub fn restore_states(&mut self, states: &[serde::Value]) -> Result<(), String> {
-        match self {
-            Self::Eager(clients) => {
-                for (client, state) in clients.iter_mut().zip(states) {
-                    client.restore_state(state)?;
-                }
-                Ok(())
+        let dim = self.arena.cols();
+        for (u, state) in states.iter().take(self.n_benign).enumerate() {
+            let state: BenignClientState =
+                serde::Deserialize::from_value(state).map_err(|e| e.to_string())?;
+            if state.user_embedding.len() != dim {
+                return Err(format!(
+                    "user {u} embedding dim mismatch: checkpoint {}, simulation {dim}",
+                    state.user_embedding.len()
+                ));
             }
-            Self::Lazy(pool) => {
-                let dim = pool.arena.cols();
-                for (u, state) in states.iter().take(pool.n_benign).enumerate() {
-                    let state: BenignClientState =
-                        serde::Deserialize::from_value(state).map_err(|e| e.to_string())?;
-                    if state.user_embedding.len() != dim {
-                        return Err(format!(
-                            "user {u} embedding dim mismatch: checkpoint {}, simulation {dim}",
-                            state.user_embedding.len()
-                        ));
-                    }
-                    pool.arena.row_mut(u).copy_from_slice(&state.user_embedding);
-                    match (&pool.reg_factory, &state.regularizer) {
-                        // A null regularizer state means "fresh" — drop any
-                        // live one and let the next sampling rebuild it,
-                        // keeping never-sampled users unmaterialized.
-                        (_, v) if v.is_null() => {
-                            pool.regs.remove(&u);
-                        }
-                        (Some(factory), v) => {
-                            let mut reg = factory(u);
-                            reg.restore_state(v)?;
-                            pool.regs.insert(u, reg);
-                        }
-                        (None, v) => {
-                            return Err(format!(
-                                "user {u} has no regularizer but checkpoint carries {}",
-                                v.kind()
-                            ));
-                        }
-                    }
+            self.arena.row_mut(u).copy_from_slice(&state.user_embedding);
+            match (&self.reg_factory, &state.regularizer) {
+                // A null regularizer state means "fresh" — drop any live
+                // one and let the next sampling rebuild it, keeping
+                // never-sampled users unmaterialized.
+                (_, v) if v.is_null() => {
+                    self.regs.remove(&u);
                 }
-                for (client, state) in pool.boxed.iter_mut().zip(&states[pool.n_benign..]) {
-                    client.restore_state(state)?;
+                (Some(factory), v) => {
+                    let mut reg = factory(u);
+                    reg.restore_state(v)?;
+                    self.regs.insert(u, reg);
                 }
-                Ok(())
+                (None, v) => {
+                    return Err(format!(
+                        "user {u} has no regularizer but checkpoint carries {}",
+                        v.kind()
+                    ));
+                }
             }
         }
+        for (client, state) in self.boxed.iter_mut().zip(&states[self.n_benign..]) {
+            client.restore_state(state)?;
+        }
+        Ok(())
     }
 }
 
@@ -406,7 +334,7 @@ mod tests {
     fn lazy_arena_reproduces_eager_init() {
         let train = tiny_train();
         let n = train.n_users();
-        let pool = ClientPool::Lazy(LazyClientPool::new(
+        let pool = LazyClientPool::new(
             n,
             Arc::clone(&train),
             8,
@@ -414,8 +342,8 @@ mod tests {
             Box::new(|u| 40 + u as u64),
             None,
             Vec::new(),
-        ));
-        let table = pool.user_embeddings(8);
+        );
+        let table = pool.user_embeddings();
         for u in 0..n {
             let eager = BenignClient::new(u, Arc::clone(&train), 8, 0.1, 40 + u as u64);
             assert_eq!(
@@ -445,7 +373,7 @@ mod tests {
             }
         }
         let train = tiny_train();
-        let pool = ClientPool::Lazy(LazyClientPool::new(
+        let pool = LazyClientPool::new(
             5,
             train,
             4,
@@ -453,14 +381,14 @@ mod tests {
             Box::new(|u| u as u64),
             None,
             vec![Box::new(Mal(5)), Box::new(Mal(6))],
-        ));
+        );
         pool.assert_dense_ids();
         assert_eq!(pool.len(), 7);
         assert_eq!(pool.benign_ids(), vec![0, 1, 2, 3, 4]);
         assert_eq!(pool.malicious_ids(), vec![5, 6]);
         assert_eq!(pool.count_malicious(&[0, 2, 5]), 1);
         assert_eq!(pool.count_malicious(&[5, 6]), 2);
-        let table = pool.user_embeddings(4);
+        let table = pool.user_embeddings();
         assert_eq!(table.rows(), 7);
         assert_eq!(table.row(6), &[0.0; 4], "boxed rows stay zero");
     }
@@ -481,7 +409,7 @@ mod tests {
                 GlobalGradients::new()
             }
         }
-        let pool = ClientPool::Lazy(LazyClientPool::new(
+        let pool = LazyClientPool::new(
             2,
             tiny_train(),
             4,
@@ -489,7 +417,7 @@ mod tests {
             Box::new(|u| u as u64),
             None,
             vec![Box::new(Off)],
-        ));
+        );
         pool.assert_dense_ids();
     }
 }

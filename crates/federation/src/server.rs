@@ -13,7 +13,7 @@ use crate::checkpoint::{SimulationCheckpoint, CHECKPOINT_FORMAT_VERSION};
 use crate::client::Client;
 use crate::config::{FederationConfig, RoundThreads};
 use crate::context::RoundContext;
-use crate::population::ClientPool;
+use crate::population::{ClientPool, LazyClientPool};
 use crate::stats::{RoundStats, TrainingStats};
 use crate::wire;
 
@@ -29,7 +29,7 @@ use crate::wire;
 /// ```
 pub struct Simulation {
     model: GlobalModel,
-    pool: ClientPool,
+    pool: LazyClientPool,
     aggregator: Box<dyn Aggregator>,
     config: FederationConfig,
     seeds: SeedStream,
@@ -46,32 +46,25 @@ pub struct Simulation {
 /// [`FederationConfig::default`]; the model and clients must be provided.
 pub struct SimulationBuilder {
     model: GlobalModel,
-    pool: ClientPool,
+    pool: LazyClientPool,
     aggregator: Box<dyn Aggregator>,
     config: FederationConfig,
     lease: Option<CoreLease>,
 }
 
 impl SimulationBuilder {
-    /// Replaces the whole client population with eagerly boxed clients.
+    /// Replaces the whole client population with hand-built boxed clients
+    /// ([`LazyClientPool::from_clients`]).
     pub fn clients(mut self, clients: Vec<Box<dyn Client>>) -> Self {
-        self.pool = ClientPool::Eager(clients);
+        self.pool = LazyClientPool::from_clients(clients, self.model.dim());
         self
     }
 
-    /// Replaces the whole client population (eager or lazy — the
-    /// million-client path hands a [`ClientPool::Lazy`] here).
+    /// Replaces the whole client population (the scenario and
+    /// million-client paths hand an arena pool here).
     pub fn pool(mut self, pool: ClientPool) -> Self {
+        let ClientPool::Lazy(pool) = pool;
         self.pool = pool;
-        self
-    }
-
-    /// Appends one client to an eager population.
-    pub fn client(mut self, client: impl Client + 'static) -> Self {
-        match &mut self.pool {
-            ClientPool::Eager(clients) => clients.push(Box::new(client)),
-            ClientPool::Lazy(_) => panic!("client() cannot extend a lazy pool"),
-        }
         self
     }
 
@@ -127,9 +120,10 @@ impl SimulationBuilder {
 impl Simulation {
     /// Starts building a simulation around a global model.
     pub fn builder(model: GlobalModel) -> SimulationBuilder {
+        let pool = LazyClientPool::from_clients(Vec::new(), model.dim());
         SimulationBuilder {
             model,
-            pool: ClientPool::Eager(Vec::new()),
+            pool,
             aggregator: Box::new(SumAggregator),
             config: FederationConfig::default(),
             lease: None,
@@ -191,11 +185,10 @@ impl Simulation {
 
     /// Dense per-client-id embedding table for metric evaluation. Clients
     /// without a personal embedding (malicious) get zero rows — metrics
-    /// only ever index benign ids. For lazy pools this is a clone of the
-    /// embedding arena that shares its chunks copy-on-write: O(chunks),
-    /// not O(rows).
+    /// only ever index benign ids. This is a clone of the embedding arena
+    /// that shares its chunks copy-on-write: O(chunks), not O(rows).
     pub fn user_embeddings(&self) -> EmbeddingStore {
-        self.pool.user_embeddings(self.model.dim())
+        self.pool.user_embeddings()
     }
 
     /// Accumulated statistics.
@@ -355,7 +348,6 @@ mod tests {
     use crate::budget::CoreBudget;
     use crate::client::BenignClient;
     use crate::config::ClientsPerRound;
-    use crate::population::LazyClientPool;
     use frs_data::{leave_one_out, synth, DatasetSpec};
     use frs_metrics::hit_ratio_at_k;
     use frs_model::ModelConfig;
@@ -364,8 +356,7 @@ mod tests {
     use std::sync::Arc;
 
     /// The single client-population construction path every test goes
-    /// through (this used to be two copy-pasted eager `(0..n_users)` loops):
-    /// benign users live in the lazy arena pool; boxed clients sit above.
+    /// through: benign users live in the arena; boxed clients sit above.
     fn lazy_pool(
         n_benign: usize,
         train: &Arc<frs_data::Dataset>,
@@ -503,13 +494,13 @@ mod tests {
         assert_eq!(b.effective_round_width(32), 8);
     }
 
-    /// The load-bearing refactor invariant: a lazily-materialized arena
-    /// population is **bit-identical** to the original eager one — same
-    /// models, same embeddings, interchangeable checkpoints.
+    /// The load-bearing pool invariant: arena users are **bit-identical**
+    /// to hand-built boxed `BenignClient`s — same models, same embeddings,
+    /// interchangeable checkpoints.
     #[test]
-    fn lazy_pool_matches_eager_pool_bit_for_bit() {
+    fn arena_users_match_boxed_clients_bit_for_bit() {
         let seed = 17;
-        let build_eager = || {
+        let build_boxed = || {
             let mut rng = StdRng::seed_from_u64(seed);
             let full = synth::generate(&DatasetSpec::tiny(), &mut rng);
             let split = leave_one_out(&full, &mut rng);
@@ -536,25 +527,25 @@ mod tests {
                 .build()
         };
 
-        let mut eager = build_eager();
-        let (mut lazy, _, _) = build_sim(RoundThreads::Fixed(1), seed);
-        assert_eq!(eager.user_embeddings(), lazy.user_embeddings(), "init");
+        let mut boxed = build_boxed();
+        let (mut arena, _, _) = build_sim(RoundThreads::Fixed(1), seed);
+        assert_eq!(boxed.user_embeddings(), arena.user_embeddings(), "init");
 
-        eager.run(6);
-        lazy.run(6);
-        assert_eq!(eager.model().items(), lazy.model().items());
-        assert_eq!(eager.user_embeddings(), lazy.user_embeddings());
+        boxed.run(6);
+        arena.run(6);
+        assert_eq!(boxed.model().items(), arena.model().items());
+        assert_eq!(boxed.user_embeddings(), arena.user_embeddings());
 
-        // Checkpoints are interchangeable: eager state restores onto a lazy
-        // population and continues identically.
-        let json = serde_json::to_string(&eager.capture_checkpoint()).unwrap();
+        // Checkpoints are interchangeable: boxed-client state restores onto
+        // arena users and continues identically.
+        let json = serde_json::to_string(&boxed.capture_checkpoint()).unwrap();
         let ckpt: SimulationCheckpoint = serde_json::from_str(&json).unwrap();
         let (mut resumed, _, _) = build_sim(RoundThreads::Fixed(1), seed);
         resumed.restore_checkpoint(&ckpt).unwrap();
         resumed.run(4);
-        eager.run(4);
-        assert_eq!(eager.model().items(), resumed.model().items());
-        assert_eq!(eager.user_embeddings(), resumed.user_embeddings());
+        boxed.run(4);
+        assert_eq!(boxed.model().items(), resumed.model().items());
+        assert_eq!(boxed.user_embeddings(), resumed.user_embeddings());
     }
 
     #[test]
@@ -649,11 +640,13 @@ mod tests {
         let full = synth::generate(&DatasetSpec::tiny(), &mut rng);
         let train = Arc::new(full);
         let model = GlobalModel::new(&ModelConfig::mf(4), train.n_items(), &mut rng);
-        let mut builder = Simulation::builder(model);
-        for u in 0..3 {
-            builder = builder.client(BenignClient::new(u, Arc::clone(&train), 4, 0.1, u as u64));
-        }
-        let sim = builder.build();
+        let clients: Vec<Box<dyn Client>> = (0..3)
+            .map(|u| {
+                Box::new(BenignClient::new(u, Arc::clone(&train), 4, 0.1, u as u64))
+                    as Box<dyn Client>
+            })
+            .collect();
+        let sim = Simulation::builder(model).clients(clients).build();
         assert_eq!(sim.n_clients(), 3);
         assert_eq!(
             sim.config().clients_per_round,

@@ -275,6 +275,58 @@ mod tests {
         handle.shutdown();
     }
 
+    /// A 60 KB line of `[` nests one request 60,000 deep: the parser must
+    /// refuse it with an error response instead of overflowing a worker's
+    /// stack (which aborts the whole daemon), and the daemon answers a valid
+    /// query afterwards on the same connection and on a fresh one.
+    fn exercise_nesting_bomb<S: TestStream>(connect: impl Fn() -> S) {
+        let mut stream = connect();
+        let mut reader = BufReader::new(stream.read_half());
+        let mut bomb = vec![b'['; 60_000];
+        bomb.push(b'\n');
+        stream.write_all(&bomb).unwrap();
+        stream.write_all(b"{\"user\":0,\"k\":1}\n").unwrap();
+        stream.flush().unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let err: ErrorResponse = serde_json::from_str(line.trim()).unwrap();
+        assert!(err.error.contains("bad request"), "{}", err.error);
+        assert!(err.error.contains("deeper than"), "{}", err.error);
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        let top: TopKResponse = serde_json::from_str(line.trim()).unwrap();
+        assert_eq!(top.user, 0, "the connection survives a nesting bomb");
+
+        let mut fresh = connect();
+        let mut reader = BufReader::new(fresh.read_half());
+        fresh.write_all(b"{\"user\":1,\"k\":1}\n").unwrap();
+        fresh.flush().unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        let top: TopKResponse = serde_json::from_str(line.trim()).unwrap();
+        assert_eq!(top.user, 1, "the daemon survives a nesting bomb");
+    }
+
+    #[test]
+    fn nesting_bombs_get_an_error_over_unix() {
+        let router = two_scenario_router();
+        let budget = CoreBudget::new(2);
+        let path = socket_path("nesting-unix");
+        let handle = spawn(&path, router, budget.lease()).unwrap();
+        exercise_nesting_bomb(|| UnixStream::connect(&path).unwrap());
+        assert_eq!(handle.shutdown(), 2);
+    }
+
+    #[test]
+    fn nesting_bombs_get_an_error_over_tcp() {
+        let router = two_scenario_router();
+        let budget = CoreBudget::new(2);
+        let handle = spawn_tcp("127.0.0.1:0", router, budget.lease()).unwrap();
+        let addr = handle.local_addr().unwrap();
+        exercise_nesting_bomb(|| TcpStream::connect(addr).unwrap());
+        assert_eq!(handle.shutdown(), 2);
+    }
+
     #[test]
     fn oversized_lines_get_an_error_and_the_connection_survives() {
         let router = two_scenario_router();

@@ -162,7 +162,10 @@ fn out_of_crate_client_side_defense_runs_through_a_suite() {
             // same-name re-registrations re-key cached cells.
             .with_fingerprint("attenuate-v1 tau-default=1.0"),
     );
-    assert!(DefenseSel::named("attenuate").is_client_side());
+    assert!(DefenseSel::named("attenuate")
+        .resolve()
+        .unwrap()
+        .is_client_side());
 
     let suite = ExperimentSuite::new("custom-def", "Custom defense suite").sweep(
         Sweep::new("grid", "none vs attenuated").over_defenses([

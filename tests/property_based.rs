@@ -2,7 +2,7 @@
 //! survive the wire codec, aggregation rules stay within safe envelopes, and
 //! client training never produces non-finite gradients.
 
-use pieck_frs::defense::DefenseKind;
+use pieck_frs::defense::{DefenseBuildCtx, DefenseKind, DefenseSel};
 use pieck_frs::federation::{upload_norm, wire};
 use pieck_frs::model::GlobalGradients;
 use proptest::prelude::*;
@@ -42,7 +42,9 @@ proptest! {
         defense_idx in 0usize..7,
     ) {
         let defense = DefenseKind::all()[defense_idx];
-        let agg = defense.build_aggregator(0.05, 1.0);
+        let agg = DefenseSel::from(defense)
+            .build(&DefenseBuildCtx::minimal(0.05, 1.0))
+            .aggregator;
         let out = agg.aggregate(&uploads);
         for grad in out.items.values() {
             prop_assert!(grad.iter().all(|v| v.is_finite()), "{:?}", defense);
@@ -51,7 +53,9 @@ proptest! {
 
     #[test]
     fn norm_bound_envelope_holds(uploads in prop::collection::vec(upload_strategy(), 1..6)) {
-        let agg = DefenseKind::NormBound.build_aggregator(0.05, 1.0);
+        let agg = DefenseSel::from(DefenseKind::NormBound)
+            .build(&DefenseBuildCtx::minimal(0.05, 1.0))
+            .aggregator;
         let out = agg.aggregate(&uploads);
         // Sum of clipped uploads: ‖out‖ ≤ Σ min(‖u‖, threshold) ≤ n·threshold.
         prop_assert!(upload_norm(&out) <= uploads.len() as f32 * 1.0 + 1e-3);
@@ -59,7 +63,9 @@ proptest! {
 
     #[test]
     fn median_within_input_envelope(uploads in prop::collection::vec(upload_strategy(), 1..6)) {
-        let agg = DefenseKind::Median.build_aggregator(0.05, 1.0);
+        let agg = DefenseSel::from(DefenseKind::Median)
+            .build(&DefenseBuildCtx::minimal(0.05, 1.0))
+            .aggregator;
         let out = agg.aggregate(&uploads);
         for (item, grad) in &out.items {
             let uploader_count = uploads.iter().filter(|u| u.items.contains_key(item)).count();
