@@ -2,7 +2,7 @@
 //! counterpart: how expensive is each robust rule on one round's uploads?
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use frs_bench::bench_uploads;
+use frs_bench::{bench_cell_uploads, bench_uploads};
 use frs_defense::{DefenseBuildCtx, DefenseKind, DefenseSel};
 
 fn aggregation(c: &mut Criterion) {
@@ -21,6 +21,17 @@ fn aggregation(c: &mut Criterion) {
             |b, uploads| b.iter(|| criterion::black_box(agg.aggregate(uploads))),
         );
     }
+    // Bulyan at the `cell-mf-bulyan` round shape (256 uploads of ~200 of
+    // 1682 items, dim 16), where the shared distance matrix dominates.
+    let cell = bench_cell_uploads(256, 1682, 16);
+    let bulyan = DefenseSel::from(DefenseKind::Bulyan)
+        .build(&DefenseBuildCtx::minimal(0.05, 0.05))
+        .aggregator;
+    group.bench_with_input(
+        BenchmarkId::from_parameter("Bulyan_cell_256x200"),
+        &cell,
+        |b, uploads| b.iter(|| criterion::black_box(bulyan.aggregate(uploads))),
+    );
     group.finish();
 }
 

@@ -14,6 +14,7 @@ pub mod gate;
 use std::sync::Arc;
 
 use frs_attacks::AttackKind;
+use frs_data::popularity::{zipf_weights, CumulativeSampler};
 use frs_data::{DataSource, Dataset, DatasetSpec};
 use frs_defense::{DefenseKind, DefenseSel};
 use frs_experiments::{paper_scenario, PaperDataset, ScenarioConfig};
@@ -86,6 +87,27 @@ pub fn bench_world() -> (GlobalModel, EmbeddingStore, Arc<Dataset>) {
             .collect(),
     );
     (model, users, data)
+}
+
+/// One round at the `cell-mf-bulyan` shape: `n` uploads of 180–221 distinct
+/// items each, Zipf-drawn out of `n_items`, with `dim`-dim gradients. The
+/// exponent 0.5 reproduces that cell's measured overlap, about 35 shared items
+/// per pair of uploads, which is what the Krum-family distance matrix pays
+/// for.
+pub fn bench_cell_uploads(n: usize, n_items: usize, dim: usize) -> Vec<GlobalGradients> {
+    let mut rng = StdRng::seed_from_u64(17);
+    let sampler = CumulativeSampler::new(&zipf_weights(n_items, 0.5));
+    (0..n)
+        .map(|_| {
+            let mut g = GlobalGradients::new();
+            let count = rng.gen_range(180..222);
+            for item in sampler.sample_distinct(count, &mut rng) {
+                let grad: Vec<f32> = (0..dim).map(|_| rng.gen_range(-0.01..0.01)).collect();
+                g.add_item_grad(item as u32, &grad);
+            }
+            g
+        })
+        .collect()
 }
 
 /// Realistic per-round uploads: `n` sparse benign-like uploads over `items`

@@ -18,10 +18,11 @@
 //! the rule (`n ≤ f + 2`).
 //!
 //! All three consume the *same* shared pairwise-distance layer: one
-//! [`frs_federation::upload_distance_matrix`] per round (views + blocked
-//! kernels, see `UploadView`), with [`frs_linalg::DistanceMatrix::krum_scores`]
-//! on top. Bulyan's selection additionally deactivates matrix rows as it
-//! prunes instead of recomputing anything. Every path is bitwise-identical to
+//! [`frs_federation::upload_distance_matrix`] per round (an item-major sweep
+//! over every upload, see [`frs_linalg::DistanceMatrix::from_uploads`]), with
+//! [`frs_linalg::DistanceMatrix::krum_scores`] on top. Bulyan's selection
+//! additionally deactivates matrix rows as it prunes instead of recomputing
+//! anything. Every path is bitwise-identical to
 //! the original scalar implementation — the `kernel-parity` CI job and the
 //! golden tests in `tests/krum_parity.rs` pin that.
 

@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use frs_linalg::DistanceMatrix;
+use frs_linalg::{DistanceMatrix, UploadView};
 use frs_model::{GlobalGradients, MlpGradients};
 
 /// Pluggable aggregation rule over one round's uploads.
@@ -213,7 +213,8 @@ pub fn gather_mlp_gradients_refs<'a>(uploads: &[&'a GlobalGradients]) -> Vec<&'a
 
 /// Squared L2 distance between two *whole uploads*, treating items absent
 /// from one side as zero vectors and including the flattened MLP part.
-/// Krum-family defenses compare uploads in this space.
+/// Krum-family defenses compare uploads in this space; this is the reference
+/// each cell of [`upload_distance_matrix`] matches bit for bit.
 pub fn upload_squared_distance(a: &GlobalGradients, b: &GlobalGradients) -> f32 {
     let mut total = 0.0f32;
     for (&item, ga) in &a.items {
@@ -242,103 +243,25 @@ pub fn upload_squared_distance(a: &GlobalGradients, b: &GlobalGradients) -> f32 
     total
 }
 
-/// Precomputed per-upload state for the shared distance kernel: item ids in
-/// ascending order alongside their gradient slices and self-dots `⟨g,g⟩`, plus
-/// the MLP part flattened once with its own self-dot.
-///
-/// The naive [`upload_squared_distance`] pays, *per pair*, a `BTreeMap` probe
-/// per item, a recomputed self-dot per exclusive item, and a fresh flatten of
-/// each MLP gradient. Building an `UploadView` once per upload moves all of
-/// that out of the O(n²) pairwise phase; what remains per pair is a
-/// sorted-merge scan over two id arrays and the blocked distance kernels.
-pub struct UploadView<'a> {
-    ids: Vec<u32>,
-    grads: Vec<&'a [f32]>,
-    self_dots: Vec<f32>,
-    mlp_flat: Option<Vec<f32>>,
-    mlp_self_dot: f32,
+/// Adapts one upload for the distance kernel: its sorted item ids (the
+/// `BTreeMap` order), borrowed gradient rows with their self-dots, and the MLP
+/// part flattened once.
+pub fn upload_view(upload: &GlobalGradients) -> UploadView<'_> {
+    UploadView::new(
+        upload.items.iter().map(|(&id, grad)| (id, grad.as_slice())),
+        upload.mlp.as_ref().map(MlpGradients::flatten),
+    )
 }
 
-impl<'a> UploadView<'a> {
-    /// Captures `upload`: sorted ids (the `BTreeMap` iteration order),
-    /// gradient slices, per-item self-dots, and the flattened MLP part.
-    pub fn new(upload: &'a GlobalGradients) -> Self {
-        let n = upload.n_items();
-        let mut ids = Vec::with_capacity(n);
-        let mut grads = Vec::with_capacity(n);
-        let mut self_dots = Vec::with_capacity(n);
-        for (&item, grad) in &upload.items {
-            ids.push(item);
-            grads.push(grad.as_slice());
-            self_dots.push(frs_linalg::dot_blocked(grad, grad));
-        }
-        let mlp_flat = upload.mlp.as_ref().map(|m| m.flatten());
-        let mlp_self_dot = mlp_flat
-            .as_ref()
-            .map_or(0.0, |f| frs_linalg::dot_blocked(f, f));
-        UploadView {
-            ids,
-            grads,
-            self_dots,
-            mlp_flat,
-            mlp_self_dot,
-        }
-    }
-
-    /// Item count, matching `GlobalGradients::n_items` of the source upload.
-    pub fn n_items(&self) -> usize {
-        self.ids.len()
-    }
-}
-
-/// [`upload_squared_distance`] over precomputed views.
-///
-/// Bitwise-identical to the naive function: the accumulation visits `a`'s
-/// items in ascending id order (shared item → blocked squared distance,
-/// exclusive item → precomputed self-dot), then `b`'s exclusive items in
-/// ascending id order, then the MLP part — exactly the naive order, with each
-/// term produced by a kernel that is itself bitwise-equal to its scalar
-/// reference. The `kernel-parity` CI job pins this with a proptest suite.
-pub fn upload_squared_distance_views(a: &UploadView<'_>, b: &UploadView<'_>) -> f32 {
-    let mut total = 0.0f32;
-    let mut j = 0usize;
-    for (idx, &id) in a.ids.iter().enumerate() {
-        while j < b.ids.len() && b.ids[j] < id {
-            j += 1;
-        }
-        if j < b.ids.len() && b.ids[j] == id {
-            total += frs_linalg::squared_distance_blocked(a.grads[idx], b.grads[j]);
-        } else {
-            total += a.self_dots[idx];
-        }
-    }
-    let mut i = 0usize;
-    for (jdx, &id) in b.ids.iter().enumerate() {
-        while i < a.ids.len() && a.ids[i] < id {
-            i += 1;
-        }
-        if !(i < a.ids.len() && a.ids[i] == id) {
-            total += b.self_dots[jdx];
-        }
-    }
-    match (&a.mlp_flat, &b.mlp_flat) {
-        (Some(fa), Some(fb)) => total += frs_linalg::squared_distance_blocked(fa, fb),
-        (Some(_), None) => total += a.mlp_self_dot,
-        (None, Some(_)) => total += b.mlp_self_dot,
-        (None, None) => {}
-    }
-    total
-}
-
-/// The round's full pairwise-distance matrix in upload-distance space,
-/// computed once through the view-based kernel. Krum, Multi-Krum, and Bulyan
+/// The round's full pairwise-distance matrix in upload-distance space: for
+/// `i < j`, cell `(i, j)` is bitwise-equal to [`upload_squared_distance`] in
+/// `(i, j)` argument order. One item-major sweep over the uploads' views
+/// ([`DistanceMatrix::from_uploads`]) fills it. Krum, Multi-Krum, and Bulyan
 /// all consume this one matrix; Bulyan additionally deactivates rows as it
 /// prunes (see [`DistanceMatrix::deactivate`]).
 pub fn upload_distance_matrix(uploads: &[GlobalGradients]) -> DistanceMatrix {
-    let views: Vec<UploadView<'_>> = uploads.iter().map(UploadView::new).collect();
-    DistanceMatrix::from_fn(uploads.len(), |i, j| {
-        upload_squared_distance_views(&views[i], &views[j])
-    })
+    let views: Vec<UploadView<'_>> = uploads.iter().map(upload_view).collect();
+    DistanceMatrix::from_uploads(&views)
 }
 
 /// Global L2 norm of one upload (items + MLP).

@@ -42,8 +42,7 @@ pub mod wire;
 pub use aggregate::{
     gather_item_gradients, gather_item_gradients_refs, gather_mlp_gradients,
     gather_mlp_gradients_refs, sum_uploads, upload_distance_matrix, upload_norm,
-    upload_squared_distance, upload_squared_distance_views, Aggregator, ShardedAggregator,
-    SumAggregator, UploadView,
+    upload_squared_distance, upload_view, Aggregator, ShardedAggregator, SumAggregator,
 };
 pub use budget::{CoreBudget, CoreLease};
 pub use checkpoint::{SimulationCheckpoint, CHECKPOINT_FORMAT_VERSION};

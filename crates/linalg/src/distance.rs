@@ -17,13 +17,21 @@
 //!   order (the unrolling only widens the independent subtract/multiply work,
 //!   never the adds), so it returns the exact same bits as
 //!   [`crate::vector::squared_l2_distance`].
+//! - [`DistanceMatrix::from_uploads`] builds the whole matrix in two
+//!   item-major passes, yet adds exactly the reference pair's terms to each
+//!   cell in exactly the reference order (see its docs).
 //! - [`DistanceMatrix::krum_scores`] sums each row's `keep` smallest distances
 //!   in ascending value order via a partial select
 //!   ([`crate::rank::sum_k_smallest`]), which is bitwise-identical to fully
 //!   sorting the row and summing the prefix.
 //!
-//! The `kernel-parity` CI job pins both claims with proptest suites
-//! (`cargo test --release -p frs-linalg --test kernel_parity`).
+//! The `kernel-parity` CI job pins these claims with proptest suites
+//! (`cargo test --release -p frs-linalg --test kernel_parity`, and
+//! `-p frs-federation --test distance_parity` for the upload matrix).
+
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
 
 /// Symmetric matrix of pairwise distances with an activity mask.
 ///
@@ -39,43 +47,270 @@ pub struct DistanceMatrix {
     n_active: usize,
 }
 
-/// Tile edge used by [`DistanceMatrix::from_fn`]. Pairs are evaluated tile by
-/// tile so that the per-upload working set (gradient slices, precomputed
-/// self-dots) stays cache-resident while it is reused against a whole block of
-/// partners. Each pair is still evaluated exactly once and written to a fixed
-/// slot, so blocking cannot change any value.
-pub const DISTANCE_BLOCK: usize = 16;
+/// One upload as [`DistanceMatrix::from_uploads`] reads it: sparse gradient
+/// rows keyed by strictly ascending item id, each with its self-dot `⟨g,g⟩`,
+/// plus an optional dense part (the flattened MLP gradient) with its own
+/// self-dot. Items an upload does not hold count as zero rows; the rows are
+/// borrowed, not copied.
+#[derive(Debug)]
+pub struct UploadView<'a> {
+    ids: Vec<u32>,
+    rows: Vec<&'a [f32]>,
+    self_dots: Vec<f32>,
+    dense: Option<(Vec<f32>, f32)>,
+}
 
-impl DistanceMatrix {
-    /// Build the matrix by evaluating `dist(i, j)` once for every pair
-    /// `i < j` (tiled in [`DISTANCE_BLOCK`]-sized blocks) and mirroring into
-    /// both triangles. The diagonal is zero.
-    pub fn from_fn(n: usize, dist: impl FnMut(usize, usize) -> f32) -> Self {
-        Self::from_fn_blocked(n, DISTANCE_BLOCK, dist)
+impl<'a> UploadView<'a> {
+    /// Captures `items` (ids strictly ascending, as a `BTreeMap` yields them)
+    /// and the optional dense part, with every self-dot computed once by
+    /// [`dot_blocked`].
+    pub fn new(items: impl IntoIterator<Item = (u32, &'a [f32])>, dense: Option<Vec<f32>>) -> Self {
+        let items = items.into_iter();
+        let cap = items.size_hint().0;
+        let mut ids = Vec::with_capacity(cap);
+        let mut rows = Vec::with_capacity(cap);
+        let mut self_dots = Vec::with_capacity(cap);
+        for (id, row) in items {
+            assert!(
+                ids.last().is_none_or(|&last| last < id),
+                "upload item ids must be strictly ascending"
+            );
+            ids.push(id);
+            rows.push(row);
+            self_dots.push(dot_blocked(row, row));
+        }
+        let dense = dense.map(|flat| {
+            let self_dot = dot_blocked(&flat, &flat);
+            (flat, self_dot)
+        });
+        UploadView {
+            ids,
+            rows,
+            self_dots,
+            dense,
+        }
     }
 
-    /// [`from_fn`](Self::from_fn) with an explicit tile edge (`block == 0` is
-    /// treated as unblocked). Exposed so the parity suite can pin that the
-    /// result is independent of the blocking factor.
-    pub fn from_fn_blocked(
-        n: usize,
-        block: usize,
-        mut dist: impl FnMut(usize, usize) -> f32,
-    ) -> Self {
-        let block = if block == 0 { n.max(1) } else { block };
-        let mut data = vec![0.0f32; n * n];
-        for i0 in (0..n).step_by(block) {
-            for j0 in (i0..n).step_by(block) {
-                for i in i0..(i0 + block).min(n) {
-                    let j_lo = j0.max(i + 1);
-                    for j in j_lo..(j0 + block).min(n) {
-                        let d = dist(i, j);
-                        data[i * n + j] = d;
-                        data[j * n + i] = d;
-                    }
+    /// Number of item rows.
+    pub fn n_items(&self) -> usize {
+        self.ids.len()
+    }
+}
+
+/// One upload holding the current item: `(upload, position)`, the row's
+/// index in that upload's view.
+type Holder = (usize, usize);
+
+/// k-way merge over the uploads' ascending id lists: visits every distinct
+/// item once, in ascending id, with its holders in ascending upload order.
+/// O(total items · log n): the heap holds one `id << 32 | upload` key for each
+/// upload with items left, and `cursor` that upload's position.
+struct ItemMerge<'v, 'a> {
+    uploads: &'v [UploadView<'a>],
+    heap: BinaryHeap<Reverse<u64>>,
+    cursor: Vec<usize>,
+    /// The current item's holders.
+    holders: Vec<Holder>,
+    /// Upload-indexed: all ones for each current holder, zero elsewhere.
+    held: Vec<u32>,
+}
+
+fn merge_key(id: u32, upload: usize) -> u64 {
+    (u64::from(id) << 32) | upload as u64
+}
+
+impl<'v, 'a> ItemMerge<'v, 'a> {
+    fn new(uploads: &'v [UploadView<'a>]) -> Self {
+        assert!(
+            u32::try_from(uploads.len()).is_ok(),
+            "more uploads than a merge key can index"
+        );
+        let heap = uploads
+            .iter()
+            .enumerate()
+            .filter_map(|(u, view)| view.ids.first().map(|&id| Reverse(merge_key(id, u))))
+            .collect();
+        ItemMerge {
+            uploads,
+            heap,
+            cursor: vec![0; uploads.len()],
+            holders: Vec::new(),
+            held: vec![0; uploads.len()],
+        }
+    }
+
+    /// The next item's holders, ascending by upload, and the `held` mask
+    /// marking them; `None` once every item has been visited.
+    fn next_item(&mut self) -> Option<(&[Holder], &[u32])> {
+        for &(u, _) in &self.holders {
+            self.held[u] = 0;
+        }
+        self.holders.clear();
+        let &Reverse(first) = self.heap.peek()?;
+        while let Some(mut top) = self.heap.peek_mut() {
+            let Reverse(key) = *top;
+            if key >> 32 != first >> 32 {
+                break;
+            }
+            let u = (key & u64::from(u32::MAX)) as usize;
+            let pos = self.cursor[u];
+            self.holders.push((u, pos));
+            self.held[u] = u32::MAX;
+            self.cursor[u] = pos + 1;
+            match self.uploads[u].ids.get(pos + 1) {
+                Some(&next) => *top = Reverse(merge_key(next, u)),
+                None => {
+                    PeekMut::pop(top);
                 }
             }
         }
+        Some((&self.holders, &self.held))
+    }
+}
+
+/// Adds `term` to each cell whose upload the mask does not mark and `-0.0`
+/// to each it does. `x + (-0.0)` is `x` bit for bit for every `x` an add can
+/// produce (±0, subnormals, ±inf, quiet NaN), so a marked cell is left as it
+/// was. Selecting by mask bits keeps the loop branch-free, so it vectorizes.
+fn add_unless_held(cells: &mut [f32], held: &[u32], term: f32) {
+    let term = term.to_bits();
+    let neg_zero = (-0.0f32).to_bits();
+    for (cell, &mask) in cells.iter_mut().zip(held) {
+        *cell += f32::from_bits((term & !mask) | (neg_zero & mask));
+    }
+}
+
+impl DistanceMatrix {
+    /// Build the matrix by evaluating `dist(i, j)` once for every pair
+    /// `i < j` and mirroring into both triangles. The diagonal is zero.
+    pub fn from_fn(n: usize, mut dist: impl FnMut(usize, usize) -> f32) -> Self {
+        let mut data = vec![0.0f32; n * n];
+        for i in 0..n {
+            for j in i + 1..n {
+                let d = dist(i, j);
+                data[i * n + j] = d;
+                data[j * n + i] = d;
+            }
+        }
+        Self::from_data(n, data)
+    }
+
+    /// The squared L2 distance between every pair of `uploads`, absent items
+    /// counting as zero rows, in one item-major sweep.
+    ///
+    /// For `i < j`, cell `(i, j)` holds the bits of the reference chain: start
+    /// at `+0.0`; add `i`'s items in ascending id — a shared item adds
+    /// [`squared_distance_blocked`]`(g_i, g_j)`, an item only `i` holds its
+    /// self-dot; add the self-dot of each item only `j` holds, in ascending
+    /// id; add the dense term (squared distance, or the one present part's
+    /// self-dot). The sweep adds exactly these terms to each cell in exactly
+    /// this order, plus `-0.0`s, which change no bits. Only the interleaving
+    /// *across* cells changes, and cells are independent.
+    ///
+    /// - **Pass A** walks the items in ascending id. For an item held by
+    ///   `h_1 < … < h_c`, row `h_k` of the upper triangle gets one term per
+    ///   partner `j > h_k`: the self-dot, or, where `j` holds the item too,
+    ///   `-0.0` and then the squared distance. The holders' rows are laid out
+    ///   once per item as a `c × dim` coordinate-major block, so each lane of
+    ///   the distance loop is its own `-0.0 + d_0² + d_1² + …` chain, exactly
+    ///   [`squared_distance_blocked`]'s, and the loop vectorizes across
+    ///   holders.
+    /// - The upper triangle is copied to the lower one, where column `j` of
+    ///   the upper triangle (rows `i < j`) is contiguous.
+    /// - **Pass B** walks the items again. Holder `j` adds its self-dot to each
+    ///   cell `(i, j)` where `i` lacks the item, and `-0.0` where `i` holds it.
+    /// - The dense term is added per pair with [`squared_distance_blocked`],
+    ///   and the lower triangle is mirrored into the upper one.
+    ///
+    /// Scratch beside the `n × n` result is O(n · dim): one item's block, its
+    /// lanes, and per-upload cursors and marks. No row is copied round-wide.
+    ///
+    /// # Panics
+    ///
+    /// If two uploads hold one item with rows of different lengths, or both
+    /// carry dense parts of different lengths ("distance over mismatched
+    /// lengths").
+    pub fn from_uploads(uploads: &[UploadView<'_>]) -> Self {
+        let n = uploads.len();
+        let mut data = vec![0.0f32; n * n];
+        let mut rows: Vec<&[f32]> = Vec::new();
+        let mut block = Vec::new();
+        let mut lanes = Vec::new();
+
+        // Pass A: the row upload's items, into the upper triangle.
+        let mut merge = ItemMerge::new(uploads);
+        while let Some((holders, held)) = merge.next_item() {
+            let c = holders.len();
+            rows.clear();
+            rows.extend(holders.iter().map(|&(u, pos)| uploads[u].rows[pos]));
+            let dim = rows[0].len();
+            assert!(
+                rows.iter().all(|row| row.len() == dim),
+                "distance over mismatched lengths"
+            );
+            block.clear();
+            for d in 0..dim {
+                block.extend(rows.iter().map(|row| row[d]));
+            }
+            for (k, &(i, pos)) in holders.iter().enumerate() {
+                // Lane m is `squared_distance_blocked(g_i, g_j)` for the m-th
+                // later holder `j`: the same `-0.0` start, coordinate order
+                // and operand order.
+                lanes.clear();
+                lanes.resize(c - k - 1, -0.0f32);
+                for coord in block.chunks_exact(c) {
+                    let a = coord[k];
+                    for (acc, &b) in lanes.iter_mut().zip(&coord[k + 1..]) {
+                        let t = a - b;
+                        *acc += t * t;
+                    }
+                }
+                let row = &mut data[i * n..(i + 1) * n];
+                add_unless_held(&mut row[i + 1..], &held[i + 1..], uploads[i].self_dots[pos]);
+                // The later holders got `-0.0` above; now their distance.
+                for (&(j, _), &dist) in holders[k + 1..].iter().zip(&lanes) {
+                    row[j] += dist;
+                }
+            }
+        }
+
+        // Column j of the upper triangle becomes row j of the lower one,
+        // contiguous for pass B.
+        for i in 0..n {
+            for j in i + 1..n {
+                data[j * n + i] = data[i * n + j];
+            }
+        }
+
+        // Pass B: the column upload's items, into the lower triangle.
+        let mut merge = ItemMerge::new(uploads);
+        while let Some((holders, held)) = merge.next_item() {
+            for &(j, pos) in holders {
+                add_unless_held(
+                    &mut data[j * n..j * n + j],
+                    &held[..j],
+                    uploads[j].self_dots[pos],
+                );
+            }
+        }
+
+        // Dense term, then mirror into the upper triangle.
+        for j in 0..n {
+            for i in 0..j {
+                let mut cell = data[j * n + i];
+                match (&uploads[i].dense, &uploads[j].dense) {
+                    (Some((a, _)), Some((b, _))) => cell += squared_distance_blocked(a, b),
+                    (Some((_, self_dot)), None) | (None, Some((_, self_dot))) => cell += self_dot,
+                    (None, None) => {}
+                }
+                data[j * n + i] = cell;
+                data[i * n + j] = cell;
+            }
+        }
+        Self::from_data(n, data)
+    }
+
+    fn from_data(n: usize, data: Vec<f32>) -> Self {
         DistanceMatrix {
             n,
             data,
@@ -247,26 +482,107 @@ mod tests {
         }
     }
 
-    #[test]
-    fn blocking_factor_does_not_change_values() {
-        let pts = demo_points();
-        let reference = DistanceMatrix::from_fn_blocked(pts.len(), 0, |i, j| {
-            squared_l2_distance(&pts[i], &pts[j])
-        });
-        for block in [1, 2, 3, 4, 16, 64] {
-            let m = DistanceMatrix::from_fn_blocked(pts.len(), block, |i, j| {
-                squared_l2_distance(&pts[i], &pts[j])
-            });
-            for i in 0..m.n() {
-                for j in 0..m.n() {
-                    assert_eq!(
-                        m.get(i, j).to_bits(),
-                        reference.get(i, j).to_bits(),
-                        "block={block}"
-                    );
-                }
+    /// One pair's reference chain, straight from the contract: from `+0.0`,
+    /// `a`'s items in ascending id, then the items only `b` holds, then the
+    /// dense term.
+    fn reference_pair(
+        a: &[(u32, Vec<f32>)],
+        b: &[(u32, Vec<f32>)],
+        dense_a: Option<&[f32]>,
+        dense_b: Option<&[f32]>,
+    ) -> f32 {
+        let mut total = 0.0f32;
+        for (id, ga) in a {
+            match b.iter().find(|(other, _)| other == id) {
+                Some((_, gb)) => total += squared_l2_distance(ga, gb),
+                None => total += crate::vector::dot(ga, ga),
             }
         }
+        for (id, gb) in b {
+            if !a.iter().any(|(other, _)| other == id) {
+                total += crate::vector::dot(gb, gb);
+            }
+        }
+        match (dense_a, dense_b) {
+            (Some(x), Some(y)) => total += squared_l2_distance(x, y),
+            (Some(x), None) | (None, Some(x)) => total += crate::vector::dot(x, x),
+            (None, None) => {}
+        }
+        total
+    }
+
+    #[test]
+    fn from_uploads_keeps_reference_bits_on_special_values() {
+        // Signed zeros, subnormals, and one row whose squares overflow to
+        // +inf: the `-0.0` the sweep adds for shared items must leave each of
+        // them bit for bit unchanged.
+        let specials = [
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE / 8.0,
+            -f32::MIN_POSITIVE / 3.0,
+            1.5,
+            -2.25,
+            3e-20,
+            0.75,
+        ];
+        let pick = |k: usize| specials[k % specials.len()];
+        // Upload 5 holds nothing; upload 6 holds only a dense part.
+        let mut items: Vec<Vec<(u32, Vec<f32>)>> = (0..7usize)
+            .map(|u| {
+                (0..6u32)
+                    .filter(|&x| u < 5 && !(u * 7 + x as usize * 3).is_multiple_of(4))
+                    .map(|x| {
+                        (
+                            x,
+                            (0..3).map(|d| pick(u * 5 + x as usize * 3 + d)).collect(),
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
+        items[4][0].1 = vec![1e20, -1e20, 1.5];
+        let dense: Vec<Option<Vec<f32>>> = (0..7usize)
+            .map(|u| {
+                u.is_multiple_of(2)
+                    .then(|| (0..5).map(|d| pick(u + 2 * d)).collect())
+            })
+            .collect();
+        let views: Vec<UploadView<'_>> = items
+            .iter()
+            .zip(&dense)
+            .map(|(rows, dense)| {
+                UploadView::new(
+                    rows.iter().map(|(id, g)| (*id, g.as_slice())),
+                    dense.clone(),
+                )
+            })
+            .collect();
+        let m = DistanceMatrix::from_uploads(&views);
+        for i in 0..views.len() {
+            assert_eq!(m.get(i, i).to_bits(), 0.0f32.to_bits());
+            for j in i + 1..views.len() {
+                let want = reference_pair(
+                    &items[i],
+                    &items[j],
+                    dense[i].as_deref(),
+                    dense[j].as_deref(),
+                );
+                assert_eq!(m.get(i, j).to_bits(), want.to_bits(), "cell ({i}, {j})");
+                assert_eq!(m.get(j, i).to_bits(), want.to_bits(), "cell ({j}, {i})");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "distance over mismatched lengths")]
+    fn from_uploads_rejects_mismatched_shared_rows() {
+        let (a, b) = ([1.0f32, 2.0], [1.0f32, 2.0, 3.0]);
+        let views = [
+            UploadView::new([(7, &a[..])], None),
+            UploadView::new([(7, &b[..])], None),
+        ];
+        DistanceMatrix::from_uploads(&views);
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub mod vector;
 pub use activation::{
     leaky_relu, leaky_relu_grad, log_sigmoid, relu, relu_grad, relu_inplace, sigmoid,
 };
-pub use distance::{dot_blocked, squared_distance_blocked, DistanceMatrix, DISTANCE_BLOCK};
+pub use distance::{dot_blocked, squared_distance_blocked, DistanceMatrix, UploadView};
 pub use matrix::Matrix;
 pub use rank::{
     argsort_desc, rank_of, sum_k_smallest, top_k_desc, top_k_desc_filtered,
