@@ -154,7 +154,7 @@ mod tests {
         let mut atk = FedRecAttack::new(50, vec![3, 7], 8, Some(interactions), 1);
         let g = atk.local_round(&ctx(), &model());
         assert_eq!(g.n_items(), 2);
-        assert!(g.items.contains_key(&3) && g.items.contains_key(&7));
+        assert!(g.get(3).is_some() && g.get(7).is_some());
         assert!(g.mlp.is_none());
     }
 

@@ -75,7 +75,7 @@ impl InteractionAttack {
                     &mut d_user_scratch,
                     &mut per_user,
                 );
-                if let Some(g) = per_user.items.get(&target) {
+                if let Some(g) = per_user.get(target) {
                     vector::add_assign(&mut item_grad, g);
                 }
                 if let Some(mlp) = per_user.mlp {
@@ -247,7 +247,7 @@ mod tests {
                 ModelKind::Mf => assert!(g.mlp.is_none()),
                 ModelKind::Ncf => assert!(g.mlp.is_some()),
             }
-            assert!(g.items.contains_key(&4));
+            assert!(g.get(4).is_some());
         }
     }
 
@@ -285,7 +285,7 @@ mod tests {
         let m = &models()[0];
         let mut atk = ARaClient::new(70, vec![4], 64, 2);
         let g = atk.local_round(&ctx(), m);
-        let norm = frs_linalg::l2_norm(&g.items[&4]);
+        let norm = frs_linalg::l2_norm(g.get(4).unwrap());
         // A single aligned user of scale 0.1 would give ‖g‖ ≈ 0.5·0.1·√6 ≈ 0.12.
         assert!(norm < 0.08, "random users should mostly cancel: {norm}");
     }

@@ -107,7 +107,7 @@ mod tests {
         let mut scaled = ScaledClient::new(Box::new(ARaClient::new(5, vec![2], 8, 3)), 4.0);
         let g_plain = plain.local_round(&ctx(), &m);
         let g_scaled = scaled.local_round(&ctx(), &m);
-        for (a, b) in g_plain.items[&2].iter().zip(&g_scaled.items[&2]) {
+        for (a, b) in g_plain.get(2).unwrap().iter().zip(g_scaled.get(2).unwrap()) {
             assert!((4.0 * a - b).abs() < 1e-5);
         }
     }

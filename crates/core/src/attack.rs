@@ -156,7 +156,7 @@ mod tests {
         complete_mining(&mut client, &mut m);
         let upload = client.local_round(&ctx(10), &m);
         assert_eq!(upload.n_items(), 1);
-        assert!(upload.items.contains_key(&15));
+        assert!(upload.get(15).is_some());
         assert!(upload.mlp.is_none(), "PIECK never touches the MLP");
     }
 
@@ -203,8 +203,8 @@ mod tests {
         complete_mining(&mut client, &mut m);
         let upload = client.local_round(&ctx(10), &m);
         assert_eq!(upload.n_items(), 3);
-        assert_eq!(upload.items[&15], upload.items[&16]);
-        assert_eq!(upload.items[&16], upload.items[&17]);
+        assert_eq!(upload.get(15).unwrap(), upload.get(16).unwrap());
+        assert_eq!(upload.get(16).unwrap(), upload.get(17).unwrap());
     }
 
     #[test]
@@ -217,7 +217,8 @@ mod tests {
         let upload = client.local_round(&ctx(10), &m);
         assert_eq!(upload.n_items(), 2);
         assert_ne!(
-            upload.items[&15], upload.items[&16],
+            upload.get(15).unwrap(),
+            upload.get(16).unwrap(),
             "independent targets get independent gradients"
         );
     }
@@ -236,7 +237,7 @@ mod tests {
         complete_mining(&mut c2, &mut m2);
         let g2 = c2.local_round(&ctx(10), &m2);
 
-        for (a, b) in g1.items[&15].iter().zip(&g2.items[&15]) {
+        for (a, b) in g1.get(15).unwrap().iter().zip(g2.get(15).unwrap()) {
             assert!((2.0 * a - b).abs() < 1e-5);
         }
     }
@@ -251,7 +252,7 @@ mod tests {
         complete_mining(&mut client, &mut m);
         assert!(client.mined_popular().unwrap().contains(&2));
         let upload = client.local_round(&ctx(10), &m);
-        let g = &upload.items[&2];
+        let g = upload.get(2).unwrap();
         assert!(g.iter().all(|v| v.is_finite()));
     }
 }

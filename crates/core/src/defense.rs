@@ -265,9 +265,9 @@ mod tests {
             &mut grads,
             &mut d_user,
         );
-        assert!(grads.items.contains_key(&unpop));
+        assert!(grads.get(unpop).is_some());
         assert!(
-            !grads.items.contains_key(&pop),
+            grads.get(pop).is_none(),
             "popular local items are not in ∆D_i"
         );
     }

@@ -150,11 +150,13 @@ impl DefenseFactory for DefenseKind {
             .unwrap_or(ctx.assumed_malicious_ratio)
             .clamp(0.0, 0.49);
         // Robust rules optionally run item-sharded (million-client rounds);
-        // shards == 1 is the bitwise-identical dense path.
+        // shards == 1 is the bitwise-identical dense path. Item ids are u32,
+        // so the residue classes are counted in u32 too.
         let shards = params.get_usize("shards")?.unwrap_or(1);
-        if shards == 0 {
-            return Err("shards must be ≥ 1".into());
-        }
+        let shards = u32::try_from(shards)
+            .ok()
+            .filter(|&s| s >= 1)
+            .ok_or_else(|| format!("shards must be in 1..={} (got {shards})", u32::MAX))?;
         let sharded = |agg: Box<dyn Aggregator>| -> Box<dyn Aggregator> {
             if shards > 1 {
                 Box::new(ShardedAggregator::new(agg, shards))
@@ -235,7 +237,7 @@ mod tests {
             let mut u2 = GlobalGradients::new();
             u2.add_item_grad(0, &[0.4, 0.6]);
             let out = agg.aggregate(&[u1, u2]);
-            let g = &out.items[&0];
+            let g = out.get(0).unwrap();
             assert_eq!(g.len(), 2, "{k:?}");
             assert!(g.iter().all(|v| v.is_finite()), "{k:?}");
             assert!(!agg.name().is_empty());
@@ -251,13 +253,13 @@ mod tests {
             .aggregator;
         let mut u = GlobalGradients::new();
         u.add_item_grad(0, &[1.0]);
-        assert!(agg.aggregate(&[u]).items[&0][0].is_finite());
+        assert!(agg.aggregate(&[u]).get(0).unwrap()[0].is_finite());
 
         let sel = DefenseSel::named("krum").with_param("ratio", 0.9f64);
         let inst = sel.build(&DefenseBuildCtx::minimal(0.05, 1.0));
         let mut u = GlobalGradients::new();
         u.add_item_grad(0, &[1.0]);
-        assert!(inst.aggregator.aggregate(&[u]).items[&0][0].is_finite());
+        assert!(inst.aggregator.aggregate(&[u]).get(0).unwrap()[0].is_finite());
     }
 
     #[test]
@@ -294,6 +296,27 @@ mod tests {
     }
 
     #[test]
+    fn shard_counts_past_u32_are_rejected() {
+        // 2^32 once wrapped to 0 shards (an update with no items) and
+        // 2^32 + 1 to 1; the largest u32 count still builds.
+        let ctx = DefenseBuildCtx::minimal(0.05, 1.0);
+        for spec in ["median:shards=4294967296", "krum:shards=4294967297"] {
+            let err = DefenseSel::parse(spec)
+                .unwrap()
+                .try_build(&ctx)
+                .unwrap_err();
+            assert!(
+                err.contains("shards must be in 1..=4294967295"),
+                "{spec}: {err}"
+            );
+        }
+        assert!(DefenseSel::parse("median:shards=4294967295")
+            .unwrap()
+            .try_build(&ctx)
+            .is_ok());
+    }
+
+    #[test]
     fn shards_param_wraps_robust_rules() {
         use frs_model::GlobalGradients;
         let ctx = DefenseBuildCtx::minimal(0.05, 1.0);
@@ -317,10 +340,7 @@ mod tests {
             }
             let out = inst.aggregator.aggregate(&[u1, u2]);
             assert_eq!(out.n_items(), 8, "{name}");
-            assert!(
-                out.items.values().flatten().all(|v| v.is_finite()),
-                "{name}"
-            );
+            assert!(out.rows().iter().all(|v| v.is_finite()), "{name}");
         }
         // NoDefense/NormBound/Ours do not take the param.
         let typo = DefenseSel::named("none").with_param("shards", 2usize);
@@ -338,11 +358,17 @@ mod tests {
         let mut u = GlobalGradients::new();
         u.add_item_grad(0, &[3.0, 4.0]);
         let out = clipped.aggregator.aggregate(&[u.clone()]);
-        let norm: f32 = out.items[&0].iter().map(|v| v * v).sum::<f32>().sqrt();
+        let norm: f32 = out
+            .get(0)
+            .unwrap()
+            .iter()
+            .map(|v| v * v)
+            .sum::<f32>()
+            .sqrt();
         assert!(norm <= 0.0011, "clipped to the param threshold: {norm}");
         // Without the param, the huge ctx threshold leaves it untouched.
         let loose = DefenseSel::named("norm-bound").build(&ctx);
         let out = loose.aggregator.aggregate(&[u]);
-        assert_eq!(out.items[&0], vec![3.0, 4.0]);
+        assert_eq!(out.get(0).unwrap(), vec![3.0, 4.0]);
     }
 }

@@ -19,18 +19,19 @@
 //!
 //! All three consume the *same* shared pairwise-distance layer: one
 //! [`frs_federation::upload_distance_matrix`] per round (an item-major sweep
-//! over every upload, see [`frs_linalg::DistanceMatrix::from_uploads`]), with
-//! [`frs_linalg::DistanceMatrix::krum_scores`] on top. Bulyan's selection
-//! additionally deactivates matrix rows as it prunes instead of recomputing
-//! anything. Every path is bitwise-identical to
-//! the original scalar implementation — the `kernel-parity` CI job and the
-//! golden tests in `tests/krum_parity.rs` pin that.
+//! over every upload's borrowed rows, see
+//! [`frs_linalg::DistanceMatrix::from_uploads`]), with
+//! [`frs_linalg::DistanceMatrix::krum_scores`] on top. MultiKrum and Bulyan
+//! then take the same `m` best `(score, index)` pairs. Every path is
+//! bitwise-identical to the original scalar implementation — the
+//! `kernel-parity` CI job and the golden tests in `tests/krum_parity.rs` pin
+//! that.
 
 use frs_federation::{sum_uploads, upload_distance_matrix, Aggregator};
 use frs_linalg::coordinate_trimmed_mean;
 use frs_model::GlobalGradients;
 
-use crate::median::reduce_upload_refs;
+use crate::median::reduce_uploads;
 
 /// Krum score per upload as `(upload index, score)` pairs, via the round's
 /// shared distance matrix. `None` when the rule is undefined for `n`.
@@ -107,31 +108,24 @@ impl MultiKrum {
     }
 }
 
-impl MultiKrum {
-    fn select<'a>(&self, uploads: &'a [GlobalGradients]) -> Option<Vec<&'a GlobalGradients>> {
-        let n = uploads.len();
-        let f = f_of(n, self.malicious_ratio);
-        let scores = krum_scores(uploads, f)?;
-        let m = n.saturating_sub(2 * f).max(1);
-        Some(
-            best_m(&scores, m)
-                .into_iter()
-                .map(|i| &uploads[i])
-                .collect(),
-        )
-    }
+/// The `n − 2f` best-scoring uploads in `(score, index)` order — the
+/// selection MultiKrum sums and Bulyan trims — or `None` when the Krum
+/// score is undefined for `n`.
+fn multikrum_select(
+    uploads: &[GlobalGradients],
+    malicious_ratio: f64,
+) -> Option<impl Iterator<Item = &GlobalGradients> + Clone> {
+    let n = uploads.len();
+    let f = f_of(n, malicious_ratio);
+    let scores = krum_scores(uploads, f)?;
+    let m = n.saturating_sub(2 * f).max(1);
+    Some(best_m(&scores, m).into_iter().map(|i| &uploads[i]))
 }
 
 impl Aggregator for MultiKrum {
     fn aggregate(&self, uploads: &[GlobalGradients]) -> GlobalGradients {
-        match self.select(uploads) {
-            Some(selected) => {
-                let mut out = GlobalGradients::new();
-                for u in selected {
-                    out.axpy(1.0, u);
-                }
-                out
-            }
+        match multikrum_select(uploads, self.malicious_ratio) {
+            Some(selected) => GlobalGradients::weighted_sum(selected.map(|u| (1.0, u))),
             None => sum_uploads(uploads),
         }
     }
@@ -162,36 +156,14 @@ impl Bulyan {
 
 impl Aggregator for Bulyan {
     fn aggregate(&self, uploads: &[GlobalGradients]) -> GlobalGradients {
-        let n = uploads.len();
-        let f = f_of(n, self.malicious_ratio);
-        let mut matrix = upload_distance_matrix(uploads);
-        let Some(scores) = matrix.krum_scores(f) else {
+        let Some(selected) = multikrum_select(uploads, self.malicious_ratio) else {
             return sum_uploads(uploads);
         };
-        let m = n.saturating_sub(2 * f).max(1);
-        // Pruning loop: repeatedly pick the lowest-scoring active upload
-        // (ties toward the lower index — the unique minimum under the
-        // lexicographic comparator) and deactivate its row/column, which
-        // masks it out of the shared matrix in O(1) instead of recomputing
-        // the surviving submatrix. Over fixed scores this selects exactly
-        // the `m` best, in score order.
-        let mut selected: Vec<&GlobalGradients> = Vec::with_capacity(m);
-        while selected.len() < m {
-            let Some(&(i, _)) = scores
-                .iter()
-                .filter(|&&(i, _)| matrix.is_active(i))
-                .min_by(|(ai, a), (bi, b)| a.total_cmp(b).then(ai.cmp(bi)))
-            else {
-                break;
-            };
-            matrix.deactivate(i);
-            selected.push(&uploads[i]);
-        }
         // Trimmed mean per item over the selected uploads — the trim budget
         // is proportional to the item's uploader count (a global `f` would
         // always degenerate to a median for sparsely-uploaded items) —
         // rescaled by the kept count to keep sum-like magnitude.
-        reduce_upload_refs(&selected, |grads| {
+        reduce_uploads(selected, |grads| {
             let trim = (((grads.len() as f64) * self.malicious_ratio).ceil() as usize)
                 .min(grads.len().saturating_sub(1) / 2);
             let mut combined = coordinate_trimmed_mean(grads, trim);
@@ -239,9 +211,9 @@ mod tests {
         let uploads = round_uploads();
         let out = Krum::new(0.25).aggregate(&uploads);
         assert!(
-            !out.items.contains_key(&9),
+            out.get(9).is_none(),
             "the poison-only item must be filtered: {:?}",
-            out.items.keys()
+            out.ids()
         );
     }
 
@@ -261,7 +233,7 @@ mod tests {
     fn krum_falls_back_to_sum_for_tiny_rounds() {
         let uploads = vec![upload(&[(0, vec![1.0])]), upload(&[(0, vec![3.0])])];
         let out = Krum::new(0.2).aggregate(&uploads);
-        assert_eq!(out.items[&0], vec![4.0]);
+        assert_eq!(out.get(0), Some(&[4.0][..]));
     }
 
     #[test]
@@ -269,15 +241,15 @@ mod tests {
         let uploads = round_uploads();
         let out = MultiKrum::new(0.25).aggregate(&uploads);
         // n=8, f=2 → m=4 central uploads summed; benign items survive.
-        assert!(out.items.contains_key(&0));
-        assert!(out.items.contains_key(&1) || out.items.contains_key(&2));
+        assert!(out.get(0).is_some());
+        assert!(out.get(1).is_some() || out.get(2).is_some());
     }
 
     #[test]
     fn bulyan_filters_large_poison() {
         let uploads = round_uploads();
         let out = Bulyan::new(0.25).aggregate(&uploads);
-        if let Some(g) = out.items.get(&9) {
+        if let Some(g) = out.get(9) {
             assert!(frs_linalg::l2_norm(g) < 1.0, "poison attenuated: {g:?}");
         }
     }

@@ -7,14 +7,14 @@
 //! which Eq. (11) shows is barely true or false for cold target items under
 //! PIECK, and TrimmedMean's fixed trim budget is easily outnumbered.
 
-use frs_federation::{gather_item_gradients_refs, gather_mlp_gradients_refs, Aggregator};
+use frs_federation::{gather_item_gradients, gather_mlp_gradients, Aggregator};
 use frs_linalg::{coordinate_median, coordinate_trimmed_mean};
 use frs_model::GlobalGradients;
 
 /// Applies a per-item coordinate reduction plus the same rule on the MLP,
-/// over a *selection* of uploads by reference (so Bulyan can reduce its
-/// Krum-selected subset without cloning a single upload). The closure returns
-/// the final — already rescaled — combined vector for one gradient group.
+/// over uploads by reference (so Bulyan can reduce its Krum-selected subset
+/// without cloning a single upload). The closure returns the final — already
+/// rescaled — combined vector for one gradient group.
 ///
 /// On rescaling: the undefended baseline aggregator is a *sum*, so a
 /// mean-like statistic must be scaled back to sum magnitude or the server's
@@ -22,15 +22,15 @@ use frs_model::GlobalGradients;
 /// recommender never trains (which would make every ER comparison
 /// meaningless). Median/TrimmedMean rescale by the uploader count; Bulyan by
 /// its post-trim kept count.
-pub(crate) fn reduce_upload_refs(
-    uploads: &[&GlobalGradients],
+pub(crate) fn reduce_uploads<'a>(
+    uploads: impl IntoIterator<Item = &'a GlobalGradients> + Clone,
     reduce: impl Fn(&[&[f32]]) -> Vec<f32>,
 ) -> GlobalGradients {
     let mut out = GlobalGradients::new();
-    for (item, grads) in gather_item_gradients_refs(uploads) {
-        out.items.insert(item, reduce(&grads));
+    for (item, grads) in gather_item_gradients(uploads.clone()) {
+        out.add_item_grad(item, &reduce(&grads));
     }
-    let mlp_uploads = gather_mlp_gradients_refs(uploads);
+    let mlp_uploads = gather_mlp_gradients(uploads);
     if let Some(first) = mlp_uploads.first() {
         let flats: Vec<Vec<f32>> = mlp_uploads.iter().map(|m| m.flatten()).collect();
         let refs: Vec<&[f32]> = flats.iter().map(|f| f.as_slice()).collect();
@@ -45,8 +45,7 @@ pub struct Median;
 
 impl Aggregator for Median {
     fn aggregate(&self, uploads: &[GlobalGradients]) -> GlobalGradients {
-        let refs: Vec<&GlobalGradients> = uploads.iter().collect();
-        reduce_upload_refs(&refs, |grads| {
+        reduce_uploads(uploads, |grads| {
             let mut combined = coordinate_median(grads);
             frs_linalg::scale(&mut combined, grads.len() as f32);
             combined
@@ -80,8 +79,7 @@ impl TrimmedMean {
 
 impl Aggregator for TrimmedMean {
     fn aggregate(&self, uploads: &[GlobalGradients]) -> GlobalGradients {
-        let refs: Vec<&GlobalGradients> = uploads.iter().collect();
-        reduce_upload_refs(&refs, |grads| {
+        reduce_uploads(uploads, |grads| {
             let trim = ((grads.len() as f64) * self.trim_ratio).ceil() as usize;
             let mut combined = coordinate_trimmed_mean(grads, trim);
             frs_linalg::scale(&mut combined, grads.len() as f32);
@@ -116,8 +114,8 @@ mod tests {
         ];
         let out = Median.aggregate(&uploads);
         // 4 uploaders: median ≈ 0.1 rescaled by 4 ⇒ ≈ 0.4, far below poison.
-        assert!(out.items[&0][0] < 1.0, "{:?}", out.items[&0]);
-        assert!(out.items[&0][1] > -1.0);
+        assert!(out.get(0).unwrap()[0] < 1.0, "{:?}", out.get(0).unwrap());
+        assert!(out.get(0).unwrap()[1] > -1.0);
     }
 
     #[test]
@@ -130,7 +128,10 @@ mod tests {
             upload(&[(0, vec![-0.01])]),
         ];
         let out = Median.aggregate(&uploads);
-        assert!(out.items[&0][0] > 4.0, "majority poison wins under median");
+        assert!(
+            out.get(0).unwrap()[0] > 4.0,
+            "majority poison wins under median"
+        );
     }
 
     #[test]
@@ -142,8 +143,8 @@ mod tests {
         ];
         let out = Median.aggregate(&uploads);
         // Rescaled by uploader count: median(1,3)=2 ×2 = 4; single upload ×1.
-        assert_eq!(out.items[&0], vec![4.0]);
-        assert_eq!(out.items[&1], vec![7.0]);
+        assert_eq!(out.get(0).unwrap(), vec![4.0]);
+        assert_eq!(out.get(1).unwrap(), vec![7.0]);
     }
 
     #[test]
@@ -154,7 +155,7 @@ mod tests {
             .collect();
         // n=5, trim=ceil(5·0.25)=2 per side → middle value 10, rescaled ×5.
         let out = TrimmedMean::new(0.25).aggregate(&uploads);
-        assert_eq!(out.items[&0], vec![50.0]);
+        assert_eq!(out.get(0).unwrap(), vec![50.0]);
     }
 
     #[test]
@@ -166,7 +167,11 @@ mod tests {
             .map(|&v| upload(&[(0, vec![v])]))
             .collect();
         let out = TrimmedMean::new(0.05).aggregate(&uploads);
-        assert!(out.items[&0][0] > 1.0, "poison leaks: {:?}", out.items[&0]);
+        assert!(
+            out.get(0).unwrap()[0] > 1.0,
+            "poison leaks: {:?}",
+            out.get(0).unwrap()
+        );
     }
 
     #[test]

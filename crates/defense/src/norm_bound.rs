@@ -30,17 +30,15 @@ impl NormBound {
 
 impl Aggregator for NormBound {
     fn aggregate(&self, uploads: &[GlobalGradients]) -> GlobalGradients {
-        let mut out = GlobalGradients::new();
-        for upload in uploads {
+        GlobalGradients::weighted_sum(uploads.iter().map(|upload| {
             let norm = upload_norm(upload);
             let factor = if norm > self.threshold {
                 self.threshold / norm
             } else {
                 1.0
             };
-            out.axpy(factor, upload);
-        }
-        out
+            (factor, upload)
+        }))
     }
 
     fn name(&self) -> &'static str {
@@ -67,15 +65,15 @@ mod tests {
             upload(&[(0, vec![1.0, 0.0])]),
             upload(&[(0, vec![0.0, 2.0])]),
         ]);
-        assert_eq!(out.items[&0], vec![1.0, 2.0]);
+        assert_eq!(out.get(0).unwrap(), vec![1.0, 2.0]);
     }
 
     #[test]
     fn oversized_upload_clipped_to_threshold() {
         let nb = NormBound::new(1.0);
         let out = nb.aggregate(&[upload(&[(0, vec![30.0, 40.0])])]); // norm 50
-        assert!((out.items[&0][0] - 0.6).abs() < 1e-6);
-        assert!((out.items[&0][1] - 0.8).abs() < 1e-6);
+        assert!((out.get(0).unwrap()[0] - 0.6).abs() < 1e-6);
+        assert!((out.get(0).unwrap()[1] - 0.8).abs() < 1e-6);
     }
 
     #[test]
@@ -84,8 +82,8 @@ mod tests {
         let nb = NormBound::new(5.0);
         let out = nb.aggregate(&[upload(&[(0, vec![6.0, 0.0]), (1, vec![8.0, 0.0])])]);
         // ‖(6, 8)‖ = 10 → factor 0.5.
-        assert!((out.items[&0][0] - 3.0).abs() < 1e-5);
-        assert!((out.items[&1][0] - 4.0).abs() < 1e-5);
+        assert!((out.get(0).unwrap()[0] - 3.0).abs() < 1e-5);
+        assert!((out.get(1).unwrap()[0] - 4.0).abs() < 1e-5);
     }
 
     #[test]
@@ -95,7 +93,7 @@ mod tests {
         let mut all = benign;
         all.push(upload(&[(0, vec![1000.0, -1000.0])]));
         let out = nb.aggregate(&all);
-        let d = frs_linalg::l2_distance(&out.items[&0], &[0.9, 0.0]);
+        let d = frs_linalg::l2_distance(out.get(0).unwrap(), &[0.9, 0.0]);
         assert!(d <= 0.5 + 1e-5, "attacker moved aggregate by {d}");
     }
 

@@ -4,9 +4,10 @@
 //! `reference_*` below is a verbatim copy of the pre-refactor aggregation
 //! code (naive pairwise `upload_squared_distance`, full per-row sorts, clone
 //! +sort-truncate selection). The live defenses now run through
-//! `upload_distance_matrix` / `DistanceMatrix::krum_scores` / the Bulyan
-//! deactivation loop — and must reproduce the reference output to the bit,
-//! or experiment reports would silently change. Part of the CI
+//! `upload_distance_matrix` / `DistanceMatrix::krum_scores` / MultiKrum's
+//! `best_m` selection, which Bulyan shares — and must reproduce the
+//! reference output to the bit, or experiment reports would silently
+//! change. Part of the CI
 //! `kernel-parity` job; run locally with
 //!
 //! ```text
@@ -106,7 +107,7 @@ fn reference_bulyan(uploads: &[GlobalGradients], ratio: f64) -> GlobalGradients 
         let mut combined = coordinate_trimmed_mean(&grads, trim);
         let kept = grads.len().saturating_sub(2 * trim).max(1) as f32;
         frs_linalg::scale(&mut combined, kept);
-        out.items.insert(item, combined);
+        out.add_item_grad(item, &combined);
     }
     let mlp_uploads = gather_mlp_gradients(&selected);
     if let Some(first) = mlp_uploads.first() {
@@ -165,12 +166,17 @@ fn seeded_uploads(n: usize, seed: u64, with_mlp: bool) -> Vec<GlobalGradients> {
 }
 
 fn assert_bitwise_eq(live: &GlobalGradients, reference: &GlobalGradients, what: &str) {
-    let keys: Vec<u32> = live.items.keys().copied().collect();
-    let ref_keys: Vec<u32> = reference.items.keys().copied().collect();
+    let keys = live.ids();
+    let ref_keys = reference.ids();
     assert_eq!(keys, ref_keys, "{what}: item support differs");
-    for (item, grad) in &live.items {
+    for (item, grad) in live.iter() {
         let bits: Vec<u32> = grad.iter().map(|x| x.to_bits()).collect();
-        let ref_bits: Vec<u32> = reference.items[item].iter().map(|x| x.to_bits()).collect();
+        let ref_bits: Vec<u32> = reference
+            .get(item)
+            .unwrap()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect();
         assert_eq!(bits, ref_bits, "{what}: item {item} differs");
     }
     assert_eq!(
@@ -217,7 +223,7 @@ fn all_three_defenses_are_bitwise_reference_across_sizes_and_ratios() {
 }
 
 // ---------------------------------------------------------------------------
-// Bulyan pruning-loop edge cases against the incremental matrix
+// Bulyan selection edge cases
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -243,9 +249,9 @@ fn bulyan_at_the_f_boundary_falls_back_then_engages() {
 
 #[test]
 fn bulyan_breaks_krum_score_ties_by_index() {
-    // Duplicate uploads ⇒ exactly tied Krum scores. The deactivation loop's
-    // lexicographic (score, index) argmin must pick the *lowest index* of
-    // each tie group — same as the reference stable sort-by-score.
+    // Duplicate uploads ⇒ exactly tied Krum scores. The lexicographic
+    // (score, index) selection must pick the *lowest index* of each tie
+    // group — same as the reference stable sort-by-score.
     let base = seeded_uploads(3, 99, false);
     let mut uploads = Vec::new();
     for u in &base {
@@ -267,9 +273,9 @@ fn bulyan_breaks_krum_score_ties_by_index() {
 
 #[test]
 fn bulyan_single_survivor_prune() {
-    // ratio 0.4, n=6: f=3 ⇒ m = max(6−6, 1) = 1 — the pruning loop must
-    // deactivate down to one survivor and still match the reference, and the
-    // matrix path must not under- or over-prune.
+    // ratio 0.4, n=6: f=3 ⇒ m = max(6−6, 1) = 1 — the selection must keep
+    // exactly one survivor and still match the reference, and the matrix
+    // path must not under- or over-prune.
     let uploads = seeded_uploads(6, 0xBEE, false);
     let out = Bulyan::new(0.4).aggregate(&uploads);
     let reference = reference_bulyan(&uploads, 0.4);
@@ -278,11 +284,9 @@ fn bulyan_single_survivor_prune() {
     // With one survivor the trimmed mean degenerates to that upload's own
     // gradients (trim 0, kept 1): the output support must equal the support
     // of exactly one input upload.
-    let support: Vec<u32> = out.items.keys().copied().collect();
+    let support = out.ids();
     assert!(
-        uploads
-            .iter()
-            .any(|u| u.items.keys().copied().collect::<Vec<u32>>() == support),
+        uploads.iter().any(|u| u.ids() == support),
         "single-survivor output support must match one upload"
     );
 }

@@ -60,15 +60,20 @@ fn assert_bitwise_eq(
     dense: &GlobalGradients,
     what: &str,
 ) -> Result<(), TestCaseError> {
-    let keys: Vec<u32> = sharded.items.keys().copied().collect();
-    let dense_keys: Vec<u32> = dense.items.keys().copied().collect();
+    let keys = sharded.ids();
+    let dense_keys = dense.ids();
     prop_assert!(
         keys == dense_keys,
         "{what}: item support differs: {keys:?} vs {dense_keys:?}"
     );
-    for (item, grad) in &sharded.items {
+    for (item, grad) in sharded.iter() {
         let bits: Vec<u32> = grad.iter().map(|x| x.to_bits()).collect();
-        let dense_bits: Vec<u32> = dense.items[item].iter().map(|x| x.to_bits()).collect();
+        let dense_bits: Vec<u32> = dense
+            .get(item)
+            .unwrap()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect();
         prop_assert!(bits == dense_bits, "{what}: item {item} differs");
     }
     prop_assert!(
@@ -120,7 +125,7 @@ proptest! {
     fn coordinate_rules_are_shard_invariant(
         raws in prop::collection::vec(upload_strategy(), 0..9),
         ratio in 0.05f64..0.45,
-        shards in 2usize..7,
+        shards in 2u32..7,
     ) {
         let uploads: Vec<GlobalGradients> = raws.iter().map(build_upload).collect();
         let coordinate_wise: Vec<(Box<dyn Aggregator>, Box<dyn Aggregator>)> = vec![
@@ -160,13 +165,13 @@ fn sharded_krum_is_well_formed() {
     }
     let input_support: std::collections::BTreeSet<u32> = uploads
         .iter()
-        .flat_map(|u| u.items.keys().copied())
+        .flat_map(|u| u.ids().iter().copied())
         .collect();
     let out = ShardedAggregator::new(Box::new(Krum::new(0.25)), 4).aggregate(&uploads);
-    assert!(!out.items.is_empty());
-    for (item, grad) in &out.items {
+    assert!(out.n_items() > 0);
+    for (item, grad) in out.iter() {
         assert!(
-            input_support.contains(item),
+            input_support.contains(&item),
             "item {item} not in any upload"
         );
         assert!(grad.iter().all(|v| v.is_finite()));

@@ -11,6 +11,10 @@
 //! gradient set the update applies. Defenses differ in granularity: some
 //! filter whole uploads (Krum, NormBound), some reduce coordinate-wise per
 //! item ([`gather_item_gradients`] is the helper for those).
+//!
+//! Every helper here reads uploads through `GlobalGradients`' accessors;
+//! sums over many uploads go through [`GlobalGradients::weighted_sum`], one
+//! pass for the whole round.
 
 use std::collections::BTreeMap;
 
@@ -67,13 +71,17 @@ impl Aggregator for SumAggregator {
 ///
 /// Uploads are sparse — a client touches only its local items — but
 /// whole-upload rules (the Krum family) still compare rounds in the full
-/// upload space, and coordinate-wise rules walk one big per-item map. At
+/// upload space, and coordinate-wise rules walk one big per-item grouping. At
 /// million-client round widths that is one huge working set. Sharding
 /// splits the item space by `item % shards` and runs the inner rule
 /// independently per shard over only the coordinates that shard touches,
 /// shrinking the per-invocation working set and bounding the distance
 /// matrices; MLP gradients (dense, unsharded by nature) are aggregated in
 /// one extra pass of their own.
+///
+/// Each shard's part of an upload is built in one pass over the upload's
+/// sorted ids, so every item row is copied once, into its own shard (the
+/// inner rule takes owned uploads).
 ///
 /// Determinism and parity (pinned by `sharded_parity` in the CI
 /// `kernel-parity` job):
@@ -86,19 +94,19 @@ impl Aggregator for SumAggregator {
 ///   drifted implementation of the same one.
 pub struct ShardedAggregator {
     inner: Box<dyn Aggregator>,
-    shards: usize,
+    shards: u32,
 }
 
 impl ShardedAggregator {
     /// Wraps `inner`, splitting the item space into `shards` residue
     /// classes. `shards` must be ≥ 1.
-    pub fn new(inner: Box<dyn Aggregator>, shards: usize) -> Self {
+    pub fn new(inner: Box<dyn Aggregator>, shards: u32) -> Self {
         assert!(shards >= 1, "shards must be ≥ 1");
         Self { inner, shards }
     }
 
     /// Shard count this wrapper was built with.
-    pub fn shards(&self) -> usize {
+    pub fn shards(&self) -> u32 {
         self.shards
     }
 }
@@ -108,41 +116,35 @@ impl Aggregator for ShardedAggregator {
         if self.shards <= 1 {
             return self.inner.aggregate(uploads);
         }
-        let mut out = GlobalGradients::new();
         // Item pass: per shard, present each upload's touched coordinates in
         // that residue class (uploads with no items there drop out of the
-        // shard entirely). Output supports are disjoint across shards.
+        // shard entirely). Output supports are disjoint across shards, so
+        // summing the outputs just interleaves their rows.
         let mut shard_uploads: Vec<GlobalGradients> = Vec::with_capacity(uploads.len());
-        #[allow(clippy::cast_possible_truncation)]
-        // lint:allow(lossy-index-cast): shard counts are small config values (thread-scale, not catalog-scale)
-        for s in 0..self.shards as u32 {
+        let mut outputs = Vec::new();
+        for s in 0..self.shards {
             shard_uploads.clear();
             for upload in uploads {
-                let items: BTreeMap<u32, Vec<f32>> = upload
-                    .items
-                    .iter()
-                    .filter(|(&item, _)| {
-                        #[allow(clippy::cast_possible_truncation)]
-                        let shards = self.shards as u32; // lint:allow(lossy-index-cast): shard counts are small config values
-                        item % shards == s
-                    })
-                    .map(|(&item, grad)| (item, grad.clone()))
-                    .collect();
-                if !items.is_empty() {
-                    shard_uploads.push(GlobalGradients { items, mlp: None });
+                let mut part = GlobalGradients::new();
+                for (item, grad) in upload.iter().filter(|&(item, _)| item % self.shards == s) {
+                    part.add_item_grad(item, grad);
+                }
+                if part.n_items() > 0 {
+                    shard_uploads.push(part);
                 }
             }
-            let combined = self.inner.aggregate(&shard_uploads);
-            out.items.extend(combined.items);
+            outputs.push(self.inner.aggregate(&shard_uploads));
         }
+        let mut out = sum_uploads(&outputs);
         // MLP pass: the dense part aggregates once, over exactly the uploads
         // that carry one.
         let mlp_uploads: Vec<GlobalGradients> = uploads
             .iter()
             .filter(|u| u.mlp.is_some())
-            .map(|u| GlobalGradients {
-                items: BTreeMap::new(),
-                mlp: u.mlp.clone(),
+            .map(|u| {
+                let mut mlp_only = GlobalGradients::new();
+                mlp_only.mlp = u.mlp.clone();
+                mlp_only
             })
             .collect();
         if !mlp_uploads.is_empty() {
@@ -164,51 +166,33 @@ impl Aggregator for ShardedAggregator {
     }
 }
 
-/// Sums a set of uploads item-wise and MLP-wise.
+/// Sums a set of uploads item-wise and MLP-wise, in one pass
+/// ([`GlobalGradients::weighted_sum`] with every weight 1).
 pub fn sum_uploads(uploads: &[GlobalGradients]) -> GlobalGradients {
-    let mut out = GlobalGradients::new();
-    for upload in uploads {
-        out.axpy(1.0, upload);
-    }
-    out
+    GlobalGradients::weighted_sum(uploads.iter().map(|u| (1.0, u)))
 }
 
 /// Groups uploads per item: `item → [gradient of upload 1, …]`, preserving
-/// the (client-id-sorted) upload order the server established. The building
-/// block for coordinate-wise defenses (Median, TrimmedMean).
-pub fn gather_item_gradients(uploads: &[GlobalGradients]) -> BTreeMap<u32, Vec<&[f32]>> {
-    let mut by_item: BTreeMap<u32, Vec<&[f32]>> = BTreeMap::new();
-    for upload in uploads {
-        for (&item, grad) in &upload.items {
-            by_item.entry(item).or_default().push(grad.as_slice());
-        }
-    }
-    by_item
-}
-
-/// Collects the MLP gradient parts of a round's uploads.
-pub fn gather_mlp_gradients(uploads: &[GlobalGradients]) -> Vec<&MlpGradients> {
-    uploads.iter().filter_map(|u| u.mlp.as_ref()).collect()
-}
-
-/// [`gather_item_gradients`] over a *selection* of uploads by reference —
-/// Bulyan picks a subset of the round and reduces it coordinate-wise without
-/// cloning any upload.
-pub fn gather_item_gradients_refs<'a>(
-    uploads: &[&'a GlobalGradients],
+/// the order `uploads` yields them in (the server's client-id order, or a
+/// defense's selection). The building block for coordinate-wise defenses
+/// (Median, TrimmedMean, Bulyan).
+pub fn gather_item_gradients<'a>(
+    uploads: impl IntoIterator<Item = &'a GlobalGradients>,
 ) -> BTreeMap<u32, Vec<&'a [f32]>> {
     let mut by_item: BTreeMap<u32, Vec<&'a [f32]>> = BTreeMap::new();
     for upload in uploads {
-        for (&item, grad) in &upload.items {
-            by_item.entry(item).or_default().push(grad.as_slice());
+        for (item, grad) in upload.iter() {
+            by_item.entry(item).or_default().push(grad);
         }
     }
     by_item
 }
 
-/// [`gather_mlp_gradients`] over a selection of uploads by reference.
-pub fn gather_mlp_gradients_refs<'a>(uploads: &[&'a GlobalGradients]) -> Vec<&'a MlpGradients> {
-    uploads.iter().filter_map(|u| u.mlp.as_ref()).collect()
+/// Collects the MLP gradient parts of uploads, in order.
+pub fn gather_mlp_gradients<'a>(
+    uploads: impl IntoIterator<Item = &'a GlobalGradients>,
+) -> Vec<&'a MlpGradients> {
+    uploads.into_iter().filter_map(|u| u.mlp.as_ref()).collect()
 }
 
 /// Squared L2 distance between two *whole uploads*, treating items absent
@@ -217,14 +201,14 @@ pub fn gather_mlp_gradients_refs<'a>(uploads: &[&'a GlobalGradients]) -> Vec<&'a
 /// each cell of [`upload_distance_matrix`] matches bit for bit.
 pub fn upload_squared_distance(a: &GlobalGradients, b: &GlobalGradients) -> f32 {
     let mut total = 0.0f32;
-    for (&item, ga) in &a.items {
-        match b.items.get(&item) {
+    for (item, ga) in a.iter() {
+        match b.get(item) {
             Some(gb) => total += frs_linalg::squared_l2_distance(ga, gb),
             None => total += frs_linalg::dot(ga, ga),
         }
     }
-    for (&item, gb) in &b.items {
-        if !a.items.contains_key(&item) {
+    for (item, gb) in b.iter() {
+        if a.get(item).is_none() {
             total += frs_linalg::dot(gb, gb);
         }
     }
@@ -243,12 +227,13 @@ pub fn upload_squared_distance(a: &GlobalGradients, b: &GlobalGradients) -> f32 
     total
 }
 
-/// Adapts one upload for the distance kernel: its sorted item ids (the
-/// `BTreeMap` order), borrowed gradient rows with their self-dots, and the MLP
-/// part flattened once.
+/// Adapts one upload for the distance kernel: its id slice and row block,
+/// borrowed in place, the rows' self-dots, and the MLP part flattened once.
 pub fn upload_view(upload: &GlobalGradients) -> UploadView<'_> {
     UploadView::new(
-        upload.items.iter().map(|(&id, grad)| (id, grad.as_slice())),
+        upload.ids(),
+        upload.rows(),
+        upload.dim(),
         upload.mlp.as_ref().map(MlpGradients::flatten),
     )
 }
@@ -257,8 +242,7 @@ pub fn upload_view(upload: &GlobalGradients) -> UploadView<'_> {
 /// `i < j`, cell `(i, j)` is bitwise-equal to [`upload_squared_distance`] in
 /// `(i, j)` argument order. One item-major sweep over the uploads' views
 /// ([`DistanceMatrix::from_uploads`]) fills it. Krum, Multi-Krum, and Bulyan
-/// all consume this one matrix; Bulyan additionally deactivates rows as it
-/// prunes (see [`DistanceMatrix::deactivate`]).
+/// all score and select on this one matrix.
 pub fn upload_distance_matrix(uploads: &[GlobalGradients]) -> DistanceMatrix {
     let views: Vec<UploadView<'_>> = uploads.iter().map(upload_view).collect();
     DistanceMatrix::from_uploads(&views)
@@ -267,7 +251,7 @@ pub fn upload_distance_matrix(uploads: &[GlobalGradients]) -> DistanceMatrix {
 /// Global L2 norm of one upload (items + MLP).
 pub fn upload_norm(upload: &GlobalGradients) -> f32 {
     let mut sq = 0.0f32;
-    for grad in upload.items.values() {
+    for (_, grad) in upload.iter() {
         sq += frs_linalg::dot(grad, grad);
     }
     if let Some(mlp) = &upload.mlp {
@@ -294,8 +278,8 @@ mod tests {
         let u1 = upload(&[(1, vec![1.0, 0.0]), (2, vec![2.0, 2.0])]);
         let u2 = upload(&[(2, vec![-1.0, 1.0])]);
         let out = SumAggregator.aggregate(&[u1, u2]);
-        assert_eq!(out.items[&1], vec![1.0, 0.0]);
-        assert_eq!(out.items[&2], vec![1.0, 3.0]);
+        assert_eq!(out.get(1), Some(&[1.0, 0.0][..]));
+        assert_eq!(out.get(2), Some(&[1.0, 3.0][..]));
         assert!(out.mlp.is_none());
     }
 

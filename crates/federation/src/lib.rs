@@ -40,8 +40,7 @@ pub mod stats;
 pub mod wire;
 
 pub use aggregate::{
-    gather_item_gradients, gather_item_gradients_refs, gather_mlp_gradients,
-    gather_mlp_gradients_refs, sum_uploads, upload_distance_matrix, upload_norm,
+    gather_item_gradients, gather_mlp_gradients, sum_uploads, upload_distance_matrix, upload_norm,
     upload_squared_distance, upload_view, Aggregator, ShardedAggregator, SumAggregator,
 };
 pub use budget::{CoreBudget, CoreLease};

@@ -14,7 +14,7 @@ pub struct RoundStats {
     pub n_malicious_selected: usize,
     /// Distinct items that received gradient uploads.
     pub n_items_updated: usize,
-    /// Serialized size of all uploads, in bytes (wire encoding).
+    /// Size of all uploads in bytes, as [`crate::wire::encoded_size`] counts them.
     pub upload_bytes: usize,
     /// Fan-out width the round's client computation actually used (under
     /// `RoundThreads::Auto` this can change between rounds as the shared

@@ -3,10 +3,9 @@
 //! Krum, Multi-Krum, and Bulyan all start from the same object: the symmetric
 //! matrix of squared L2 distances between the round's uploads. Historically
 //! each aggregator rebuilt it from scratch; [`DistanceMatrix`] computes it
-//! once per round and every consumer reads from the same storage. Bulyan's
-//! selection loop additionally needs to *remove* uploads as it prunes — that
-//! is [`DistanceMatrix::deactivate`], which masks a row/column out of all
-//! subsequent queries instead of recomputing the surviving submatrix.
+//! once per round and every consumer reads from the same storage: Krum scores
+//! every upload on it, and MultiKrum and Bulyan select their `m` best-scoring
+//! uploads from those scores.
 //!
 //! # Determinism contract
 //!
@@ -33,52 +32,48 @@ use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
-/// Symmetric matrix of pairwise distances with an activity mask.
-///
-/// Stored dense and row-major (`n × n`, diagonal zero). The mask starts all
-/// active; [`deactivate`](Self::deactivate) removes an index from every later
-/// [`krum_scores`](Self::krum_scores) query in O(1) instead of shrinking the
-/// matrix.
+/// Symmetric matrix of pairwise distances, stored dense and row-major
+/// (`n × n`, diagonal zero).
 #[derive(Debug, Clone)]
 pub struct DistanceMatrix {
     n: usize,
     data: Vec<f32>,
-    active: Vec<bool>,
-    n_active: usize,
 }
 
-/// One upload as [`DistanceMatrix::from_uploads`] reads it: sparse gradient
-/// rows keyed by strictly ascending item id, each with its self-dot `⟨g,g⟩`,
-/// plus an optional dense part (the flattened MLP gradient) with its own
-/// self-dot. Items an upload does not hold count as zero rows; the rows are
-/// borrowed, not copied.
+/// One upload as [`DistanceMatrix::from_uploads`] reads it: its strictly
+/// ascending item ids and row-major gradient block, borrowed in place, each
+/// row's self-dot `⟨g,g⟩`, and an optional dense part (the flattened MLP
+/// gradient) with its own self-dot. Items an upload does not hold count as
+/// zero rows; no row is copied.
 #[derive(Debug)]
 pub struct UploadView<'a> {
-    ids: Vec<u32>,
-    rows: Vec<&'a [f32]>,
+    ids: &'a [u32],
+    rows: &'a [f32],
+    dim: usize,
     self_dots: Vec<f32>,
     dense: Option<(Vec<f32>, f32)>,
 }
 
 impl<'a> UploadView<'a> {
-    /// Captures `items` (ids strictly ascending, as a `BTreeMap` yields them)
-    /// and the optional dense part, with every self-dot computed once by
-    /// [`dot_blocked`].
-    pub fn new(items: impl IntoIterator<Item = (u32, &'a [f32])>, dense: Option<Vec<f32>>) -> Self {
-        let items = items.into_iter();
-        let cap = items.size_hint().0;
-        let mut ids = Vec::with_capacity(cap);
-        let mut rows = Vec::with_capacity(cap);
-        let mut self_dots = Vec::with_capacity(cap);
-        for (id, row) in items {
-            assert!(
-                ids.last().is_none_or(|&last| last < id),
-                "upload item ids must be strictly ascending"
-            );
-            ids.push(id);
-            rows.push(row);
-            self_dots.push(dot_blocked(row, row));
-        }
+    /// Borrows `ids` (strictly ascending) and `rows` (`dim` floats per id,
+    /// in id order) and takes the optional dense part, with every self-dot
+    /// computed once by [`dot_blocked`].
+    pub fn new(ids: &'a [u32], rows: &'a [f32], dim: usize, dense: Option<Vec<f32>>) -> Self {
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "upload item ids must be strictly ascending"
+        );
+        assert_eq!(
+            rows.len(),
+            ids.len() * dim,
+            "upload rows do not match its ids"
+        );
+        let self_dots = (0..ids.len())
+            .map(|pos| {
+                let row = &rows[pos * dim..(pos + 1) * dim];
+                dot_blocked(row, row)
+            })
+            .collect();
         let dense = dense.map(|flat| {
             let self_dot = dot_blocked(&flat, &flat);
             (flat, self_dot)
@@ -86,6 +81,7 @@ impl<'a> UploadView<'a> {
         UploadView {
             ids,
             rows,
+            dim,
             self_dots,
             dense,
         }
@@ -94,6 +90,10 @@ impl<'a> UploadView<'a> {
     /// Number of item rows.
     pub fn n_items(&self) -> usize {
         self.ids.len()
+    }
+
+    fn row(&self, pos: usize) -> &'a [f32] {
+        &self.rows[pos * self.dim..(pos + 1) * self.dim]
     }
 }
 
@@ -192,7 +192,7 @@ impl DistanceMatrix {
                 data[j * n + i] = d;
             }
         }
-        Self::from_data(n, data)
+        DistanceMatrix { n, data }
     }
 
     /// The squared L2 distance between every pair of `uploads`, absent items
@@ -242,7 +242,7 @@ impl DistanceMatrix {
         while let Some((holders, held)) = merge.next_item() {
             let c = holders.len();
             rows.clear();
-            rows.extend(holders.iter().map(|&(u, pos)| uploads[u].rows[pos]));
+            rows.extend(holders.iter().map(|&(u, pos)| uploads[u].row(pos)));
             let dim = rows[0].len();
             assert!(
                 rows.iter().all(|row| row.len() == dim),
@@ -307,85 +307,42 @@ impl DistanceMatrix {
                 data[i * n + j] = cell;
             }
         }
-        Self::from_data(n, data)
+        DistanceMatrix { n, data }
     }
 
-    fn from_data(n: usize, data: Vec<f32>) -> Self {
-        DistanceMatrix {
-            n,
-            data,
-            active: vec![true; n],
-            n_active: n,
-        }
-    }
-
-    /// Total number of rows (active or not).
+    /// Number of rows.
     pub fn n(&self) -> usize {
         self.n
     }
 
-    /// Number of rows still active.
-    pub fn n_active(&self) -> usize {
-        self.n_active
-    }
-
-    /// Whether row `i` is still active.
-    pub fn is_active(&self, i: usize) -> bool {
-        self.active[i]
-    }
-
-    /// The stored distance between `i` and `j` (zero on the diagonal),
-    /// regardless of activity.
+    /// The stored distance between `i` and `j` (zero on the diagonal).
     pub fn get(&self, i: usize, j: usize) -> f32 {
         self.data[i * self.n + j]
     }
 
-    /// Mask row/column `i` out of all subsequent queries. Returns `false` if
-    /// it was already inactive. This is the incremental path Bulyan's pruning
-    /// loop uses: the surviving scores are exactly what a freshly built
-    /// submatrix over the active set would produce, without recomputing any
-    /// distance.
-    pub fn deactivate(&mut self, i: usize) -> bool {
-        if !self.active[i] {
-            return false;
-        }
-        self.active[i] = false;
-        self.n_active -= 1;
-        true
-    }
-
-    /// Indices still active, ascending.
-    pub fn active_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.n).filter(move |&i| self.active[i])
-    }
-
-    /// Krum score for every active row: the sum of its `n_active − f − 2`
-    /// smallest distances to other active rows (Blanchard et al.'s
-    /// closest-neighbour sum). Returns `None` when `n_active ≤ f + 2`, where
-    /// the score is undefined and callers fall back to plain averaging.
+    /// Krum score for every row: the sum of its `n − f − 2` smallest
+    /// distances to the other rows (Blanchard et al.'s closest-neighbour
+    /// sum). Returns `None` when `n ≤ f + 2`, where the score is undefined
+    /// and callers fall back to plain averaging.
     ///
     /// Summation is over the selected distances in ascending value order —
     /// bitwise-identical to sorting the whole row and summing the prefix.
     pub fn krum_scores(&self, f: usize) -> Option<Vec<(usize, f32)>> {
-        let n_act = self.n_active;
-        if n_act <= f + 2 {
+        let n = self.n;
+        if n <= f + 2 {
             return None;
         }
-        let keep = n_act - f - 2;
-        let mut row = Vec::with_capacity(n_act.saturating_sub(1));
-        let mut scores = Vec::with_capacity(n_act);
-        for i in 0..self.n {
-            if !self.active[i] {
-                continue;
-            }
-            row.clear();
-            for j in 0..self.n {
-                if j != i && self.active[j] {
-                    row.push(self.data[i * self.n + j]);
-                }
-            }
-            scores.push((i, crate::rank::sum_k_smallest(&mut row, keep)));
-        }
+        let keep = n - f - 2;
+        let mut row = Vec::with_capacity(n - 1);
+        let scores = (0..n)
+            .map(|i| {
+                row.clear();
+                let cells = &self.data[i * n..(i + 1) * n];
+                row.extend_from_slice(&cells[..i]);
+                row.extend_from_slice(&cells[i + 1..]);
+                (i, crate::rank::sum_k_smallest(&mut row, keep))
+            })
+            .collect();
         Some(scores)
     }
 }
@@ -548,15 +505,16 @@ mod tests {
                     .then(|| (0..5).map(|d| pick(u + 2 * d)).collect())
             })
             .collect();
-        let views: Vec<UploadView<'_>> = items
+        let ids: Vec<Vec<u32>> = items
             .iter()
-            .zip(&dense)
-            .map(|(rows, dense)| {
-                UploadView::new(
-                    rows.iter().map(|(id, g)| (*id, g.as_slice())),
-                    dense.clone(),
-                )
-            })
+            .map(|rows| rows.iter().map(|(id, _)| *id).collect())
+            .collect();
+        let blocks: Vec<Vec<f32>> = items
+            .iter()
+            .map(|rows| rows.iter().flat_map(|(_, g)| g.iter().copied()).collect())
+            .collect();
+        let views: Vec<UploadView<'_>> = (0..items.len())
+            .map(|u| UploadView::new(&ids[u], &blocks[u], 3, dense[u].clone()))
             .collect();
         let m = DistanceMatrix::from_uploads(&views);
         for i in 0..views.len() {
@@ -579,8 +537,8 @@ mod tests {
     fn from_uploads_rejects_mismatched_shared_rows() {
         let (a, b) = ([1.0f32, 2.0], [1.0f32, 2.0, 3.0]);
         let views = [
-            UploadView::new([(7, &a[..])], None),
-            UploadView::new([(7, &b[..])], None),
+            UploadView::new(&[7], &a, 2, None),
+            UploadView::new(&[7], &b, 3, None),
         ];
         DistanceMatrix::from_uploads(&views);
     }
@@ -595,15 +553,15 @@ mod tests {
             (i + j) as f32
         });
         assert_eq!(calls.len(), n * (n - 1) / 2);
-        assert_eq!(m.n_active(), n);
+        assert_eq!(m.n(), n);
     }
 
     #[test]
     fn krum_scores_undefined_at_small_n() {
         let m = demo_matrix(); // n = 9
         assert!(m.krum_scores(9).is_none());
-        assert!(m.krum_scores(7).is_none()); // n_active == f + 2
-        assert!(m.krum_scores(6).is_some()); // n_active == f + 3
+        assert!(m.krum_scores(7).is_none()); // n == f + 2
+        assert!(m.krum_scores(6).is_some()); // n == f + 3
     }
 
     #[test]
@@ -620,29 +578,6 @@ mod tests {
             row.sort_unstable_by(f32::total_cmp);
             let want: f32 = row[..keep].iter().sum();
             assert_eq!(score.to_bits(), want.to_bits(), "row {i}");
-        }
-    }
-
-    #[test]
-    fn deactivation_matches_fresh_submatrix() {
-        let pts = demo_points();
-        let mut m = demo_matrix();
-        assert!(m.deactivate(3));
-        assert!(m.deactivate(7));
-        assert!(!m.deactivate(3), "second deactivation is a no-op");
-        assert_eq!(m.n_active(), pts.len() - 2);
-
-        let survivors: Vec<usize> = m.active_indices().collect();
-        let fresh = DistanceMatrix::from_fn(survivors.len(), |a, b| {
-            squared_l2_distance(&pts[survivors[a]], &pts[survivors[b]])
-        });
-        let f = 1;
-        let got = m.krum_scores(f).expect("defined on survivors");
-        let want = fresh.krum_scores(f).expect("defined on fresh submatrix");
-        assert_eq!(got.len(), want.len());
-        for ((gi, gs), (wi, ws)) in got.iter().zip(want.iter()) {
-            assert_eq!(*gi, survivors[*wi]);
-            assert_eq!(gs.to_bits(), ws.to_bits());
         }
     }
 

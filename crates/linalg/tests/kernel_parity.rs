@@ -121,39 +121,4 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn deactivation_is_bitwise_fresh_submatrix(
-        seed in prop::collection::vec(0.0f32..10.0, 6..12),
-        kill_a in 0usize..12,
-        kill_b in 0usize..12,
-        f in 0usize..3,
-    ) {
-        let n = seed.len();
-        let dist = |i: usize, j: usize| {
-            let (lo, hi) = (i.min(j), i.max(j));
-            (seed[lo] + 1.0) * (seed[hi] + 2.0) + lo as f32
-        };
-        let mut matrix = DistanceMatrix::from_fn(n, dist);
-        let mut survivors: Vec<usize> = (0..n).collect();
-        for kill in [kill_a % n, kill_b % n] {
-            if matrix.deactivate(kill) {
-                survivors.retain(|&i| i != kill);
-            }
-        }
-        // Fresh matrix over the survivors only, same distance function.
-        let fresh = DistanceMatrix::from_fn(survivors.len(), |a, b| {
-            dist(survivors[a], survivors[b])
-        });
-        let masked = matrix.krum_scores(f);
-        let rebuilt = fresh.krum_scores(f);
-        prop_assert_eq!(masked.is_some(), rebuilt.is_some());
-        if let (Some(masked), Some(rebuilt)) = (masked, rebuilt) {
-            prop_assert_eq!(masked.len(), rebuilt.len());
-            for ((mi, ms), (ri, rs)) in masked.iter().zip(&rebuilt) {
-                prop_assert_eq!(*mi, survivors[*ri]);
-                prop_assert_eq!(ms.to_bits(), rs.to_bits());
-            }
-        }
-    }
 }

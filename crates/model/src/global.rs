@@ -177,12 +177,12 @@ impl GlobalModel {
     pub fn apply_gradients(&mut self, grads: &GlobalGradients, lr: f32) {
         match self {
             GlobalModel::Mf(m) => {
-                for (&item, g) in &grads.items {
+                for (item, g) in grads.iter() {
                     m.apply_item_gradient(item, g, lr);
                 }
             }
             GlobalModel::Ncf(m) => {
-                for (&item, g) in &grads.items {
+                for (item, g) in grads.iter() {
                     m.apply_item_gradient(item, g, lr);
                 }
                 if let Some(mlp_grads) = &grads.mlp {

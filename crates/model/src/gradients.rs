@@ -4,8 +4,30 @@
 //! dataset `D_i` (or, for attackers, the target items) carry gradients — plus,
 //! for DL-FRS, dense MLP gradients. [`GlobalGradients`] is both the client
 //! upload format and the server-side accumulator.
-
-use std::collections::BTreeMap;
+//!
+//! # Layout
+//!
+//! An upload holds its item gradients the way the reference implementations
+//! ship them, `(items, items_emb_grad)`: one strictly ascending id vector and
+//! one row-major block of `dim` floats per id, in id order. This module is
+//! the only code that knows that layout. Readers use [`GlobalGradients::get`],
+//! [`GlobalGradients::iter`] and the borrowed [`GlobalGradients::ids`] /
+//! [`GlobalGradients::rows`] slices; writers use
+//! [`GlobalGradients::add_item_grad`], [`GlobalGradients::rows_mut`],
+//! [`GlobalGradients::axpy`], [`GlobalGradients::scale`] and
+//! [`GlobalGradients::weighted_sum`].
+//!
+//! # Summation order
+//!
+//! The folds are pinned bit for bit (the `upload_layout` proptest checks them
+//! against a per-item map fold):
+//!
+//! - [`GlobalGradients::add_item_grad`] copies an item's first row and adds
+//!   each repeat in place, `acc += 1.0·g`, in push order.
+//! - [`GlobalGradients::weighted_sum`] adds `α·g` for each upload, in upload
+//!   order, into rows started at `-0.0`. `-0.0 + α·g` is `α·g` bit for bit,
+//!   signed zeros included, so an item's first term equals the scaled copy
+//!   that folding the uploads pairwise would make.
 
 use frs_linalg::{vector, Matrix};
 use serde::{Deserialize, Serialize};
@@ -118,14 +140,19 @@ impl MlpGradients {
     }
 }
 
-/// A full gradient upload (or aggregate) for the global model: sparse item
-/// gradients plus optional MLP gradients.
+/// A full gradient upload (or aggregate) for the global model: item
+/// gradients over sorted ids plus optional MLP gradients.
 ///
-/// Item gradients are keyed in a `BTreeMap` so iteration order — and therefore
-/// server-side aggregation — is deterministic regardless of upload order.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+/// Iteration runs in ascending item id, so server-side aggregation is
+/// deterministic regardless of the order items were pushed in.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GlobalGradients {
-    pub items: BTreeMap<u32, Vec<f32>>,
+    /// Item ids, strictly ascending.
+    ids: Vec<u32>,
+    /// `ids.len() × dim` floats; row `k` belongs to `ids[k]`.
+    rows: Vec<f32>,
+    /// Row length, set by the first item; 0 while there is none.
+    dim: usize,
     pub mlp: Option<MlpGradients>,
 }
 
@@ -135,45 +162,137 @@ impl GlobalGradients {
         Self::default()
     }
 
-    /// Accumulates `grad` into item `j`'s slot.
+    /// Accumulates `grad` into item `item`'s row. The first push of an id
+    /// copies the row, inserted at its sorted position; a repeat adds in place
+    /// (`acc += 1.0·g`), so repeats fold in push order.
+    ///
+    /// # Panics
+    ///
+    /// If the upload already holds rows of another length.
     pub fn add_item_grad(&mut self, item: u32, grad: &[f32]) {
-        match self.items.get_mut(&item) {
-            Some(acc) => vector::add_assign(acc, grad),
-            None => {
-                self.items.insert(item, grad.to_vec());
-            }
+        if self.ids.is_empty() {
+            self.dim = grad.len();
+        }
+        self.check_row(grad);
+        let pos = self.ids.partition_point(|&id| id < item);
+        let at = pos * self.dim;
+        if self.ids.get(pos) == Some(&item) {
+            vector::add_assign(&mut self.rows[at..at + self.dim], grad);
+        } else {
+            // Appending (a client's ascending positives, a shard's part)
+            // rotates nothing.
+            self.ids.insert(pos, item);
+            self.rows.extend_from_slice(grad);
+            self.rows[at..].rotate_right(self.dim);
         }
     }
 
-    /// `self += alpha * other` over both item and MLP parts.
+    fn check_row(&self, grad: &[f32]) {
+        assert!(
+            grad.len() == self.dim,
+            "item gradient of length {} in an upload of dim {}",
+            grad.len(),
+            self.dim
+        );
+    }
+
+    /// Item `item`'s gradient row, if the upload holds one.
+    pub fn get(&self, item: u32) -> Option<&[f32]> {
+        let pos = self.ids.binary_search(&item).ok()?;
+        Some(self.row(pos))
+    }
+
+    fn row(&self, pos: usize) -> &[f32] {
+        &self.rows[pos * self.dim..(pos + 1) * self.dim]
+    }
+
+    /// `(item, gradient row)` pairs in ascending item id.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (u32, &[f32])> + '_ {
+        self.ids
+            .iter()
+            .enumerate()
+            .map(|(pos, &id)| (id, self.row(pos)))
+    }
+
+    /// The item ids, strictly ascending.
+    pub fn ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    /// The gradient rows, row-major: `dim` floats per id, in id order.
+    pub fn rows(&self) -> &[f32] {
+        &self.rows
+    }
+
+    /// The rows' length (0 while there are no items).
+    pub fn dim(&self) -> usize {
+        self.dim
+    }
+
+    /// The gradient rows, writable in place; [`Self::rows`]' layout.
+    pub fn rows_mut(&mut self) -> &mut [f32] {
+        &mut self.rows
+    }
+
+    /// `self += alpha * other` over both item and MLP parts. An item only
+    /// `other` holds becomes `alpha·g`; a shared one `acc + alpha·g`.
     pub fn axpy(&mut self, alpha: f32, other: &GlobalGradients) {
-        for (&item, grad) in &other.items {
-            match self.items.get_mut(&item) {
-                Some(acc) => vector::axpy(alpha, grad, acc),
-                None => {
-                    let mut g = grad.clone();
-                    vector::scale(&mut g, alpha);
-                    self.items.insert(item, g);
+        *self = Self::weighted_sum([(1.0, &*self), (alpha, other)]);
+    }
+
+    /// `Σ α·u` over `(α, u)` terms, item and MLP parts alike, in one pass
+    /// over the uploads: each item's row starts at `-0.0` and adds `α·g` for
+    /// each upload holding it, in term order. That is bit for bit the fold
+    /// `acc.axpy(α, u)` from an empty `acc` (see the module docs), without
+    /// copying the accumulator once per upload.
+    ///
+    /// # Panics
+    ///
+    /// If two terms hold rows of different lengths.
+    pub fn weighted_sum<'a>(terms: impl IntoIterator<Item = (f32, &'a GlobalGradients)>) -> Self {
+        let terms: Vec<(f32, &GlobalGradients)> = terms.into_iter().collect();
+        let mut ids: Vec<u32> = terms
+            .iter()
+            .flat_map(|(_, u)| u.ids.iter().copied())
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let mut out = GlobalGradients {
+            dim: terms
+                .iter()
+                .find(|(_, u)| !u.ids.is_empty())
+                .map_or(0, |(_, u)| u.dim),
+            ..Self::default()
+        };
+        let dim = out.dim;
+        out.rows = vec![-0.0; ids.len() * dim];
+        for &(alpha, upload) in &terms {
+            // Both id lists ascend, so each lookup starts past the last hit.
+            let mut lo = 0;
+            for (id, grad) in upload.iter() {
+                out.check_row(grad);
+                let pos = lo + ids[lo..].partition_point(|&x| x < id);
+                vector::axpy(alpha, grad, &mut out.rows[pos * dim..(pos + 1) * dim]);
+                lo = pos + 1;
+            }
+            if let Some(m) = &upload.mlp {
+                match &mut out.mlp {
+                    Some(acc) => acc.axpy(alpha, m),
+                    None => {
+                        let mut m = m.clone();
+                        m.scale(alpha);
+                        out.mlp = Some(m);
+                    }
                 }
             }
         }
-        if let Some(omlp) = &other.mlp {
-            match &mut self.mlp {
-                Some(m) => m.axpy(alpha, omlp),
-                None => {
-                    let mut m = omlp.clone();
-                    m.scale(alpha);
-                    self.mlp = Some(m);
-                }
-            }
-        }
+        out.ids = ids;
+        out
     }
 
     /// Multiplies everything by `alpha`.
     pub fn scale(&mut self, alpha: f32) {
-        for grad in self.items.values_mut() {
-            vector::scale(grad, alpha);
-        }
+        vector::scale(&mut self.rows, alpha);
         if let Some(m) = &mut self.mlp {
             m.scale(alpha);
         }
@@ -181,12 +300,12 @@ impl GlobalGradients {
 
     /// Number of items carrying a gradient.
     pub fn n_items(&self) -> usize {
-        self.items.len()
+        self.ids.len()
     }
 
     /// True when there is nothing to upload.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty() && self.mlp.is_none()
+        self.ids.is_empty() && self.mlp.is_none()
     }
 }
 
@@ -260,8 +379,10 @@ mod tests {
         g.add_item_grad(5, &[1.0, 2.0]);
         g.add_item_grad(5, &[0.5, 0.5]);
         g.add_item_grad(2, &[1.0, 0.0]);
-        assert_eq!(g.items[&5], vec![1.5, 2.5]);
+        assert_eq!(g.get(5), Some(&[1.5, 2.5][..]));
         assert_eq!(g.n_items(), 2);
+        assert_eq!(g.ids(), &[2, 5]);
+        assert_eq!(g.rows(), &[1.0, 0.0, 1.5, 2.5]);
     }
 
     #[test]
@@ -271,8 +392,8 @@ mod tests {
         let mut b = GlobalGradients::new();
         b.add_item_grad(2, &[3.0]);
         a.axpy(2.0, &b);
-        assert_eq!(a.items[&1], vec![1.0]);
-        assert_eq!(a.items[&2], vec![6.0]);
+        assert_eq!(a.get(1), Some(&[1.0][..]));
+        assert_eq!(a.get(2), Some(&[6.0][..]));
     }
 
     #[test]
@@ -281,8 +402,16 @@ mod tests {
         g.add_item_grad(9, &[0.0]);
         g.add_item_grad(3, &[0.0]);
         g.add_item_grad(7, &[0.0]);
-        let keys: Vec<u32> = g.items.keys().copied().collect();
+        let keys: Vec<u32> = g.iter().map(|(id, _)| id).collect();
         assert_eq!(keys, vec![3, 7, 9]);
+    }
+
+    #[test]
+    #[should_panic(expected = "item gradient of length 3 in an upload of dim 2")]
+    fn row_of_the_wrong_length_panics() {
+        let mut g = GlobalGradients::new();
+        g.add_item_grad(4, &[1.0, 2.0]);
+        g.add_item_grad(9, &[1.0, 2.0, 3.0]);
     }
 
     #[test]

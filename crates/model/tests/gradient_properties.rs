@@ -36,9 +36,7 @@ proptest! {
         let mut grads = GlobalGradients::new();
         model.backward(&user, item, &cache, delta, &mut d_user, &mut grads);
         prop_assert!(d_user.iter().all(|v| v.is_finite()));
-        for g in grads.items.values() {
-            prop_assert!(g.iter().all(|v| v.is_finite()));
-        }
+        prop_assert!(grads.rows().iter().all(|v| v.is_finite()));
         if let Some(mlp) = &grads.mlp {
             prop_assert!(mlp.flatten().iter().all(|v| v.is_finite()));
         }
@@ -51,7 +49,7 @@ proptest! {
             let mut d_user = vec![0.0f32; 8];
             let mut grads = GlobalGradients::new();
             model.backward(&user, item, &cache, delta, &mut d_user, &mut grads);
-            grads.items[&item].clone()
+            grads.get(item).unwrap().to_vec()
         };
         let g1 = run(0.5);
         let g2 = run(1.0);

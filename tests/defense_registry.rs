@@ -133,10 +133,8 @@ impl LocalRegularizer for Attenuator {
         grads: &mut GlobalGradients,
         _d_user: &mut [f32],
     ) {
-        for grad in grads.items.values_mut() {
-            for v in grad.iter_mut() {
-                *v *= self.tau;
-            }
+        for v in grads.rows_mut() {
+            *v *= self.tau;
         }
     }
 

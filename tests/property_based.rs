@@ -1,9 +1,9 @@
-//! Property-based tests across crate boundaries: arbitrary gradient uploads
-//! survive the wire codec, aggregation rules stay within safe envelopes, and
-//! client training never produces non-finite gradients.
+//! Property-based tests across crate boundaries: aggregation rules stay
+//! within safe envelopes, and client training never produces non-finite
+//! gradients.
 
 use pieck_frs::defense::{DefenseBuildCtx, DefenseKind, DefenseSel};
-use pieck_frs::federation::{upload_norm, wire};
+use pieck_frs::federation::upload_norm;
 use pieck_frs::model::GlobalGradients;
 use proptest::prelude::*;
 
@@ -22,21 +22,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn wire_roundtrip_arbitrary_uploads(upload in upload_strategy()) {
-        let encoded = wire::encode(&upload);
-        prop_assert_eq!(encoded.len(), wire::encoded_size(&upload));
-        let decoded = wire::decode(encoded).unwrap();
-        prop_assert_eq!(decoded, upload);
-    }
-
-    #[test]
-    fn truncated_wire_data_never_panics(upload in upload_strategy(), cut in 0usize..64) {
-        let encoded = wire::encode(&upload);
-        let cut = cut.min(encoded.len());
-        let _ = wire::decode(encoded.slice(..cut)); // must not panic
-    }
-
-    #[test]
     fn aggregators_produce_finite_outputs(
         uploads in prop::collection::vec(upload_strategy(), 1..8),
         defense_idx in 0usize..7,
@@ -46,9 +31,7 @@ proptest! {
             .build(&DefenseBuildCtx::minimal(0.05, 1.0))
             .aggregator;
         let out = agg.aggregate(&uploads);
-        for grad in out.items.values() {
-            prop_assert!(grad.iter().all(|v| v.is_finite()), "{:?}", defense);
-        }
+        prop_assert!(out.rows().iter().all(|v| v.is_finite()), "{:?}", defense);
     }
 
     #[test]
@@ -67,16 +50,16 @@ proptest! {
             .build(&DefenseBuildCtx::minimal(0.05, 1.0))
             .aggregator;
         let out = agg.aggregate(&uploads);
-        for (item, grad) in &out.items {
-            let uploader_count = uploads.iter().filter(|u| u.items.contains_key(item)).count();
+        for (item, grad) in out.iter() {
+            let uploader_count = uploads.iter().filter(|u| u.get(item).is_some()).count();
             for (d, &v) in grad.iter().enumerate() {
                 let lo = uploads
                     .iter()
-                    .filter_map(|u| u.items.get(item).map(|g| g[d]))
+                    .filter_map(|u| u.get(item).map(|g| g[d]))
                     .fold(f32::INFINITY, f32::min);
                 let hi = uploads
                     .iter()
-                    .filter_map(|u| u.items.get(item).map(|g| g[d]))
+                    .filter_map(|u| u.get(item).map(|g| g[d]))
                     .fold(f32::NEG_INFINITY, f32::max);
                 // Rescaled by uploader count, the median stays within count×[lo, hi].
                 let k = uploader_count as f32;

@@ -1,5 +1,5 @@
-//! Federation-protocol invariants that span crates: wire codec on real
-//! uploads, thread-count independence, malicious-population accounting.
+//! Federation-protocol invariants that span crates: upload accounting on
+//! real uploads, thread-count independence, malicious-population accounting.
 
 use pieck_frs::attacks::AttackKind;
 use pieck_frs::data::{synth, DatasetSpec};
@@ -13,18 +13,39 @@ use rand::SeedableRng;
 use std::sync::Arc;
 
 #[test]
-fn real_client_uploads_survive_wire_roundtrip() {
+fn real_client_upload_sizes_follow_the_wire_layout() {
     let mut rng = StdRng::seed_from_u64(1);
     let data = Arc::new(synth::generate(&DatasetSpec::tiny(), &mut rng));
+    let mut sizes = Vec::new();
     for config in [ModelConfig::mf(8), ModelConfig::ncf(8)] {
         let model = GlobalModel::new(&config, data.n_items(), &mut rng);
         let mut client = BenignClient::new(0, Arc::clone(&data), 8, 0.1, 3);
         let ctx = RoundContext::new(0, 1.0, 1.0, 1, LossKind::Bce, SeedStream::new(4));
         let upload = client.local_round(&ctx, &model);
-        let decoded = wire::decode(wire::encode(&upload)).expect("roundtrip");
-        assert_eq!(upload, decoded, "{:?}", config.kind);
-        assert_eq!(wire::encode(&upload).len(), wire::encoded_size(&upload));
+        // Item count, then (id, dim, dim × f32) per item, then the MLP flag
+        // and, when present, the MLP part (see `wire`'s layout table).
+        let mlp = upload.mlp.as_ref().map_or(0, |m| {
+            4 + m
+                .weights
+                .iter()
+                .map(|w| 8 + 4 * w.rows() * w.cols())
+                .sum::<usize>()
+                + m.biases.iter().map(|b| 4 + 4 * b.len()).sum::<usize>()
+                + 4
+                + 4 * m.projection.len()
+        });
+        let size = wire::encoded_size(&upload);
+        assert_eq!(
+            size,
+            4 + upload.n_items() * (8 + 4 * 8) + 1 + mlp,
+            "{:?}",
+            config.kind
+        );
+        sizes.push(size);
     }
+    // The reported upload volume (Fig. 6b, `paper scale`, checkpoints) must
+    // not drift: these are the byte counts of the two uploads above.
+    assert_eq!(sizes, [2965, 3957]);
 }
 
 #[test]
