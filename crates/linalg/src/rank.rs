@@ -2,8 +2,10 @@
 //!
 //! Recommendation lists are "top-K by predicted score over uninteracted
 //! items"; the popular-item miner is "top-N by accumulated Δ-Norm". Both run
-//! over every item, so selection uses a partial `select_nth_unstable` pass
-//! (O(m) expected) followed by a sort of only the k survivors.
+//! over every item: the miner's selection is a partial `select_nth_unstable`
+//! pass (O(m) expected) followed by a sort of only the k survivors, and a
+//! recommendation list is one bounded insertion scan that checks an item's
+//! eligibility only when its score would make the list.
 
 /// Indices `0..scores.len()` sorted by descending score. Ties break by
 /// ascending index so results are deterministic.
@@ -48,8 +50,15 @@ pub fn top_k_desc_filtered(
 
 /// [`top_k_desc_filtered`] writing into a caller-owned buffer so per-user
 /// metric loops (ER@K over the whole population) allocate nothing after the
-/// first user. `out` is cleared, used as the candidate scratch for the partial
-/// select, and left holding the result.
+/// first user. `out` is cleared and left holding the result.
+///
+/// One bounded pass in index order: `out` keeps the best eligible indices
+/// seen so far, at most `k`, in the full-sort order (`total_cmp` descending,
+/// ties to the lower index). A later index can only enter a full list by
+/// beating its last entry under `total_cmp`, since on a tie the earlier
+/// index ranks first, and `eligible` is called only for indices that would
+/// enter. Ranking a user's catalogue thus looks up the user's history for
+/// about `k · ln(n / k)` items instead of all `n`.
 pub fn top_k_desc_filtered_into(
     scores: &[f32],
     k: usize,
@@ -57,18 +66,25 @@ pub fn top_k_desc_filtered_into(
     out: &mut Vec<usize>,
 ) {
     out.clear();
-    out.extend((0..scores.len()).filter(|&i| eligible(i)));
-    if out.is_empty() || k == 0 {
-        out.clear();
+    if k == 0 {
         return;
     }
-    if k < out.len() {
-        out.select_nth_unstable_by(k - 1, |&a, &b| {
-            scores[b].total_cmp(&scores[a]).then(a.cmp(&b))
-        });
-        out.truncate(k);
+    // The k-th score once the list is full.
+    let mut floor: Option<f32> = None;
+    for (i, &s) in scores.iter().enumerate() {
+        if floor.is_some_and(|f| s.total_cmp(&f).is_le()) || !eligible(i) {
+            continue;
+        }
+        // Entries scoring at least `s` stay ahead: equal ones are earlier.
+        let at = out.partition_point(|&j| scores[j].total_cmp(&s).is_ge());
+        if out.len() == k {
+            out.pop();
+        }
+        out.insert(at, i);
+        if out.len() == k {
+            floor = Some(scores[out[k - 1]]);
+        }
     }
-    out.sort_unstable_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
 }
 
 /// Sum of the `k` smallest values, accumulated in ascending value order.

@@ -1,5 +1,5 @@
-//! Kernel parity: the blocked/partial-select fast paths are **bitwise**
-//! equal to their naive scalar references.
+//! Kernel parity: the blocked, partial-select and bounded-scan fast paths
+//! are **bitwise** equal to their naive scalar references.
 //!
 //! The whole aggregation stack (shared distance matrix → Krum scores →
 //! metric top-K) is built on the guarantee that switching kernels never
@@ -12,9 +12,25 @@
 //! ```
 
 use frs_linalg::{
-    dot, dot_blocked, squared_distance_blocked, squared_l2_distance, sum_k_smallest, DistanceMatrix,
+    argsort_desc, dot, dot_blocked, squared_distance_blocked, squared_l2_distance, sum_k_smallest,
+    top_k_desc_filtered_into, DistanceMatrix,
 };
 use proptest::prelude::*;
+
+/// Scores for the top-K scan: heavy ties, both zeros, both NaNs and both
+/// infinities, drawn from a small pool so equal keys are common.
+const SCORE_POOL: [f32; 10] = [
+    1.0,
+    -1.0,
+    0.0,
+    -0.0,
+    2.5,
+    f32::NAN,
+    -f32::NAN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    1e-40,
+];
 
 fn vec_pair(max_len: usize) -> impl Strategy<Value = (Vec<f32>, Vec<f32>)> {
     // Two equal-length vectors; lengths sweep through every unroll remainder
@@ -79,6 +95,34 @@ proptest! {
         let reference: f32 = sorted[..k.min(sorted.len())].iter().sum();
         let mut scratch = values;
         prop_assert_eq!(sum_k_smallest(&mut scratch, k).to_bits(), reference.to_bits());
+    }
+
+    #[test]
+    fn bounded_top_k_scan_is_the_filtered_full_sort_prefix(
+        picks in prop::collection::vec(0usize..SCORE_POOL.len(), 0..40),
+        mode in 0u8..3,
+        mask in prop::collection::vec(any::<bool>(), 40),
+    ) {
+        let scores: Vec<f32> = picks.iter().map(|&p| SCORE_POOL[p]).collect();
+        let n = scores.len();
+        // No, all, and sparse eligibility.
+        let eligible = |i: usize| match mode {
+            0 => false,
+            1 => true,
+            _ => mask[i],
+        };
+        let full: Vec<usize> = argsort_desc(&scores).into_iter().filter(|&i| eligible(i)).collect();
+        let mut out = vec![usize::MAX; 3];
+        for k in 0..=n + 2 {
+            let mut asked = Vec::new();
+            top_k_desc_filtered_into(&scores, k, |i| { asked.push(i); eligible(i) }, &mut out);
+            let want = &full[..k.min(full.len())];
+            prop_assert!(out == want, "k={k}: {out:?} vs {want:?} for {scores:?}");
+            // Each index is asked about at most once, in ascending order,
+            // and never when the list can hold nothing.
+            prop_assert!(asked.windows(2).all(|w| w[0] < w[1]), "k={k}: asked {asked:?}");
+            prop_assert!(k > 0 || asked.is_empty());
+        }
     }
 
     #[test]

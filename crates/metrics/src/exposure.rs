@@ -39,13 +39,14 @@ impl ExposureReport {
         let mut exposed = vec![0usize; targets.len()];
         let mut eligible_users = vec![0usize; targets.len()];
 
-        // Score and top-K buffers live across the user loop: with the
-        // partial-select `_into` path the whole population scan allocates a
-        // constant number of vectors instead of two per user.
+        // The lane table and the score and top-K buffers live across the
+        // user loop: the whole population scan allocates a constant number
+        // of vectors instead of two per user.
+        let lanes = model.item_lanes();
         let mut scores = Vec::new();
         let mut top = Vec::new();
         for &u in benign_users {
-            model.scores_for_user_into(user_embeddings.user_embedding(u), &mut scores);
+            model.scores_for_user_into(&lanes, user_embeddings.user_embedding(u), &mut scores);
             // lint:allow(lossy-index-cast): j indexes the score slice, whose length is the u32-keyed catalog size
             top_k_desc_filtered_into(&scores, k, |j| !train.interacted(u, j as u32), &mut top);
             for (t, &target) in targets.iter().enumerate() {

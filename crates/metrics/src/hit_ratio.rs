@@ -32,28 +32,31 @@ impl QualityReport {
         assert!(k > 0, "K must be positive");
         let mut hits = 0usize;
         let mut ndcg_sum = 0.0f64;
-        // One score buffer reused across the user loop (the rank pass below
-        // is already a single early-exiting scan, never a sort).
+        // One lane table and one score buffer reused across the user loop
+        // (the rank pass below is already a single early-exiting scan,
+        // never a sort).
+        let lanes = model.item_lanes();
         let mut scores = Vec::new();
         for &u in eval_users {
-            model.scores_for_user_into(user_embeddings.user_embedding(u), &mut scores);
+            model.scores_for_user_into(&lanes, user_embeddings.user_embedding(u), &mut scores);
             let test = split.test_item[u];
             let test_score = scores[test as usize];
             // Rank among eligible (non-train-interacted) items: count eligible
             // items scoring strictly higher (ties resolved toward lower id,
-            // consistent with frs_linalg::rank_of).
+            // consistent with frs_linalg::rank_of; the test item never
+            // outranks itself). The score test runs first, so only items
+            // that outrank the test item pay the history lookup.
             let mut rank = 0usize;
             for (j, &s) in scores.iter().enumerate() {
                 // lint:allow(lossy-index-cast): j indexes the score slice, whose length is the u32-keyed catalog size
-                if j as u32 == test || !split.eligible_for_ranking(u, j as u32) {
+                let j = j as u32;
+                let outranks = s > test_score || (s == test_score && j < test);
+                if !outranks || !split.eligible_for_ranking(u, j) {
                     continue;
                 }
-                // lint:allow(lossy-index-cast): j indexes the score slice, whose length is the u32-keyed catalog size
-                if s > test_score || (s == test_score && (j as u32) < test) {
-                    rank += 1;
-                    if rank >= k {
-                        break; // already out of the top-K; rank value unused beyond that
-                    }
+                rank += 1;
+                if rank >= k {
+                    break; // already out of the top-K; rank value unused beyond that
                 }
             }
             if rank < k {

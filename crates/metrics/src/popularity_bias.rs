@@ -25,10 +25,11 @@ pub fn recommendation_frequency<E: UserEmbeddings + ?Sized>(
     k: usize,
 ) -> Vec<u32> {
     let mut freq = vec![0u32; model.n_items()];
+    let lanes = model.item_lanes();
     let mut scores = Vec::new();
     let mut top = Vec::new();
     for &u in users {
-        model.scores_for_user_into(user_embeddings.user_embedding(u), &mut scores);
+        model.scores_for_user_into(&lanes, user_embeddings.user_embedding(u), &mut scores);
         // lint:allow(lossy-index-cast): j indexes the score slice, whose length is the u32-keyed catalog size
         top_k_desc_filtered_into(&scores, k, |j| !train.interacted(u, j as u32), &mut top);
         for &j in &top {

@@ -1,10 +1,11 @@
 //! Metric regression on a seeded scenario: ER@10 / HR@10 are unchanged by
-//! the partial-select + batched-scoring evaluation path.
+//! the bounded top-K scan + item-lane scoring evaluation path.
 //!
-//! The reference below ranks every user's full catalogue with a complete
-//! `argsort_desc` and recomputes ER/HR/NDCG from first principles — the
-//! shape the metrics used before `top_k_desc_filtered_into` and
-//! `scores_for_user_into`. Values must match **exactly** (f64 `==`), not
+//! The reference below scores every item through the per-item `logit`,
+//! ranks each user's full catalogue with a complete `argsort_desc` and
+//! recomputes ER/HR/NDCG from first principles — the shape the metrics used
+//! before `top_k_desc_filtered_into` and the scoring kernel. Values must
+//! match **exactly** (f64 `==`), not
 //! within a tolerance: the fast path is a reordering-free refactor. Part of
 //! the CI `kernel-parity` job; run locally with
 //!
@@ -49,6 +50,13 @@ fn scenario(config: &ModelConfig, seed: u64) -> (GlobalModel, Vec<Vec<f32>>, Tra
     (model, user_embeddings, TrainTestSplit { train, test_item })
 }
 
+/// Per-item scores: one `logit` call per item.
+fn naive_scores(model: &GlobalModel, user: &[f32]) -> Vec<f32> {
+    (0..model.n_items())
+        .map(|j| model.logit(user, j as u32))
+        .collect()
+}
+
 /// Full-sort top-K: complete descending argsort, then filter and truncate.
 fn naive_top_k(scores: &[f32], k: usize, eligible: impl Fn(usize) -> bool) -> Vec<usize> {
     argsort_desc(scores)
@@ -69,7 +77,7 @@ fn naive_exposure(
     let mut exposed = vec![0usize; targets.len()];
     let mut eligible_users = vec![0usize; targets.len()];
     for &u in users {
-        let scores = model.scores_for_user(&embs[u]);
+        let scores = naive_scores(model, &embs[u]);
         let top = naive_top_k(&scores, k, |j| !train.interacted(u, j as u32));
         for (t, &target) in targets.iter().enumerate() {
             if train.interacted(u, target) {
@@ -100,7 +108,7 @@ fn naive_quality(
     let mut hits = 0usize;
     let mut ndcg_sum = 0.0f64;
     for &u in users {
-        let scores = model.scores_for_user(&embs[u]);
+        let scores = naive_scores(model, &embs[u]);
         let test = split.test_item[u];
         // Rank = position of the test item in the full sorted eligible list
         // (ties toward lower id, the argsort_desc order).
@@ -156,7 +164,7 @@ fn hr_at_10_is_unchanged_on_seeded_scenarios() {
 #[test]
 fn er_handles_every_target_interacted() {
     // All users interacted with the target → empty denominator, ER 0 — the
-    // partial-select path must preserve the degenerate-case convention.
+    // bounded top-K path must preserve the degenerate-case convention.
     let mut rng = StdRng::seed_from_u64(7);
     let model = GlobalModel::new(&ModelConfig::mf(4), 6, &mut rng);
     let embs: Vec<Vec<f32>> = (0..3).map(|_| vec![1.0, 0.0, 0.0, 0.0]).collect();

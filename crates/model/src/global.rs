@@ -12,6 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::{ModelConfig, ModelKind};
 use crate::gradients::GlobalGradients;
+use crate::lanes::ItemLanes;
 use crate::mf::MfModel;
 use crate::mlp::MlpCache;
 use crate::ncf::NcfModel;
@@ -192,32 +193,26 @@ impl GlobalModel {
         }
     }
 
-    /// Logits of every item for one user embedding — the evaluation path
-    /// (top-K lists). Sigmoid is monotone so ranking on logits is identical
-    /// to ranking on predicted scores.
-    pub fn scores_for_user(&self, user_emb: &[f32]) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.n_items());
-        self.scores_for_user_into(user_emb, &mut out);
-        out
+    /// This model's item table regrouped for the scoring kernel
+    /// ([`crate::lanes`]): build it once per evaluation (or per published
+    /// snapshot) and pass it to every [`Self::scores_for_user_into`] call.
+    pub fn item_lanes(&self) -> ItemLanes {
+        ItemLanes::new(self.items())
     }
 
-    /// [`Self::scores_for_user`] into a caller-owned buffer so per-user
-    /// evaluation loops reuse one allocation. For NCF the item axis runs
-    /// through a batched forward pass ([`crate::ncf::NcfModel::
-    /// scores_for_user_into`]) that amortizes the user half of the first MLP
-    /// layer; values are bitwise-identical to the per-item [`Self::logit`]
-    /// loop either way.
-    pub fn scores_for_user_into(&self, user_emb: &[f32], out: &mut Vec<f32>) {
+    /// Logits of every item for one user embedding, into a caller-owned
+    /// buffer — the evaluation path (top-K lists). Sigmoid is monotone so
+    /// ranking on logits is identical to ranking on predicted scores.
+    /// `lanes` must be [`Self::item_lanes`] of this model state; every score
+    /// is bitwise-identical to the per-item [`Self::logit`].
+    pub fn scores_for_user_into(&self, lanes: &ItemLanes, user_emb: &[f32], out: &mut Vec<f32>) {
+        assert!(
+            lanes.n_items() == self.n_items() && lanes.dim() == self.dim(),
+            "item lanes built for another model shape"
+        );
         match self {
-            GlobalModel::Mf(m) => {
-                out.clear();
-                out.reserve(m.n_items());
-                #[allow(clippy::cast_possible_truncation)]
-                for j in 0..m.n_items() {
-                    out.push(m.logit(user_emb, j as u32)); // lint:allow(lossy-index-cast): j < n_items and the catalog is u32-keyed
-                }
-            }
-            GlobalModel::Ncf(m) => m.scores_for_user_into(user_emb, out),
+            GlobalModel::Mf(m) => m.scores_for_user_into(lanes, user_emb, out),
+            GlobalModel::Ncf(m) => m.scores_for_user_into(lanes, user_emb, out),
         }
     }
 }
@@ -273,9 +268,11 @@ mod tests {
     fn scores_for_user_matches_pointwise_logits() {
         for m in both_models() {
             let u = [0.1, 0.4, -0.3, 0.2];
-            let scores = m.scores_for_user(&u);
+            let mut scores = Vec::new();
+            m.scores_for_user_into(&m.item_lanes(), &u, &mut scores);
+            assert_eq!(scores.len(), m.n_items());
             for j in 0..m.n_items() {
-                assert!((scores[j] - m.logit(&u, j as u32)).abs() < 1e-6);
+                assert_eq!(scores[j].to_bits(), m.logit(&u, j as u32).to_bits());
             }
         }
     }

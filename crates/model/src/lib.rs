@@ -24,6 +24,7 @@
 pub mod config;
 pub mod global;
 pub mod gradients;
+pub mod lanes;
 pub mod loss;
 pub mod mf;
 pub mod mlp;
@@ -33,6 +34,7 @@ pub mod store;
 pub use config::{ModelConfig, ModelKind};
 pub use global::{ForwardCache, GlobalModel};
 pub use gradients::{GlobalGradients, MlpGradients};
+pub use lanes::ItemLanes;
 pub use loss::{bce_logit_delta, bce_loss, bpr_logit_deltas, bpr_loss, LossKind};
-pub use mlp::{BatchScorer, Mlp};
+pub use mlp::Mlp;
 pub use store::{EmbeddingStore, UserEmbeddings};

@@ -12,6 +12,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::gradients::MlpGradients;
+use crate::lanes::{fold_lanes, Lane, LANES};
 
 /// Negative-side slope of the hidden activation. See
 /// [`frs_linalg::leaky_relu`] for why the hidden units are leaky.
@@ -206,14 +207,14 @@ impl Mlp {
     /// `u ⊕ v ⊕ u⊙v` input): each first-layer neuron's dot product over the
     /// prefix coordinates is folded once here and continued per item, and all
     /// activation scratch is allocated once and reused across the batch.
-    pub fn batch_scorer(&self, prefix: &[f32]) -> BatchScorer<'_> {
+    pub(crate) fn batch_scorer(&self, prefix: &[f32]) -> BatchScorer<'_> {
         assert!(
             prefix.len() <= self.input_dim(),
             "prefix longer than the MLP input"
         );
         let w0 = &self.weights[0];
         let prefix_acc: Vec<f32> = (0..w0.rows())
-            .map(|r| fold_dot(-0.0, &w0.row(r)[..prefix.len()], prefix))
+            .map(|r| vector::dot(&w0.row(r)[..prefix.len()], prefix))
             .collect();
         BatchScorer {
             mlp: self,
@@ -225,65 +226,61 @@ impl Mlp {
     }
 }
 
-/// Continues a running `Iterator::sum`-style fold with the products
-/// `a[i] · b[i]` in index order. With `init = -0.0` (the fold identity of
-/// `Iterator::sum::<f32>()`) this is exactly `frs_linalg::dot`; starting from
-/// a previous partial fold it extends that dot product without re-reading the
-/// earlier coordinates.
-fn fold_dot(init: f32, a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let mut acc = init;
-    for (x, y) in a.iter().zip(b) {
-        acc += x * y;
-    }
-    acc
-}
-
 /// Batched [`Mlp::forward_logit_only`] over inputs `prefix ⊕ suffix` with a
-/// fixed prefix — see [`Mlp::batch_scorer`].
+/// fixed prefix, `LANES` suffixes at a time — see [`Mlp::batch_scorer`].
 ///
-/// Each [`logit`](Self::logit) is bitwise-identical to
+/// Each lane of [`logits`](Self::logits) is bitwise-identical to
 /// `forward_logit_only(prefix ⊕ suffix)`: a first-layer dot product is one
 /// left-to-right fold over the input, so resuming it from the precomputed
-/// prefix partial performs the exact same operation sequence, and the tail
-/// layers run unchanged (into reused buffers). The `kernel-parity` CI job
-/// pins this with the `batched_scoring` proptest suite.
-pub struct BatchScorer<'a> {
+/// prefix partial performs the exact same operation sequence; the hidden
+/// layers and the projection fold from `-0.0` in the same order, per lane.
+/// The `kernel-parity` CI job pins this with the `batched_scoring` proptest
+/// suite.
+pub(crate) struct BatchScorer<'a> {
     mlp: &'a Mlp,
     prefix_len: usize,
     prefix_acc: Vec<f32>,
-    buf_a: Vec<f32>,
-    buf_b: Vec<f32>,
+    buf_a: Vec<Lane>,
+    buf_b: Vec<Lane>,
 }
 
 impl BatchScorer<'_> {
-    /// The logit for `prefix ⊕ suffix`. Allocation-free after the first call.
-    pub fn logit(&mut self, suffix: &[f32]) -> f32 {
+    /// The logits of the `LANES` inputs `prefix ⊕ suffix_l`, where
+    /// `suffix[i][l]` is coordinate `i` of lane `l`'s suffix.
+    /// Allocation-free after the first call.
+    pub(crate) fn logits(&mut self, suffix: &[Lane]) -> Lane {
         let mlp = self.mlp;
         debug_assert_eq!(self.prefix_len + suffix.len(), mlp.input_dim());
         let w0 = &mlp.weights[0];
         self.buf_a.clear();
-        for (r, &acc0) in self.prefix_acc.iter().enumerate() {
-            self.buf_a
-                .push(fold_dot(acc0, &w0.row(r)[self.prefix_len..], suffix));
+        for (r, (&acc0, &bias)) in self.prefix_acc.iter().zip(&mlp.biases[0]).enumerate() {
+            let mut acc = [acc0; LANES];
+            fold_lanes(&mut acc, &w0.row(r)[self.prefix_len..], suffix);
+            self.buf_a.push(activate(acc, bias));
         }
-        vector::add_assign(&mut self.buf_a, &mlp.biases[0]);
-        for x in self.buf_a.iter_mut() {
-            *x = leaky_relu(*x, LEAK);
-        }
-        for (w, b) in mlp.weights.iter().zip(&mlp.biases).skip(1) {
+        for (w, biases) in mlp.weights.iter().zip(&mlp.biases).skip(1) {
             self.buf_b.clear();
-            for r in 0..w.rows() {
-                self.buf_b.push(fold_dot(-0.0, w.row(r), &self.buf_a));
-            }
-            vector::add_assign(&mut self.buf_b, b);
-            for x in self.buf_b.iter_mut() {
-                *x = leaky_relu(*x, LEAK);
+            for (r, &bias) in biases.iter().enumerate() {
+                let mut acc = [-0.0; LANES];
+                fold_lanes(&mut acc, w.row(r), &self.buf_a);
+                self.buf_b.push(activate(acc, bias));
             }
             std::mem::swap(&mut self.buf_a, &mut self.buf_b);
         }
-        vector::dot(&mlp.projection, &self.buf_a)
+        let mut logits = [-0.0; LANES];
+        fold_lanes(&mut logits, &mlp.projection, &self.buf_a);
+        logits
     }
+}
+
+/// A neuron's bias and leaky ReLU, per lane: the `add_assign` and
+/// `leaky_relu` steps of [`Mlp::forward_logit_only`].
+#[inline]
+fn activate(mut acc: Lane, bias: f32) -> Lane {
+    for a in &mut acc {
+        *a = leaky_relu(*a + bias, LEAK);
+    }
+    acc
 }
 
 #[cfg(test)]
@@ -410,18 +407,32 @@ mod tests {
 
     #[test]
     fn batch_scorer_bitwise_matches_forward_logit_only() {
-        let m = mlp(); // input dim 8
-        let inputs: Vec<Vec<f32>> = (0..5)
-            .map(|t| (0..8).map(|i| ((t * 8 + i) as f32 * 0.61).sin()).collect())
+        // Input dim 8; one input per lane, from mild values to saturating
+        // ones.
+        let m = mlp();
+        let inputs: Vec<Vec<f32>> = (0..LANES)
+            .map(|t| {
+                let scale = [1.0f32, 1e3, 1e30][t % 3];
+                (0..8)
+                    .map(|i| ((t * 8 + i) as f32 * 0.61).sin() * scale)
+                    .collect()
+            })
             .collect();
         for split in 0..=8usize {
             let mut scorer = m.batch_scorer(&inputs[0][..split]);
-            for input in &inputs {
+            let suffix: Vec<Lane> = (split..8)
+                .map(|i| std::array::from_fn(|l| inputs[l][i]))
+                .collect();
+            let got = scorer.logits(&suffix);
+            for (lane, input) in inputs.iter().enumerate() {
                 let mut whole = inputs[0][..split].to_vec();
                 whole.extend_from_slice(&input[split..]);
-                let got = scorer.logit(&input[split..]);
                 let want = m.forward_logit_only(&whole);
-                assert_eq!(got.to_bits(), want.to_bits(), "split={split}");
+                assert_eq!(
+                    got[lane].to_bits(),
+                    want.to_bits(),
+                    "split={split} lane={lane}"
+                );
             }
         }
     }

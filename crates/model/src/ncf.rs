@@ -18,6 +18,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::gradients::MlpGradients;
+use crate::lanes::{ItemLanes, LANES};
 use crate::mlp::{Mlp, MlpCache};
 
 /// DL-FRS global parameters: item table + interaction MLP.
@@ -128,25 +129,32 @@ impl NcfModel {
         self.logit_with_embeddings(user_emb, self.item_embedding(item))
     }
 
-    /// Logits of *every* stored item for one user, batched: the MLP work that
-    /// depends only on the user slot (the first-layer fold over `u`) runs
-    /// once, and all activation scratch is reused across the item axis via
-    /// [`crate::mlp::BatchScorer`]. Bitwise-identical to calling
-    /// [`Self::logit`] per item, with zero allocations per item.
-    pub fn scores_for_user_into(&self, user_emb: &[f32], out: &mut Vec<f32>) {
+    /// Logits of every item in `lanes` for one user, `LANES` items at a
+    /// time: the MLP work that depends only on the user slot (the
+    /// first-layer fold over `u`) runs once, and each block's `v ⊕ (u ⊙ v)`
+    /// suffix goes through `BatchScorer::logits`. Each score is
+    /// bitwise-identical to [`Self::logit`] for its item.
+    pub(crate) fn scores_for_user_into(
+        &self,
+        lanes: &ItemLanes,
+        user_emb: &[f32],
+        out: &mut Vec<f32>,
+    ) {
         debug_assert_eq!(user_emb.len(), self.dim);
         let mut scorer = self.mlp.batch_scorer(user_emb);
-        let mut suffix = vec![0.0f32; 2 * self.dim];
-        out.clear();
-        out.reserve(self.n_items());
-        for j in 0..self.n_items() {
-            let item_emb = self.items.row(j);
-            suffix[..self.dim].copy_from_slice(item_emb);
-            for k in 0..self.dim {
-                suffix[self.dim + k] = user_emb[k] * item_emb[k];
+        let mut suffix = vec![[0.0; LANES]; 2 * self.dim];
+        lanes.score_into(out, |block| {
+            let (items, products) = suffix.split_at_mut(self.dim);
+            for (((item, product), v), &u) in
+                items.iter_mut().zip(products).zip(block).zip(user_emb)
+            {
+                *item = *v;
+                for (p, &x) in product.iter_mut().zip(v) {
+                    *p = u * x;
+                }
             }
-            out.push(scorer.logit(&suffix));
-        }
+            scorer.logits(&suffix)
+        });
     }
 
     /// Forward with cache for a training example.

@@ -99,7 +99,8 @@ proptest! {
 
     #[test]
     fn scores_for_user_consistent((model, user) in model_strategy()) {
-        let scores = model.scores_for_user(&user);
+        let mut scores = Vec::new();
+        model.scores_for_user_into(&model.item_lanes(), &user, &mut scores);
         prop_assert_eq!(scores.len(), 12);
         for (j, &s) in scores.iter().enumerate() {
             prop_assert!((s - model.logit(&user, j as u32)).abs() < 1e-5);

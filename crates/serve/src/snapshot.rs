@@ -9,10 +9,10 @@
 //! half-applied update.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use frs_data::Dataset;
-use frs_model::{EmbeddingStore, GlobalModel};
+use frs_model::{EmbeddingStore, GlobalModel, ItemLanes};
 
 use crate::wire::ScoredItem;
 
@@ -29,6 +29,10 @@ pub struct Snapshot {
     users: EmbeddingStore,
     /// Training interactions: already-seen items are excluded from top-K.
     train: Arc<Dataset>,
+    /// The model's item table regrouped for the scoring kernel, built by
+    /// the first query against this snapshot, so a publish costs no more
+    /// than the clones above.
+    lanes: OnceLock<ItemLanes>,
 }
 
 impl Snapshot {
@@ -49,6 +53,7 @@ impl Snapshot {
             model,
             users,
             train,
+            lanes: OnceLock::new(),
         }
     }
 
@@ -81,7 +86,10 @@ impl Snapshot {
                 self.users.rows()
             ));
         }
-        let scores = self.model.scores_for_user(self.users.row(user));
+        let lanes = self.lanes.get_or_init(|| self.model.item_lanes());
+        let mut scores = Vec::new();
+        self.model
+            .scores_for_user_into(lanes, self.users.row(user), &mut scores);
         let picked = frs_linalg::top_k_desc_filtered(&scores, k, |i| {
             !self.train.interacted(user, i as u32) // lint:allow(lossy-index-cast): the catalog is keyed by u32 item ids, so every score index fits
         });
