@@ -5,7 +5,8 @@
 //! this to keep the poison-to-benign gradient ratio invariant when datasets
 //! are scaled down: benign per-example gradients are normalized by `1/|D_i|`,
 //! so shrinking a dataset by factor `s` makes each benign upload `1/s` times
-//! stronger relative to an unscaled poison (see DESIGN.md §5).
+//! stronger relative to an unscaled poison (README, "Attacks", says which
+//! attacks the harness wraps).
 
 use frs_federation::{Client, RoundContext};
 use frs_model::{GlobalGradients, GlobalModel};

@@ -1,4 +1,4 @@
-//! Ablation benches for the design decisions DESIGN.md calls out:
+//! Ablation benches for the cost of three PIECK design choices:
 //! the IPE similarity metric (PCOS vs PKL), rank weighting on/off, and the
 //! UEA inner-optimization depth (single-step vs the paper's batched steps).
 

@@ -8,7 +8,7 @@
 //! user/item/interaction counts match Table VIII. Every mechanism the paper
 //! analyses (Δ-Norm mining, popularity bias, user-embedding closeness, the
 //! p_j probabilities of Eq. 11–13) depends only on this distributional shape,
-//! which is what the generator reproduces. See DESIGN.md §3.
+//! which is what the generator reproduces.
 //!
 //! Layout:
 //! - [`dataset`]: the immutable interaction store ([`Dataset`]) in per-user

@@ -1,9 +1,9 @@
 //! Loader for MovieLens-format interaction files.
 //!
 //! The paper evaluates on MovieLens-100K/1M and Amazon Digital Music. This
-//! repository substitutes synthetic data (see DESIGN.md §3), but the loader
-//! below makes the library directly usable with the *real* files when they
-//! are available:
+//! repository substitutes synthetic data (the [crate docs](crate) say
+//! why), but the loader below makes the library directly usable with the
+//! *real* files when they are available:
 //!
 //! - **ML-100K `u.data`**: tab-separated `user_id  item_id  rating  timestamp`
 //! - **ML-1M `ratings.dat`**: `user_id::item_id::rating::timestamp`

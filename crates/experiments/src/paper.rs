@@ -579,7 +579,7 @@ fn bespoke_lease(opts: &RunOptions, exec: &ExecOptions<'_>) -> Option<frs_federa
 /// (`median:shards=8`). Evaluation ranks a deterministic ~10k-user stride
 /// subsample — full-population ranking is an experiment of its own — and
 /// the report is byte-stable for a given seed: identical across
-/// `--round-threads` policies, arena backings, and replays, so CI `cmp`s
+/// `--round-threads` policies and replays, so CI `cmp`s
 /// two runs' reports verbatim. A SHA-256 digest over the final item table
 /// and the evaluated users' embedding bits pins the entire training
 /// trajectory, not just the headline metrics.

@@ -342,9 +342,10 @@ pub fn serve_scenarios(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{BufRead, BufReader, Read, Write};
+    use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
     use std::net::TcpStream;
     use std::os::unix::net::UnixStream;
+    use std::time::Instant;
 
     use frs_data::DatasetSpec;
     use frs_model::ModelKind;
@@ -374,6 +375,39 @@ mod tests {
         out.trim().to_string()
     }
 
+    /// Connects to the session's socket once it listens. The file appears
+    /// at `bind(2)`, before `listen(2)`: a connect in between is refused,
+    /// and one before the bind finds no file. Both retry until a deadline.
+    fn connect_when_listening(socket: &Path) -> UnixStream {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            match UnixStream::connect(socket) {
+                Ok(stream) => return stream,
+                Err(e)
+                    if matches!(e.kind(), ErrorKind::ConnectionRefused | ErrorKind::NotFound)
+                        && Instant::now() < deadline =>
+                {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                Err(e) => panic!("connect {}: {e}", socket.display()),
+            }
+        }
+    }
+
+    /// Requests a shutdown when a test panics inside its `thread::scope`.
+    /// The scope joins the serve session before it re-raises the panic,
+    /// and the session returns only on a shutdown request, so without this
+    /// a failing test would hang instead of failing.
+    struct ShutdownOnPanic;
+
+    impl Drop for ShutdownOnPanic {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                shutdown::trigger();
+            }
+        }
+    }
+
     #[test]
     fn serves_queries_during_training_then_drains_on_shutdown() {
         let _guard = shutdown::test_lock();
@@ -384,6 +418,7 @@ mod tests {
         let budget = CoreBudget::new(2);
 
         let session = std::thread::scope(|scope| {
+            let _stop = ShutdownOnPanic;
             let worker = scope.spawn(|| {
                 serve_scenarios(
                     vec![ServeScenarioSpec {
@@ -405,10 +440,7 @@ mod tests {
 
             // The socket comes up while training runs; queries answer
             // against whatever epoch is current.
-            while !socket.exists() {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            let mut stream = UnixStream::connect(&socket).unwrap();
+            let mut stream = connect_when_listening(&socket);
             let mut reader = BufReader::new(stream.try_clone().unwrap());
             let status: StatusResponse =
                 serde_json::from_str(&query(&mut stream, &mut reader, "{}")).unwrap();
@@ -446,6 +478,7 @@ mod tests {
         let bound = OnceLock::new();
 
         let session = std::thread::scope(|scope| {
+            let _stop = ShutdownOnPanic;
             let worker = scope.spawn(|| {
                 serve_scenarios(
                     vec![
@@ -573,13 +606,11 @@ mod tests {
         // Second session trains to completion and reports the resume point.
         shutdown::reset();
         let done = std::thread::scope(|scope| {
+            let _stop = ShutdownOnPanic;
             let worker = scope.spawn(serve_once);
             // Watch training finish through the status endpoint, then stop
             // the daemon.
-            while !socket.exists() {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            let mut stream = UnixStream::connect(&socket).unwrap();
+            let mut stream = connect_when_listening(&socket);
             let mut reader = BufReader::new(stream.try_clone().unwrap());
             loop {
                 let status: StatusResponse =

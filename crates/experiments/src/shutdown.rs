@@ -53,7 +53,14 @@ extern "C" fn on_signal(_signum: i32) {
 pub fn install_handlers() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
+        // SAFETY: SIGINT and SIGTERM are valid signal numbers, and
+        // `on_signal` is an `extern "C"` fn that only stores to an atomic,
+        // which is async-signal-safe.
         #[cfg(unix)]
+        #[allow(
+            unsafe_code,
+            reason = "the workspace's one FFI call: there is no libc crate to wrap signal(2)"
+        )]
         unsafe {
             // Raw `signal(2)` instead of a libc crate: the sanctioned
             // dependency set has none, and a flag-setting handler needs no

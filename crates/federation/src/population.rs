@@ -7,7 +7,9 @@
 //! [`BenignClient`] is constructed for exactly the sampled subset each round
 //! and torn back down into the arena afterwards. Stateful client-side
 //! defenses persist across samplings in a sparse map, built on demand from
-//! a [`RegularizerFactory`].
+//! a [`RegularizerFactory`]. The arena lives in memory as copy-on-write
+//! chunks, so the evaluation table [`LazyClientPool::user_embeddings`]
+//! hands out shares its rows instead of copying them.
 //!
 //! Boxed clients occupy the ids above the arena users. They are the
 //! attacker cohort (few, stateful, arbitrary types), or a whole hand-built
@@ -70,10 +72,7 @@ enum Participant<'a> {
 
 impl LazyClientPool {
     /// Creates the pool and initializes every benign arena row with the
-    /// seeded draw `BenignClient::new` would have made. When the
-    /// `FRS_ARENA_DIR` environment variable names a directory, the arena is
-    /// mmap-backed there (out-of-core populations); otherwise it lives on
-    /// the heap. The backing is execution-only — bytes are identical.
+    /// seeded draw `BenignClient::new` would have made.
     pub fn new(
         n_benign: usize,
         train: Arc<Dataset>,
@@ -83,11 +82,7 @@ impl LazyClientPool {
         reg_factory: Option<RegularizerFactory>,
         boxed: Vec<Box<dyn Client>>,
     ) -> Self {
-        let n_total = n_benign + boxed.len();
-        let mut arena = match std::env::var_os("FRS_ARENA_DIR") {
-            Some(dir) => EmbeddingStore::zeros_mmap(n_total, dim, std::path::Path::new(&dir)),
-            None => EmbeddingStore::zeros(n_total, dim),
-        };
+        let mut arena = EmbeddingStore::zeros(n_benign + boxed.len(), dim);
         for u in 0..n_benign {
             arena
                 .row_mut(u)
@@ -191,10 +186,9 @@ impl LazyClientPool {
     /// Dense per-client-id embedding table for metric evaluation. The arena
     /// is the table for arena users; boxed clients that keep their own
     /// embedding (hand-built benign clients) overlay their rows, and the
-    /// rest (malicious) stay zero — metrics only ever index benign ids. A
-    /// heap clone shares the arena's chunks copy-on-write, so this costs
-    /// O(chunks) plus the chunks an overlay touches; an mmap arena's clone
-    /// materializes to the heap.
+    /// rest (malicious) stay zero — metrics only ever index benign ids. The
+    /// clone shares the arena's chunks copy-on-write, so this costs
+    /// O(chunks) plus the chunks an overlay touches.
     pub fn user_embeddings(&self) -> EmbeddingStore {
         let mut table = self.arena.clone();
         for client in &self.boxed {

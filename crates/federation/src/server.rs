@@ -49,7 +49,6 @@ pub struct SimulationBuilder {
     pool: LazyClientPool,
     aggregator: Box<dyn Aggregator>,
     config: FederationConfig,
-    lease: Option<CoreLease>,
 }
 
 impl SimulationBuilder {
@@ -80,16 +79,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Attaches a [`CoreLease`] from a shared [`CoreBudget`]: when the
-    /// configuration's policy is [`RoundThreads::Auto`], every round's
-    /// fan-out width is the lease's current fair share.
-    ///
-    /// [`CoreBudget`]: crate::CoreBudget
-    pub fn core_lease(mut self, lease: CoreLease) -> Self {
-        self.lease = Some(lease);
-        self
-    }
-
     /// Validates and assembles the simulation. Client ids must be unique and
     /// dense in `0..clients.len()` (benign clients use their user id;
     /// malicious clients take the ids above the benign range).
@@ -99,7 +88,6 @@ impl SimulationBuilder {
             pool,
             aggregator,
             config,
-            lease,
         } = self;
         config.validate().expect("invalid federation config");
         pool.assert_dense_ids();
@@ -112,7 +100,7 @@ impl SimulationBuilder {
             seeds,
             round: 0,
             stats: TrainingStats::default(),
-            lease,
+            lease: None,
         }
     }
 }
@@ -126,12 +114,14 @@ impl Simulation {
             pool,
             aggregator: Box::new(SumAggregator),
             config: FederationConfig::default(),
-            lease: None,
         }
     }
 
-    /// Attaches (or detaches) a [`CoreLease`] after construction — the suite
-    /// path, where the lease is taken per cell at execution time.
+    /// Attaches (or detaches) a [`CoreLease`] from a shared
+    /// [`CoreBudget`](crate::CoreBudget): when the configuration's policy is
+    /// [`RoundThreads::Auto`], every round's fan-out width is the lease's
+    /// current fair share. Callers take the lease at execution time, after
+    /// construction.
     pub fn set_core_lease(&mut self, lease: Option<CoreLease>) {
         self.lease = lease;
     }

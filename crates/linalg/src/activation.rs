@@ -55,8 +55,7 @@ pub fn relu_inplace(xs: &mut [f32]) {
 /// tiny widths of a simulated FRS (2–8 units), hard ReLU layers can die
 /// completely at init — every unit negative for every input — which freezes
 /// training and would silently corrupt unattended experiment sweeps. A 0.01
-/// leak preserves Eq. (1)'s shape while guaranteeing gradient flow (see
-/// DESIGN.md §3).
+/// leak preserves Eq. (1)'s shape while guaranteeing gradient flow.
 #[inline]
 pub fn leaky_relu(x: f32, leak: f32) -> f32 {
     if x > 0.0 {

@@ -7,7 +7,7 @@
 
 use frs_data::Dataset;
 use frs_linalg::top_k_desc_filtered_into;
-use frs_model::{GlobalModel, UserEmbeddings};
+use frs_model::{EmbeddingStore, GlobalModel};
 
 /// ER@K for every target plus the mean — one evaluation pass per user.
 #[derive(Debug, Clone)]
@@ -23,13 +23,12 @@ impl ExposureReport {
     /// Computes ER@K over `benign_users`.
     ///
     /// `user_embeddings` must hold the *current* personalized embedding of
-    /// every user (any [`UserEmbeddings`] representation — nested vectors
-    /// or the simulation's chunked `EmbeddingStore`); `train` is the training
-    /// interaction data that defines which items are eligible for a user's
-    /// recommendation list (uninteracted only, Section III-A).
-    pub fn compute<E: UserEmbeddings + ?Sized>(
+    /// every user; `train` is the training interaction data that defines
+    /// which items are eligible for a user's recommendation list
+    /// (uninteracted only, Section III-A).
+    pub fn compute(
         model: &GlobalModel,
-        user_embeddings: &E,
+        user_embeddings: &EmbeddingStore,
         benign_users: &[usize],
         train: &Dataset,
         targets: &[u32],
@@ -46,7 +45,7 @@ impl ExposureReport {
         let mut scores = Vec::new();
         let mut top = Vec::new();
         for &u in benign_users {
-            model.scores_for_user_into(&lanes, user_embeddings.user_embedding(u), &mut scores);
+            model.scores_for_user_into(&lanes, user_embeddings.row(u), &mut scores);
             // lint:allow(lossy-index-cast): j indexes the score slice, whose length is the u32-keyed catalog size
             top_k_desc_filtered_into(&scores, k, |j| !train.interacted(u, j as u32), &mut top);
             for (t, &target) in targets.iter().enumerate() {
@@ -80,18 +79,6 @@ impl ExposureReport {
     }
 }
 
-/// Convenience wrapper: mean ER@K only.
-pub fn exposure_ratio_at_k<E: UserEmbeddings + ?Sized>(
-    model: &GlobalModel,
-    user_embeddings: &E,
-    benign_users: &[usize],
-    train: &Dataset,
-    targets: &[u32],
-    k: usize,
-) -> f64 {
-    ExposureReport::compute(model, user_embeddings, benign_users, train, targets, k).mean
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,7 +88,7 @@ mod tests {
 
     /// 4 users × 6 items; users 0..3 benign. User embeddings are unit axes so
     /// MF scores equal item-embedding coordinates — fully controllable.
-    fn setup() -> (GlobalModel, Vec<Vec<f32>>, Dataset) {
+    fn setup() -> (GlobalModel, EmbeddingStore, Dataset) {
         let mut rng = StdRng::seed_from_u64(0);
         let mut model = GlobalModel::new(&ModelConfig::mf(2), 6, &mut rng);
         // Item j embedding = [j, 0]: scores increase with item id on axis 0.
@@ -110,7 +97,7 @@ mod tests {
             emb[0] = j as f32;
             emb[1] = 0.0;
         }
-        let user_embeddings = vec![vec![1.0, 0.0]; 4];
+        let user_embeddings = EmbeddingStore::from_rows(vec![vec![1.0, 0.0]; 4]);
         // User 0 interacted with item 5 (the top item) and 1; others with 1.
         let data = Dataset::from_user_items(6, vec![vec![1, 5], vec![1], vec![1], vec![1]]);
         (model, user_embeddings, data)

@@ -6,7 +6,7 @@
 //! test item near the top: `1/log₂(rank+2)`.
 
 use frs_data::TrainTestSplit;
-use frs_model::{GlobalModel, UserEmbeddings};
+use frs_model::{EmbeddingStore, GlobalModel};
 
 /// HR@K and NDCG@K over a set of users.
 #[derive(Debug, Clone)]
@@ -19,12 +19,10 @@ pub struct QualityReport {
 }
 
 impl QualityReport {
-    /// Evaluates users in `eval_users` (typically the benign users). The
-    /// embedding table may be any [`UserEmbeddings`] representation — a
-    /// plain `Vec<Vec<f32>>` or the simulation's chunked `EmbeddingStore`.
-    pub fn compute<E: UserEmbeddings + ?Sized>(
+    /// Evaluates users in `eval_users` (typically the benign users).
+    pub fn compute(
         model: &GlobalModel,
-        user_embeddings: &E,
+        user_embeddings: &EmbeddingStore,
         eval_users: &[usize],
         split: &TrainTestSplit,
         k: usize,
@@ -38,7 +36,7 @@ impl QualityReport {
         let lanes = model.item_lanes();
         let mut scores = Vec::new();
         for &u in eval_users {
-            model.scores_for_user_into(&lanes, user_embeddings.user_embedding(u), &mut scores);
+            model.scores_for_user_into(&lanes, user_embeddings.row(u), &mut scores);
             let test = split.test_item[u];
             let test_score = scores[test as usize];
             // Rank among eligible (non-train-interacted) items: count eligible
@@ -80,25 +78,14 @@ impl QualityReport {
 }
 
 /// Convenience wrapper returning HR@K only.
-pub fn hit_ratio_at_k<E: UserEmbeddings + ?Sized>(
+pub fn hit_ratio_at_k(
     model: &GlobalModel,
-    user_embeddings: &E,
+    user_embeddings: &EmbeddingStore,
     eval_users: &[usize],
     split: &TrainTestSplit,
     k: usize,
 ) -> f64 {
     QualityReport::compute(model, user_embeddings, eval_users, split, k).hr
-}
-
-/// Convenience wrapper returning NDCG@K only.
-pub fn ndcg_at_k<E: UserEmbeddings + ?Sized>(
-    model: &GlobalModel,
-    user_embeddings: &E,
-    eval_users: &[usize],
-    split: &TrainTestSplit,
-    k: usize,
-) -> f64 {
-    QualityReport::compute(model, user_embeddings, eval_users, split, k).ndcg
 }
 
 #[cfg(test)]
@@ -110,7 +97,7 @@ mod tests {
     use rand::SeedableRng;
 
     /// 2 users, 5 items, axis-aligned MF so scores = item coordinate.
-    fn setup(test_items: Vec<u32>) -> (GlobalModel, Vec<Vec<f32>>, TrainTestSplit) {
+    fn setup(test_items: Vec<u32>) -> (GlobalModel, EmbeddingStore, TrainTestSplit) {
         let mut rng = StdRng::seed_from_u64(0);
         let mut model = GlobalModel::new(&ModelConfig::mf(2), 5, &mut rng);
         for j in 0..5u32 {
@@ -118,7 +105,7 @@ mod tests {
             emb[0] = j as f32;
             emb[1] = 0.0;
         }
-        let embs = vec![vec![1.0, 0.0]; 2];
+        let embs = EmbeddingStore::from_rows(vec![vec![1.0, 0.0]; 2]);
         // Train interactions: user 0 → {4}, user 1 → {} (all items eligible).
         let train = Dataset::from_user_items(5, vec![vec![4], vec![]]);
         let split = TrainTestSplit {

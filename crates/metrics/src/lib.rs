@@ -17,8 +17,8 @@ pub mod popularity_bias;
 
 pub use delta_norm::DeltaNormTracker;
 pub use distribution::{covered_users, pairwise_kl, user_coverage_ratio};
-pub use exposure::{exposure_ratio_at_k, ExposureReport};
-pub use hit_ratio::{hit_ratio_at_k, ndcg_at_k, QualityReport};
+pub use exposure::ExposureReport;
+pub use hit_ratio::{hit_ratio_at_k, QualityReport};
 pub use popularity_bias::{
     average_recommended_popularity, catalogue_coverage, gini_coefficient, recommendation_frequency,
 };

@@ -14,12 +14,12 @@
 
 use frs_data::Dataset;
 use frs_linalg::top_k_desc_filtered_into;
-use frs_model::{GlobalModel, UserEmbeddings};
+use frs_model::{EmbeddingStore, GlobalModel};
 
 /// Per-item recommendation frequency over all users' top-K lists.
-pub fn recommendation_frequency<E: UserEmbeddings + ?Sized>(
+pub fn recommendation_frequency(
     model: &GlobalModel,
-    user_embeddings: &E,
+    user_embeddings: &EmbeddingStore,
     users: &[usize],
     train: &Dataset,
     k: usize,
@@ -29,7 +29,7 @@ pub fn recommendation_frequency<E: UserEmbeddings + ?Sized>(
     let mut scores = Vec::new();
     let mut top = Vec::new();
     for &u in users {
-        model.scores_for_user_into(&lanes, user_embeddings.user_embedding(u), &mut scores);
+        model.scores_for_user_into(&lanes, user_embeddings.row(u), &mut scores);
         // lint:allow(lossy-index-cast): j indexes the score slice, whose length is the u32-keyed catalog size
         top_k_desc_filtered_into(&scores, k, |j| !train.interacted(u, j as u32), &mut top);
         for &j in &top {
@@ -90,7 +90,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn axis_world() -> (GlobalModel, Vec<Vec<f32>>, Dataset) {
+    fn axis_world() -> (GlobalModel, EmbeddingStore, Dataset) {
         let mut rng = StdRng::seed_from_u64(0);
         let mut model = GlobalModel::new(&ModelConfig::mf(2), 6, &mut rng);
         for j in 0..6u32 {
@@ -98,7 +98,7 @@ mod tests {
             emb[0] = j as f32;
             emb[1] = 0.0;
         }
-        let embs = vec![vec![1.0, 0.0]; 3];
+        let embs = EmbeddingStore::from_rows(vec![vec![1.0, 0.0]; 3]);
         // Popularities: item 5 interacted by all, item 4 by one.
         let train = Dataset::from_user_items(6, vec![vec![5], vec![5, 4], vec![5]]);
         (model, embs, train)

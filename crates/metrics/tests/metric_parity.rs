@@ -16,7 +16,7 @@
 use frs_data::{Dataset, TrainTestSplit};
 use frs_linalg::argsort_desc;
 use frs_metrics::{ExposureReport, QualityReport};
-use frs_model::{GlobalModel, ModelConfig};
+use frs_model::{EmbeddingStore, GlobalModel, ModelConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -135,7 +135,8 @@ fn er_at_10_is_unchanged_on_seeded_scenarios() {
         let (model, embs, split) = scenario(&config, seed);
         let users: Vec<usize> = (0..N_USERS).collect();
         let targets = [3u32, 17, 44];
-        let report = ExposureReport::compute(&model, &embs, &users, &split.train, &targets, K);
+        let store = EmbeddingStore::from_rows(embs.clone());
+        let report = ExposureReport::compute(&model, &store, &users, &split.train, &targets, K);
         let (naive_per_target, naive_mean) =
             naive_exposure(&model, &embs, &users, &split.train, &targets, K);
         assert_eq!(report.per_target, naive_per_target, "seed {seed}");
@@ -153,7 +154,8 @@ fn hr_at_10_is_unchanged_on_seeded_scenarios() {
     ] {
         let (model, embs, split) = scenario(&config, seed);
         let users: Vec<usize> = (0..N_USERS).collect();
-        let report = QualityReport::compute(&model, &embs, &users, &split, K);
+        let store = EmbeddingStore::from_rows(embs.clone());
+        let report = QualityReport::compute(&model, &store, &users, &split, K);
         let (naive_hr, naive_ndcg) = naive_quality(&model, &embs, &users, &split, K);
         assert_eq!(report.hr, naive_hr, "seed {seed}");
         assert_eq!(report.ndcg, naive_ndcg, "seed {seed}");
@@ -167,7 +169,7 @@ fn er_handles_every_target_interacted() {
     // bounded top-K path must preserve the degenerate-case convention.
     let mut rng = StdRng::seed_from_u64(7);
     let model = GlobalModel::new(&ModelConfig::mf(4), 6, &mut rng);
-    let embs: Vec<Vec<f32>> = (0..3).map(|_| vec![1.0, 0.0, 0.0, 0.0]).collect();
+    let embs = EmbeddingStore::from_rows(vec![vec![1.0, 0.0, 0.0, 0.0]; 3]);
     let train = Dataset::from_user_items(6, vec![vec![2], vec![2], vec![2]]);
     let report = ExposureReport::compute(&model, &embs, &[0, 1, 2], &train, &[2], K);
     assert_eq!(report.mean, 0.0);

@@ -37,4 +37,4 @@ pub use gradients::{GlobalGradients, MlpGradients};
 pub use lanes::ItemLanes;
 pub use loss::{bce_logit_delta, bce_loss, bpr_logit_deltas, bpr_loss, LossKind};
 pub use mlp::Mlp;
-pub use store::{EmbeddingStore, UserEmbeddings};
+pub use store::EmbeddingStore;

@@ -11,7 +11,7 @@
 //! genuinely *multiplicative* in (user, item); without them a narrow MLP
 //! degenerates to an additive `f(u) + g(v)` scorer, in which promoting an
 //! item for anyone promotes it for everyone and no embedding-geometry
-//! defense could possibly matter (see DESIGN.md §5).
+//! defense could possibly matter.
 
 use frs_linalg::Matrix;
 use rand::Rng;

@@ -16,8 +16,8 @@
 //! - [`serve`] — the top-K recommendation daemon behind `paper serve`
 //! - [`experiments`] — the table/figure reproduction harness
 //!
-//! See `README.md` for a quickstart and `DESIGN.md` / `EXPERIMENTS.md` for
-//! the reproduction methodology and measured results.
+//! See `README.md` for a quickstart, the `paper` CLI that reproduces each
+//! table and figure, and the measured performance of each layer.
 
 pub use frs_attacks as attacks;
 pub use frs_data as data;
