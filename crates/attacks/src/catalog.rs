@@ -1,11 +1,11 @@
 //! Attack catalogue: the paper's Table III rows.
 //!
 //! [`AttackKind`] enumerates the attacks evaluated in the paper. Each row is
-//! an [`AttackFactory`] carrying its construction logic, and the rows seed
-//! the attack registry (see [`crate::registry`]). Scenarios reference them
-//! through selections (`AttackSel::from(AttackKind::PieckUea)`), so
-//! overriding a builtin by name takes effect everywhere, and new attacks
-//! need no enum edits at all.
+//! an [`AttackFactory`] carrying its construction logic, and the rows, with
+//! the Table VI / IX variants, make up the attack registry (see
+//! [`crate::registry`]). Scenarios reference them through selections
+//! (`AttackSel::from(AttackKind::PieckUea)`), so a new attack row needs no
+//! enum edit.
 
 use frs_federation::registry::Factory;
 use frs_federation::Client;

@@ -32,7 +32,7 @@ pub use fedrecattack::FedRecAttack;
 pub use interaction::{AHumClient, ARaClient};
 pub use pipattack::PipAttack;
 pub use registry::{
-    attack_factory, register_attack, registered_attacks, AttackBuildCtx, AttackFactory,
-    AttackParams, AttackSel, Attacks, FnAttackFactory, ParamSpec, ParamValue,
+    attack_factory, AttackBuildCtx, AttackFactory, AttackParams, AttackSel, Attacks, ParamSpec,
+    ParamValue,
 };
 pub use scaled::ScaledClient;

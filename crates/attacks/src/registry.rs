@@ -1,12 +1,11 @@
 //! The attack family of the shared registry (`frs_federation::registry`).
 //!
-//! Attacks are [`AttackFactory`] trait objects registered by name. A factory
+//! Attacks are [`AttackFactory`] trait objects looked up by name. A factory
 //! turns a scenario-level [`AttackBuildCtx`] plus the selection's
 //! [`AttackParams`] into the scenario's malicious population. [`Attacks`] is
-//! the family's [`Catalog`]: its registry starts out holding the
-//! [`AttackKind`] rows and the Table VI / IX variants, and out-of-crate
-//! attacks plug in through [`register_attack`] without touching any core
-//! code.
+//! the family's [`Catalog`]: its registry holds the [`AttackKind`] rows and
+//! the Table VI / IX variants (`crate::variants`), and a new attack is a new
+//! row there.
 //!
 //! Scenarios reference attacks through [`AttackSel`], the shared
 //! [`Selection`] over this catalog (`"pieck-uea"`,
@@ -18,17 +17,21 @@
 //! CLI probes a `count = 0` build) instead of three cells into a sweep.
 //!
 //! ```
-//! use frs_attacks::{register_attack, AttackBuildCtx, AttackSel, FnAttackFactory};
+//! use frs_attacks::{AttackBuildCtx, AttackSel};
 //!
-//! register_attack(FnAttackFactory::new("my-attack", "MyAttack", |ctx: &AttackBuildCtx| {
-//!     Vec::new() // build `ctx.count` malicious clients here
-//! }));
-//! assert!(AttackSel::named("my-attack").resolve().is_some());
+//! let sel = AttackSel::parse("pieck-uea:top_n=20").unwrap();
+//! assert_eq!(sel.label(), "PIECK-UEA");
+//! let targets = [7];
+//! assert_eq!(sel.build_clients(&AttackBuildCtx::minimal(100, 3, &targets)).len(), 3);
+//! assert!(AttackSel::parse("pieck-uea:top_m=20")
+//!     .unwrap()
+//!     .try_build_clients(&AttackBuildCtx::minimal(0, 0, &[]))
+//!     .is_err());
 //! ```
 //!
 //! [`AttackKind`]: crate::AttackKind
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use frs_federation::registry::{Catalog, Factory, Registry, Selection};
 use frs_federation::Client;
@@ -128,17 +131,17 @@ impl Catalog for Attacks {
 
     fn registry() -> &'static Registry<dyn AttackFactory> {
         static REGISTRY: OnceLock<Registry<dyn AttackFactory>> = OnceLock::new();
-        fn shared(factory: impl AttackFactory + 'static) -> Arc<dyn AttackFactory> {
-            Arc::new(factory)
+        fn boxed(factory: impl AttackFactory + 'static) -> Box<dyn AttackFactory> {
+            Box::new(factory)
         }
         // The paper's Table VI / Table IX variants are ordinary catalog
         // rows next to the `AttackKind` ones.
         REGISTRY.get_or_init(|| {
-            let rows = AttackKind::all().map(shared).into_iter();
-            let variants = IpeAblation::all().map(shared).into_iter();
+            let rows = AttackKind::all().map(boxed).into_iter();
+            let variants = IpeAblation::all().map(boxed).into_iter();
             Registry::new(
                 rows.chain(variants)
-                    .chain(MultiTargetPieck::all().map(shared)),
+                    .chain(MultiTargetPieck::all().map(boxed)),
             )
         })
     }
@@ -152,143 +155,9 @@ impl Catalog for Attacks {
     }
 }
 
-/// Registers (or replaces) an attack under its name. Returns the previously
-/// registered factory of that name, if any.
-pub fn register_attack(factory: impl AttackFactory + 'static) -> Option<Arc<dyn AttackFactory>> {
-    Attacks::registry().register(Arc::new(factory))
-}
-
-/// Looks an attack up by registry name.
-pub fn attack_factory(name: &str) -> Option<Arc<dyn AttackFactory>> {
+/// Looks an attack up by catalog name.
+pub fn attack_factory(name: &str) -> Option<&'static dyn AttackFactory> {
     Attacks::registry().get(name)
-}
-
-/// All registered attack names, sorted.
-pub fn registered_attacks() -> Vec<String> {
-    Attacks::registry().names()
-}
-
-type AttackBuildFn = Box<
-    dyn Fn(&AttackBuildCtx<'_>, &AttackParams) -> Result<Vec<Box<dyn Client>>, String>
-        + Send
-        + Sync,
->;
-
-/// Closure-backed [`AttackFactory`] for ad-hoc attacks (ablations, tests,
-/// downstream experiments):
-///
-/// ```ignore
-/// register_attack(
-///     FnAttackFactory::parameterized("flood", "Flood", |ctx, params| {
-///         let strength = params.get_f32("strength")?.unwrap_or(1.0);
-///         Ok((0..ctx.count).map(|i| make_client(ctx.first_id + i, strength)).collect())
-///     })
-///     .with_param_schema([ParamSpec::new("strength", "upload magnitude", "1.0")])
-///     .with_fingerprint("flood-v1"),
-/// );
-/// ```
-pub struct FnAttackFactory {
-    name: String,
-    label: String,
-    fingerprint: Option<String>,
-    schema: Vec<ParamSpec>,
-    /// Whether the build closure actually receives the params (the
-    /// [`FnAttackFactory::parameterized`] constructor). Guards
-    /// [`FnAttackFactory::with_param_schema`] against declaring keys a
-    /// params-blind closure would validate, cache-key, and then silently
-    /// ignore.
-    params_aware: bool,
-    build: AttackBuildFn,
-}
-
-impl FnAttackFactory {
-    /// A parameter-less attack from an infallible closure. Chain `with_*`
-    /// builder methods for schemas and fingerprints, then hand the result
-    /// to [`register_attack`].
-    pub fn new(
-        name: impl Into<String>,
-        label: impl Into<String>,
-        build: impl Fn(&AttackBuildCtx<'_>) -> Vec<Box<dyn Client>> + Send + Sync + 'static,
-    ) -> Self {
-        Self {
-            params_aware: false,
-            ..Self::parameterized(name, label, move |ctx, _params| Ok(build(ctx)))
-        }
-    }
-
-    /// A params-aware, fallible attack: the closure also sees the
-    /// selection's [`AttackParams`] and reports bad values as `Err`.
-    /// Declare the accepted keys with
-    /// [`FnAttackFactory::with_param_schema`], or every non-empty params
-    /// map is rejected before the closure runs.
-    pub fn parameterized(
-        name: impl Into<String>,
-        label: impl Into<String>,
-        build: impl Fn(&AttackBuildCtx<'_>, &AttackParams) -> Result<Vec<Box<dyn Client>>, String>
-            + Send
-            + Sync
-            + 'static,
-    ) -> Self {
-        Self {
-            name: name.into(),
-            label: label.into(),
-            fingerprint: None,
-            schema: Vec::new(),
-            params_aware: true,
-            build: Box::new(build),
-        }
-    }
-
-    /// Declares a behaviour fingerprint (see [`Factory::fingerprint`]).
-    pub fn with_fingerprint(mut self, fingerprint: impl Into<String>) -> Self {
-        self.fingerprint = Some(fingerprint.into());
-        self
-    }
-
-    /// Declares the accepted parameters. Without a schema, any non-empty
-    /// [`AttackParams`] fails the build. Only valid on a
-    /// [`FnAttackFactory::parameterized`] factory — a params-blind closure
-    /// with a declared schema would validate and cache-key params it then
-    /// silently ignores (the inert-knob bug class), so that combination
-    /// panics at registration time.
-    pub fn with_param_schema(mut self, schema: impl IntoIterator<Item = ParamSpec>) -> Self {
-        assert!(
-            self.params_aware,
-            "attack `{}`: with_param_schema needs FnAttackFactory::parameterized \
-             (a params-blind closure would silently ignore the declared keys)",
-            self.name
-        );
-        self.schema = schema.into_iter().collect();
-        self
-    }
-}
-
-impl Factory for FnAttackFactory {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn param_schema(&self) -> Vec<ParamSpec> {
-        self.schema.clone()
-    }
-
-    fn fingerprint(&self) -> Option<String> {
-        self.fingerprint.clone()
-    }
-}
-
-impl AttackFactory for FnAttackFactory {
-    fn build_clients(
-        &self,
-        ctx: &AttackBuildCtx<'_>,
-        params: &AttackParams,
-    ) -> Result<Vec<Box<dyn Client>>, String> {
-        (self.build)(ctx, params)
-    }
 }
 
 impl From<AttackKind> for AttackSel {
@@ -316,127 +185,23 @@ mod tests {
             assert_eq!(f.name(), kind.name());
             assert_eq!(f.label(), kind.label());
         }
-        assert!(registered_attacks().len() >= AttackKind::all().len());
-    }
-
-    #[test]
-    fn fingerprints_surface_through_selections() {
-        assert!(AttackSel::named("never-registered").fingerprint().is_none());
-        register_attack(FnAttackFactory::new("fp-none", "FpNone", |_| Vec::new()));
-        assert!(AttackSel::named("fp-none").fingerprint().is_none());
-        register_attack(
-            FnAttackFactory::new("fp-some", "FpSome", |_| Vec::new())
-                .with_fingerprint("lambda=0.5"),
-        );
-        assert_eq!(
-            AttackSel::named("fp-some").fingerprint().as_deref(),
-            Some("lambda=0.5")
-        );
-        // Built-ins are code, not closures: no fingerprint.
-        assert!(AttackSel::from(AttackKind::PieckUea)
-            .fingerprint()
-            .is_none());
-    }
-
-    #[test]
-    fn custom_factory_round_trips() {
-        register_attack(FnAttackFactory::new("reg-test", "RegTest", |ctx| {
-            assert_eq!(ctx.count, 0);
-            Vec::new()
-        }));
-        let sel = AttackSel::named("reg-test");
-        assert_eq!(sel.label(), "RegTest");
-        assert!(sel
-            .build_clients(&AttackBuildCtx::minimal(0, 0, &[]))
-            .is_empty());
-    }
-
-    #[test]
-    fn fn_factory_rejects_params_without_schema() {
-        register_attack(FnAttackFactory::new("no-params", "NoParams", |_| {
-            Vec::new()
-        }));
-        let sel = AttackSel::named("no-params").with_param("tau", 0.5f32);
-        let err = sel
-            .try_build_clients(&AttackBuildCtx::minimal(0, 0, &[]))
-            .err()
-            .unwrap();
-        assert!(err.contains("takes no parameters"), "{err}");
-    }
-
-    #[test]
-    fn parameterized_fn_factory_sees_params_and_validates_keys() {
-        register_attack(
-            FnAttackFactory::parameterized("param-attack", "ParamAttack", |ctx, params| {
-                let strength = params.get_f32("strength")?.unwrap_or(1.0);
-                assert_eq!(strength, 0.25);
-                assert_eq!(ctx.count, 0);
-                Ok(Vec::new())
-            })
-            .with_param_schema([ParamSpec::new("strength", "upload magnitude", "1.0")])
-            .with_fingerprint("param-attack-v1"),
-        );
-        let sel = AttackSel::named("param-attack").with_param("strength", 0.25f32);
-        assert!(sel
-            .try_build_clients(&AttackBuildCtx::minimal(0, 0, &[]))
-            .is_ok());
-        assert_eq!(
-            sel.fingerprint().as_deref(),
-            Some("param-attack-v1"),
-            "builder fingerprint surfaces"
-        );
-
-        // Unknown keys fail against the declared schema.
-        let bad = AttackSel::named("param-attack").with_param("strenght", 0.25f32);
-        let err = bad
-            .try_build_clients(&AttackBuildCtx::minimal(0, 0, &[]))
-            .err()
-            .unwrap();
-        assert!(err.contains("unknown parameter"), "{err}");
-    }
-
-    #[test]
-    #[should_panic(expected = "with_param_schema needs FnAttackFactory::parameterized")]
-    fn schema_on_a_params_blind_closure_panics_at_registration() {
-        // A schema on a closure that never sees the params would validate
-        // and cache-key keys it silently ignores — refuse it up front.
-        let _ = FnAttackFactory::new("blind", "Blind", |_| Vec::new())
-            .with_param_schema([ParamSpec::new("x", "ignored", "1")]);
+        assert!(Attacks::registry().iter().count() >= AttackKind::all().len());
     }
 
     #[test]
     fn selection_path_validates_schema_even_for_lazy_factories() {
-        /// An out-of-crate factory that "forgets" its check_known preamble.
-        struct Lazy;
-        impl Factory for Lazy {
-            fn name(&self) -> &str {
-                "lazy"
-            }
-            fn param_schema(&self) -> Vec<ParamSpec> {
-                vec![ParamSpec::new("k", "the only key", "1")]
-            }
-        }
-        impl AttackFactory for Lazy {
-            fn build_clients(
-                &self,
-                _ctx: &AttackBuildCtx<'_>,
-                _params: &AttackParams,
-            ) -> Result<Vec<Box<dyn Client>>, String> {
-                Ok(Vec::new())
-            }
-        }
-        register_attack(Lazy);
+        // No builtin checks its keys itself: the selection path rejects
+        // typo'd keys structurally…
         let probe = AttackBuildCtx::minimal(0, 0, &[]);
-        // The selection path rejects typo'd keys structurally…
-        let err = AttackSel::named("lazy")
-            .with_param("kk", 1u64)
+        let err = AttackSel::named("pieck-uea")
+            .with_param("top_m", 20usize)
             .try_build_clients(&probe)
             .err()
             .unwrap();
         assert!(err.contains("unknown parameter"), "{err}");
         // …and declared keys still pass through.
-        assert!(AttackSel::named("lazy")
-            .with_param("k", 1u64)
+        assert!(AttackSel::named("pieck-uea")
+            .with_param("top_n", 20usize)
             .try_build_clients(&probe)
             .is_ok());
     }

@@ -1,21 +1,17 @@
 //! The paper's Table VI / Table IX attack variants as ordinary catalog
 //! entries.
 //!
-//! These used to be closures registered *at runtime* by the `paper` CLI's
-//! suite declarations (`register_attack` + a behaviour fingerprint so the
-//! cache could see the closed-over parameters). That worked, but it meant
-//! `table6`/`table9` cells could not be rebuilt from their serialized
-//! configs alone — replaying a saved suite in a fresh process required
-//! re-running the registering declaration first. Since the [`AttackSel`]
-//! params redesign they are plain parameterized factories registered at
-//! startup like every other builtin: their distinguishing switches are
-//! either baked per entry (the ablation's similarity metric, the
-//! multi-target strategy — those *are* the catalog identity, like
-//! `DefenseKind` rows) or ordinary [`AttackParams`] keys (`top_n`,
-//! `mining_rounds`, `scale`, `lambda`), and the cache schema versions their
-//! code like any builtin's.
+//! Each variant is a plain parameterized row of the fixed catalog, like
+//! every other builtin, so a `table6`/`table9` cell rebuilds from its
+//! serialized [`AttackSel`] alone. Its distinguishing switches are either
+//! baked per entry (the ablation's similarity metric, the multi-target
+//! strategy — those *are* the catalog identity, like `DefenseKind` rows) or
+//! ordinary [`AttackParams`] keys (`top_n`, `mining_rounds`, `scale`,
+//! `lambda`), and the cache schema versions their code like any builtin's.
+//! A new attack is a new row written the same way.
 //!
-//! Construction is replicated from the deleted closures byte for byte —
+//! Construction replicates the runtime-registered closures these rows
+//! replaced byte for byte —
 //! including the unconditional norm-capped [`ScaledClient`] wrap the IPE
 //! variants carried — so pre-existing suite reports are `cmp`-identical
 //! (pinned by the golden test in `tests/attack_registry.rs`).
@@ -281,7 +277,7 @@ mod tests {
 
     #[test]
     fn variant_entries_are_builtin_registry_rows() {
-        // No runtime registration: the names resolve from a cold registry.
+        // The names resolve from a cold registry.
         for name in [
             "ipe-ablation-pkl",
             "ipe-ablation-pcos",
@@ -294,7 +290,6 @@ mod tests {
         ] {
             let factory = crate::registry::attack_factory(name)
                 .unwrap_or_else(|| panic!("`{name}` must be a builtin"));
-            assert!(factory.fingerprint().is_none(), "builtins are code: {name}");
             assert!(!factory.param_schema().is_empty(), "{name}");
         }
         assert_eq!(AttackSel::named("ipe-ablation-pkl").label(), "PKL");

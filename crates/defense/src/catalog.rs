@@ -1,10 +1,10 @@
 //! Defense catalogue: the rows of Table IV.
 //!
 //! Like `frs_attacks::catalog`, each [`DefenseKind`] row is a
-//! [`DefenseFactory`] carrying its construction logic, and the rows seed
+//! [`DefenseFactory`] carrying its construction logic, and the rows make up
 //! the defense registry in [`crate::registry`]. Scenarios reference them
-//! through selections (`DefenseSel::from(DefenseKind::Krum)`), so overrides
-//! and out-of-crate defenses compose with every caller.
+//! through selections (`DefenseSel::from(DefenseKind::Krum)`), so a
+//! defense's params compose with every caller.
 //!
 //! The paper's client-side defense (`Ours`, `pieck_core::defense`) is an
 //! ordinary factory here: it reads its β/γ weights, Re1/Re2 switches, and
@@ -344,9 +344,12 @@ mod tests {
             assert_eq!(out.n_items(), 8, "{name}");
             assert!(out.rows().iter().all(|v| v.is_finite()), "{name}");
         }
-        // NoDefense/NormBound/Ours do not take the param.
+        // NoDefense/NormBound/Ours do not take the param; a row with no
+        // schema at all says so.
         let typo = DefenseSel::named("none").with_param("shards", 2usize);
-        assert!(typo.try_build(&ctx).unwrap_err().contains("unknown"));
+        let err = typo.try_build(&ctx).unwrap_err();
+        assert!(err.contains("unknown"), "{err}");
+        assert!(err.contains("takes no parameters"), "{err}");
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! item the *expected majority* of uploaded gradients is poisonous
 //! (`Ẽ(v_j) ≫ p̃`, Eq. 11), so majority-seeking statistics faithfully keep the
 //! poison. The paper's actual defense is client-side
-//! (`pieck_core::defense`); it registers here as the ordinary `"ours"`
-//! factory, parameterized through [`DefenseParams`] like every other entry
-//! in the open [`registry`].
+//! (`pieck_core::defense`); it is the ordinary `"ours"` row of the
+//! [`registry`], parameterized through [`DefenseParams`] like every other
+//! entry.
 
 pub mod catalog;
 pub mod krum;
@@ -31,7 +31,6 @@ pub use krum::{Bulyan, Krum, MultiKrum};
 pub use median::{Median, TrimmedMean};
 pub use norm_bound::NormBound;
 pub use registry::{
-    defense_factory, register_defense, registered_defenses, DefenseBuildCtx, DefenseFactory,
-    DefenseInstance, DefenseParams, DefenseSel, Defenses, FnDefenseFactory, ParamSpec, ParamValue,
-    RegularizerFactory,
+    defense_factory, DefenseBuildCtx, DefenseFactory, DefenseInstance, DefenseParams, DefenseSel,
+    Defenses, ParamSpec, ParamValue, RegularizerFactory,
 };

@@ -1,12 +1,13 @@
 //! The defense family of the shared registry (`frs_federation::registry`).
 //!
-//! Defenses are [`DefenseFactory`] trait objects registered by name. A
+//! Defenses are [`DefenseFactory`] trait objects looked up by name. A
 //! factory turns a scenario-level [`DefenseBuildCtx`] plus the selection's
 //! [`DefenseParams`] into a [`DefenseInstance`]: the server-side
 //! [`Aggregator`] and — for client-side schemes like the paper's
 //! regularization defense — a per-client [`LocalRegularizer`] factory the
 //! harness invokes once per benign client. [`Defenses`] is the family's
-//! [`Catalog`]; its registry starts out holding the [`DefenseKind`] rows.
+//! [`Catalog`]: its registry holds the [`DefenseKind`] rows, and a new
+//! defense is a new row there.
 //!
 //! Scenarios reference defenses through [`DefenseSel`], the shared
 //! [`Selection`] over this catalog (`"ours"`, `ours:beta=0.9` on the CLI);
@@ -19,22 +20,20 @@
 //! model-tuned defaults supplied by the [`DefenseBuildCtx`]. There is no
 //! harness special case.
 //!
-//! Ad-hoc defenses use [`FnDefenseFactory`]:
-//!
 //! ```
-//! use frs_defense::{register_defense, DefenseSel, FnDefenseFactory};
-//! use frs_federation::SumAggregator;
+//! use frs_defense::{DefenseBuildCtx, DefenseSel};
 //!
-//! register_defense(
-//!     FnDefenseFactory::new("plain-sum", "PlainSum", |_ctx| Box::new(SumAggregator))
-//!         .with_fingerprint("v1"),
-//! );
-//! assert!(DefenseSel::named("plain-sum").resolve().is_some());
+//! let ctx = DefenseBuildCtx::minimal(0.05, 1.0);
+//! let ours = DefenseSel::parse("ours:re1=false").unwrap().build(&ctx);
+//! assert!(ours.regularizer_for(0).is_some());
+//! let krum = DefenseSel::named("krum").build(&ctx);
+//! assert!(krum.regularizer_for(0).is_none());
+//! assert!(DefenseSel::parse("none:shards=2").unwrap().try_build(&ctx).is_err());
 //! ```
 //!
 //! [`DefenseKind`]: crate::DefenseKind
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use frs_federation::registry::{Catalog, Factory, Registry, Selection};
 use frs_federation::{Aggregator, LocalRegularizer};
@@ -178,7 +177,7 @@ impl Catalog for Defenses {
             Registry::new(
                 DefenseKind::all()
                     .into_iter()
-                    .map(|kind| Arc::new(kind) as Arc<dyn DefenseFactory>),
+                    .map(|kind| Box::new(kind) as Box<dyn DefenseFactory>),
             )
         })
     }
@@ -192,189 +191,9 @@ impl Catalog for Defenses {
     }
 }
 
-/// Registers (or replaces) a defense under its name. Returns the previously
-/// registered factory of that name, if any.
-pub fn register_defense(factory: impl DefenseFactory + 'static) -> Option<Arc<dyn DefenseFactory>> {
-    Defenses::registry().register(Arc::new(factory))
-}
-
-/// Looks a defense up by registry name.
-pub fn defense_factory(name: &str) -> Option<Arc<dyn DefenseFactory>> {
+/// Looks a defense up by catalog name.
+pub fn defense_factory(name: &str) -> Option<&'static dyn DefenseFactory> {
     Defenses::registry().get(name)
-}
-
-/// All registered defense names, sorted.
-pub fn registered_defenses() -> Vec<String> {
-    Defenses::registry().names()
-}
-
-type AggregatorBuildFn =
-    Box<dyn Fn(&DefenseBuildCtx, &DefenseParams) -> Box<dyn Aggregator> + Send + Sync>;
-type RegularizerBuildFn =
-    Arc<dyn Fn(&DefenseBuildCtx, &DefenseParams, usize) -> Box<dyn LocalRegularizer> + Send + Sync>;
-
-/// Closure-backed [`DefenseFactory`] for ad-hoc defenses — server-side
-/// aggregation rules, client-side regularizer schemes, or both, without a
-/// hand-rolled trait impl:
-///
-/// ```ignore
-/// register_defense(
-///     FnDefenseFactory::new("my-defense", "MyDefense", |_ctx| Box::new(SumAggregator))
-///         .with_params_regularizer(|_ctx, params, _id| Box::new(MyRegularizer::new(params)))
-///         .with_param_schema([ParamSpec::new("tau", "attenuation", "1.0")])
-///         .with_fingerprint("tau-default=1.0"),
-/// );
-/// ```
-pub struct FnDefenseFactory {
-    name: String,
-    label: String,
-    fingerprint: Option<String>,
-    schema: Vec<ParamSpec>,
-    aggregator: AggregatorBuildFn,
-    regularizer: Option<RegularizerBuildFn>,
-    /// Whether the aggregator / regularizer closure receives the params. A
-    /// declared schema needs one of them, or the keys it admits would be
-    /// validated, cache-keyed, and then silently ignored.
-    aggregator_reads_params: bool,
-    regularizer_reads_params: bool,
-}
-
-impl FnDefenseFactory {
-    /// A server-side defense from an aggregator closure. Chain `with_*`
-    /// builder methods for regularizers, params, and fingerprints, then
-    /// hand the result to [`register_defense`].
-    pub fn new(
-        name: impl Into<String>,
-        label: impl Into<String>,
-        aggregator: impl Fn(&DefenseBuildCtx) -> Box<dyn Aggregator> + Send + Sync + 'static,
-    ) -> Self {
-        Self {
-            aggregator_reads_params: false,
-            ..Self::parameterized(name, label, move |ctx, _params| aggregator(ctx))
-        }
-    }
-
-    /// A params-aware server-side defense: the aggregator closure also sees
-    /// the selection's [`DefenseParams`]. Declare the accepted keys with
-    /// [`FnDefenseFactory::with_param_schema`], or every non-empty params
-    /// map is rejected.
-    pub fn parameterized(
-        name: impl Into<String>,
-        label: impl Into<String>,
-        aggregator: impl Fn(&DefenseBuildCtx, &DefenseParams) -> Box<dyn Aggregator>
-            + Send
-            + Sync
-            + 'static,
-    ) -> Self {
-        Self {
-            name: name.into(),
-            label: label.into(),
-            fingerprint: None,
-            schema: Vec::new(),
-            aggregator: Box::new(aggregator),
-            regularizer: None,
-            aggregator_reads_params: true,
-            regularizer_reads_params: false,
-        }
-    }
-
-    /// Declares a behaviour fingerprint (see [`Factory::fingerprint`]).
-    pub fn with_fingerprint(mut self, fingerprint: impl Into<String>) -> Self {
-        self.fingerprint = Some(fingerprint.into());
-        self
-    }
-
-    /// Declares the accepted parameters. Without a schema, any non-empty
-    /// [`DefenseParams`] fails the build. A schema also needs a closure
-    /// that reads the params ([`FnDefenseFactory::parameterized`] or
-    /// [`FnDefenseFactory::with_params_regularizer`]); otherwise the build
-    /// fails.
-    pub fn with_param_schema(mut self, schema: impl IntoIterator<Item = ParamSpec>) -> Self {
-        self.schema = schema.into_iter().collect();
-        self
-    }
-
-    /// Marks the defense client-side: `build` is invoked once per benign
-    /// client to produce that client's own [`LocalRegularizer`] (state is
-    /// per-client, so instances are never shared).
-    pub fn with_regularizer(
-        self,
-        build: impl Fn(&DefenseBuildCtx) -> Box<dyn LocalRegularizer> + Send + Sync + 'static,
-    ) -> Self {
-        Self {
-            regularizer_reads_params: false,
-            ..self.with_params_regularizer(move |ctx, _params, _client_id| build(ctx))
-        }
-    }
-
-    /// Params-aware variant of [`FnDefenseFactory::with_regularizer`]: the
-    /// closure additionally sees the selection's [`DefenseParams`] and the
-    /// id of the client being armed.
-    pub fn with_params_regularizer(
-        mut self,
-        build: impl Fn(&DefenseBuildCtx, &DefenseParams, usize) -> Box<dyn LocalRegularizer>
-            + Send
-            + Sync
-            + 'static,
-    ) -> Self {
-        self.regularizer = Some(Arc::new(build));
-        self.regularizer_reads_params = true;
-        self
-    }
-}
-
-impl Factory for FnDefenseFactory {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn label(&self) -> &str {
-        &self.label
-    }
-
-    fn param_schema(&self) -> Vec<ParamSpec> {
-        self.schema.clone()
-    }
-
-    fn fingerprint(&self) -> Option<String> {
-        self.fingerprint.clone()
-    }
-}
-
-impl DefenseFactory for FnDefenseFactory {
-    fn is_client_side(&self) -> bool {
-        self.regularizer.is_some()
-    }
-
-    fn build(
-        &self,
-        ctx: &DefenseBuildCtx,
-        params: &DefenseParams,
-    ) -> Result<DefenseInstance, String> {
-        if !self.schema.is_empty()
-            && !self.aggregator_reads_params
-            && !self.regularizer_reads_params
-        {
-            return Err(format!(
-                "defense `{}` declares parameters but neither of its closures reads them; \
-                 build it with FnDefenseFactory::parameterized or with_params_regularizer",
-                self.name
-            ));
-        }
-        let aggregator = (self.aggregator)(ctx, params);
-        Ok(match &self.regularizer {
-            None => DefenseInstance::server(aggregator),
-            Some(build) => {
-                let build = Arc::clone(build);
-                let ctx = ctx.clone();
-                let params = params.clone();
-                DefenseInstance::client(
-                    aggregator,
-                    Box::new(move |client_id| build(&ctx, &params, client_id)),
-                )
-            }
-        })
-    }
 }
 
 impl From<DefenseKind> for DefenseSel {
@@ -394,8 +213,6 @@ impl PartialEq<DefenseKind> for DefenseSel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use frs_federation::{RoundContext, SumAggregator};
-    use frs_model::{GlobalGradients, GlobalModel};
 
     #[test]
     fn builtins_are_registered() {
@@ -407,180 +224,20 @@ mod tests {
     }
 
     #[test]
-    fn custom_defense_round_trips() {
-        register_defense(FnDefenseFactory::new("sum-again", "SumAgain", |_| {
-            Box::new(SumAggregator)
-        }));
-        let sel = DefenseSel::named("sum-again");
-        assert_eq!(sel.label(), "SumAgain");
-        assert!(!sel.resolve().unwrap().is_client_side());
-        let ctx = DefenseBuildCtx::minimal(0.0, 1.0);
-        assert_eq!(sel.build(&ctx).aggregator.name(), "NoDefense");
-    }
-
-    /// A do-nothing regularizer for client-side factory tests.
-    struct InertReg;
-    impl LocalRegularizer for InertReg {
-        fn observe(&mut self, _ctx: &RoundContext, _model: &GlobalModel) {}
-        fn apply(
-            &mut self,
-            _ctx: &RoundContext,
-            _model: &GlobalModel,
-            _user_embedding: &[f32],
-            _local_items: &[u32],
-            _grads: &mut GlobalGradients,
-            _d_user: &mut [f32],
-        ) {
-        }
-        fn name(&self) -> &'static str {
-            "inert"
-        }
-    }
-
-    #[test]
-    fn fn_factory_with_regularizer_is_client_side() {
-        register_defense(
-            FnDefenseFactory::new("inert-client", "InertClient", |_| Box::new(SumAggregator))
-                .with_regularizer(|_ctx| Box::new(InertReg))
-                .with_fingerprint("inert-v1"),
-        );
-        let sel = DefenseSel::named("inert-client");
-        assert!(sel.resolve().unwrap().is_client_side());
-        assert_eq!(sel.fingerprint().as_deref(), Some("inert-v1"));
-        let instance = sel.build(&DefenseBuildCtx::minimal(0.05, 1.0));
-        assert!(instance.regularizer_for(3).is_some());
-        // Fresh instance per client.
-        assert!(instance.regularizer_for(4).is_some());
-    }
-
-    #[test]
-    fn fn_factory_rejects_params_without_schema() {
-        register_defense(FnDefenseFactory::new("no-params", "NoParams", |_| {
-            Box::new(SumAggregator)
-        }));
-        let sel = DefenseSel::named("no-params").with_param("tau", 0.5f32);
-        let err = sel
-            .try_build(&DefenseBuildCtx::minimal(0.05, 1.0))
-            .unwrap_err();
-        assert!(err.contains("takes no parameters"), "{err}");
-    }
-
-    #[test]
-    fn params_blind_schema_is_a_build_error() {
-        // Neither closure reads the params, so the declared `tau` would be
-        // validated, cache-keyed, and silently ignored.
-        register_defense(
-            FnDefenseFactory::new("blind-defense", "Blind", |_| Box::new(SumAggregator))
-                .with_param_schema([ParamSpec::new("tau", "ignored", "1.0")]),
-        );
-        let ctx = DefenseBuildCtx::minimal(0.05, 1.0);
-        for sel in [
-            DefenseSel::named("blind-defense").with_param("tau", 0.5f32),
-            DefenseSel::named("blind-defense"),
-        ] {
-            let err = sel.try_build(&ctx).unwrap_err();
-            assert!(err.contains("neither of its closures reads them"), "{err}");
-        }
-        // A params-blind regularizer does not read them either.
-        register_defense(
-            FnDefenseFactory::new("blind-client", "BlindClient", |_| Box::new(SumAggregator))
-                .with_param_schema([ParamSpec::new("tau", "ignored", "1.0")])
-                .with_regularizer(|_ctx| Box::new(InertReg)),
-        );
-        assert!(DefenseSel::named("blind-client").try_build(&ctx).is_err());
-        // A params-aware aggregator does.
-        register_defense(
-            FnDefenseFactory::parameterized("aware-defense", "Aware", |_, _| {
-                Box::new(SumAggregator)
-            })
-            .with_param_schema([ParamSpec::new("tau", "read", "1.0")]),
-        );
-        assert!(DefenseSel::named("aware-defense")
-            .with_param("tau", 0.5f32)
-            .try_build(&ctx)
-            .is_ok());
-    }
-
-    #[test]
     fn selection_path_validates_schema_even_for_lazy_factories() {
-        /// An out-of-crate factory that checks none of its keys itself.
-        struct Lazy;
-        impl Factory for Lazy {
-            fn name(&self) -> &str {
-                "lazy"
-            }
-            fn param_schema(&self) -> Vec<ParamSpec> {
-                vec![ParamSpec::new("k", "the only key", "1")]
-            }
-        }
-        impl DefenseFactory for Lazy {
-            fn build(
-                &self,
-                _ctx: &DefenseBuildCtx,
-                _params: &DefenseParams,
-            ) -> Result<DefenseInstance, String> {
-                Ok(DefenseInstance::server(Box::new(SumAggregator)))
-            }
-        }
-        register_defense(Lazy);
+        // No builtin checks its keys itself: the selection path rejects
+        // typo'd keys structurally…
         let ctx = DefenseBuildCtx::minimal(0.05, 1.0);
-        // The selection path rejects typo'd keys structurally…
-        let err = DefenseSel::named("lazy")
-            .with_param("kk", 1u64)
+        let err = DefenseSel::named("krum")
+            .with_param("ration", 0.1f32)
             .try_build(&ctx)
             .unwrap_err();
         assert!(err.contains("unknown parameter"), "{err}");
         // …and declared keys still pass through.
-        assert!(DefenseSel::named("lazy")
-            .with_param("k", 1u64)
+        assert!(DefenseSel::named("krum")
+            .with_param("ratio", 0.1f32)
             .try_build(&ctx)
             .is_ok());
-    }
-
-    #[test]
-    fn params_aware_regularizer_sees_params_and_ids() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc as StdArc;
-
-        let seen = StdArc::new(AtomicUsize::new(0));
-        let seen2 = StdArc::clone(&seen);
-        register_defense(
-            FnDefenseFactory::new("param-client", "ParamClient", |_| Box::new(SumAggregator))
-                .with_param_schema([ParamSpec::new("tau", "attenuation factor", "1.0")])
-                .with_params_regularizer(move |_ctx, params, client_id| {
-                    assert_eq!(params.get_f32("tau").unwrap(), Some(0.25));
-                    seen2.fetch_add(client_id, Ordering::SeqCst);
-                    Box::new(InertReg)
-                }),
-        );
-        let sel = DefenseSel::named("param-client").with_param("tau", 0.25f32);
-        let instance = sel.build(&DefenseBuildCtx::minimal(0.05, 1.0));
-        instance.regularizer_for(5);
-        instance.regularizer_for(7);
-        assert_eq!(seen.load(Ordering::SeqCst), 12);
-
-        // Unknown keys still fail against the declared schema.
-        let bad = DefenseSel::named("param-client").with_param("tua", 0.25f32);
-        let err = bad
-            .try_build(&DefenseBuildCtx::minimal(0.05, 1.0))
-            .unwrap_err();
-        assert!(err.contains("unknown parameter"), "{err}");
-    }
-
-    #[test]
-    fn fingerprints_surface_through_selections() {
-        register_defense(
-            FnDefenseFactory::new("fp-defense", "FpDefense", |_| Box::new(SumAggregator))
-                .with_fingerprint("threshold=0.25"),
-        );
-        assert_eq!(
-            DefenseSel::named("fp-defense").fingerprint().as_deref(),
-            Some("threshold=0.25")
-        );
-        assert!(DefenseSel::named("sum-again-absent")
-            .fingerprint()
-            .is_none());
-        assert!(DefenseSel::from(DefenseKind::Ours).fingerprint().is_none());
     }
 
     #[test]

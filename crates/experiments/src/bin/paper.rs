@@ -59,8 +59,8 @@ fn print_usage() {
     eprintln!("commands:");
     eprintln!("  list             list every reproduction command");
     eprintln!("  all              run every table and figure");
-    eprintln!("  attacks list     list registered attacks (name, label, params)");
-    eprintln!("  defenses list    list registered defenses (name, label, side, params)");
+    eprintln!("  attacks list     list the attack catalog (name, label, params)");
+    eprintln!("  defenses list    list the defense catalog (name, label, side, params)");
     eprintln!("  cache <stats|gc|clear>   inspect / clean a --cache-dir");
     eprintln!("  serve [mf|ncf]   top-K query daemon (--socket/--tcp, --scenario [name=]mf|ncf");
     eprintln!("                   repeatable; trains while serving)");
@@ -79,7 +79,7 @@ fn probe<C: Catalog>(sel: &Selection<C>, ctx: &C::Ctx<'_>, flag: &str) {
     }
 }
 
-/// `paper attacks list` / `paper defenses list`: every registered entry of
+/// `paper attacks list` / `paper defenses list`: every entry of
 /// catalog `C` with its table label, its `side` column when the family has
 /// one, and its parameter schema (the keys `--attack`/`--defense
 /// name:k=v,…` accepts).
@@ -89,11 +89,8 @@ fn list<C: Catalog>(name_width: usize, side: Option<fn(&C::Factory) -> &'static 
         "{:<name_width$} {:<14} {side_header}params",
         "name", "label"
     );
-    for name in C::registry().names() {
-        let Some(factory) = C::registry().get(&name) else {
-            continue;
-        };
-        let side_cell = side.map_or(String::new(), |side| format!("{:<7} ", side(&factory)));
+    for factory in C::registry().iter() {
+        let side_cell = side.map_or(String::new(), |side| format!("{:<7} ", side(factory)));
         let schema = factory.param_schema();
         let params = if schema.is_empty() {
             "-".to_string()
@@ -105,7 +102,8 @@ fn list<C: Catalog>(name_width: usize, side: Option<fn(&C::Factory) -> &'static 
                 .join(", ")
         };
         println!(
-            "{name:<name_width$} {:<14} {side_cell}{params}",
+            "{:<name_width$} {:<14} {side_cell}{params}",
+            factory.name(),
             factory.label()
         );
     }

@@ -29,17 +29,6 @@
 //! `ours:beta=0.5` and `ours:beta=0.6` — address different entries by
 //! construction. File-backed datasets (`--dataset file:PATH`) additionally
 //! hash the file's bytes, so editing the dump re-keys its cells.
-//!
-//! **Runtime-registered factories: declare a fingerprint.** Attacks and
-//! defenses live in the config as registry *names* (`AttackSel` /
-//! `DefenseSel`), so by itself the key cannot see a factory's closed-over
-//! behaviour. Factories may declare an optional behaviour **fingerprint**
-//! (`frs_federation::Factory::fingerprint`), which
-//! [`scenario_key`] hashes alongside the config — re-registering a name
-//! with different parameters then re-keys every affected cell, as the
-//! `paper` ablation suites do. A factory without a fingerprint keeps
-//! name-only addressing, where stale hits after a same-name re-register
-//! remain possible: use a new name or `paper cache clear`.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -95,8 +84,8 @@ use crate::scenario::{ScenarioCheckpoint, ScenarioConfig, ScenarioOutcome};
 pub const CACHE_SCHEMA_VERSION: u32 = 6;
 
 /// The content-addressed key of one scenario: SHA-256 (hex) over a
-/// schema-version salt, the canonical config JSON, and the registered
-/// attack/defense behaviour fingerprints (empty when undeclared).
+/// schema-version salt, the canonical config JSON, and the dataset file's
+/// digest.
 ///
 /// Execution-only knobs that provably don't change the outcome are
 /// normalized out before hashing — today that is
@@ -106,16 +95,11 @@ pub const CACHE_SCHEMA_VERSION: u32 = 6;
 pub fn scenario_key(cfg: &ScenarioConfig) -> String {
     let mut normalized = cfg.clone();
     normalized.federation.round_threads = frs_federation::RoundThreads::default();
-    // Fingerprints are arbitrary strings (factories are told `{cfg:?}` is
-    // fine), so they enter the payload as their own SHA-256 rather than
-    // verbatim — a fingerprint containing a newline could otherwise forge
-    // the payload's line structure and collide two distinct registrations.
-    let digest = |fp: Option<String>| fp.map(|s| sha256_hex(s.as_bytes())).unwrap_or_default();
+    // The two empty `*-fingerprint:` lines stay: every existing key was
+    // hashed with them, so dropping them would re-key every cache entry.
     let payload = format!(
-        "frs-scenario-v{CACHE_SCHEMA_VERSION}\n{}\nattack-fingerprint:{}\ndefense-fingerprint:{}\ndataset-file:{}",
+        "frs-scenario-v{CACHE_SCHEMA_VERSION}\n{}\nattack-fingerprint:\ndefense-fingerprint:\ndataset-file:{}",
         normalized.canonical_json(),
-        digest(cfg.attack.fingerprint()),
-        digest(cfg.defense.fingerprint()),
         dataset_file_digest(cfg),
     );
     sha256_hex(payload.as_bytes())
@@ -938,91 +922,6 @@ mod tests {
             scenario_key(&cfg),
             "construction path is irrelevant"
         );
-    }
-
-    #[test]
-    fn factory_fingerprints_re_key_same_name_registrations() {
-        use frs_attacks::{register_attack, AttackSel, FnAttackFactory};
-
-        let mut cfg = ScenarioConfig::baseline(DatasetSpec::tiny(), ModelKind::Mf, 7);
-        cfg.attack = AttackSel::named("fp-cache-probe");
-        // Unregistered and fingerprint-less registrations address by name
-        // alone — and identically.
-        let unregistered = scenario_key(&cfg);
-        register_attack(FnAttackFactory::new("fp-cache-probe", "Probe", |_| {
-            Vec::new()
-        }));
-        assert_eq!(unregistered, scenario_key(&cfg));
-
-        // A fingerprint joins the hash payload…
-        register_attack(
-            FnAttackFactory::new("fp-cache-probe", "Probe", |_| Vec::new())
-                .with_fingerprint("lambda=1.0"),
-        );
-        let v1 = scenario_key(&cfg);
-        assert_ne!(unregistered, v1);
-
-        // …and re-registering the same name with different parameters
-        // addresses different entries (the staleness hole this closes).
-        register_attack(
-            FnAttackFactory::new("fp-cache-probe", "Probe", |_| Vec::new())
-                .with_fingerprint("lambda=2.0"),
-        );
-        let v2 = scenario_key(&cfg);
-        assert_ne!(v1, v2);
-
-        // Re-registering the original parameters restores the original key.
-        register_attack(
-            FnAttackFactory::new("fp-cache-probe", "Probe", |_| Vec::new())
-                .with_fingerprint("lambda=1.0"),
-        );
-        assert_eq!(v1, scenario_key(&cfg));
-    }
-
-    #[test]
-    fn newline_fingerprints_cannot_forge_the_payload() {
-        use frs_attacks::{register_attack, AttackSel, FnAttackFactory};
-        use frs_defense::{register_defense, DefenseSel, FnDefenseFactory};
-        use frs_federation::SumAggregator;
-
-        // Attack fingerprint embedding the defense label line vs. the same
-        // strings split across the two real fingerprints: the payloads
-        // would be byte-identical if fingerprints entered verbatim.
-        let mut forged = ScenarioConfig::baseline(DatasetSpec::tiny(), ModelKind::Mf, 7);
-        forged.attack = AttackSel::named("forge-attack");
-        forged.defense = DefenseSel::named("forge-defense");
-        register_attack(
-            FnAttackFactory::new("forge-attack", "Forge", |_| Vec::new())
-                .with_fingerprint("x\ndefense-fingerprint:y"),
-        );
-        register_defense(FnDefenseFactory::new("forge-defense", "Forge", |_| {
-            Box::new(SumAggregator)
-        }));
-        let key_forged = scenario_key(&forged);
-
-        register_attack(
-            FnAttackFactory::new("forge-attack", "Forge", |_| Vec::new()).with_fingerprint("x"),
-        );
-        register_defense(
-            FnDefenseFactory::new("forge-defense", "Forge", |_| Box::new(SumAggregator))
-                .with_fingerprint("y"),
-        );
-        assert_ne!(key_forged, scenario_key(&forged));
-    }
-
-    #[test]
-    fn defense_fingerprints_also_re_key() {
-        use frs_defense::{register_defense, DefenseSel, FnDefenseFactory};
-        use frs_federation::SumAggregator;
-
-        let mut cfg = ScenarioConfig::baseline(DatasetSpec::tiny(), ModelKind::Mf, 7);
-        cfg.defense = DefenseSel::named("fp-cache-defense");
-        let unfingerprinted = scenario_key(&cfg);
-        register_defense(
-            FnDefenseFactory::new("fp-cache-defense", "Probe", |_| Box::new(SumAggregator))
-                .with_fingerprint("tau=0.1"),
-        );
-        assert_ne!(unfingerprinted, scenario_key(&cfg));
     }
 
     #[test]

@@ -4,12 +4,11 @@
 //!
 //! - [`scenario`] — one grid cell: dataset × model × attack × defense ×
 //!   hyper-parameters, run end to end into a [`scenario::ScenarioOutcome`].
-//!   Attacks and defenses are both referenced by registry name plus a
+//!   Attacks and defenses are both referenced by catalog name plus a
 //!   canonical params payload ([`frs_attacks::AttackSel`], e.g.
 //!   `pieck-uea:scale=2`; [`frs_defense::DefenseSel`], e.g. `ours:beta=0.9`)
-//!   — so out-of-crate strategies registered at runtime run through the
-//!   same path as the paper's built-ins, its own attacks and defense
-//!   included.
+//!   — so a scenario is plain data, and every attack and defense, the
+//!   paper's own included, builds through the same catalog path.
 //! - [`suite`] — the declarative layer: a [`suite::Sweep`] names its axes
 //!   (`Sweep::over_attacks(..).over_defenses(..).over_models(..)`), an
 //!   [`suite::ExperimentSuite`] groups sweeps, expands them into a scenario

@@ -1,19 +1,18 @@
 //! One declaration per paper table/figure, consumed by the `paper` CLI.
 //!
 //! Every command is a declarative [`ExperimentSuite`] (or a bespoke report
-//! builder) over registry selections: the ablation tables (VI, IX) sweep
-//! the parameterized catalog entries `frs_attacks::variants` registers at
-//! startup — zero runtime `register_attack` calls, so their cells rebuild
-//! from serialized configs alone. A few figures (3, 4, 6b) and Table II
-//! need direct simulation access and build their [`Report`] by hand; every
-//! command renders through the same Markdown/CSV/JSON sinks.
+//! builder) over catalog selections: the ablation tables (VI, IX) sweep
+//! the parameterized rows of `frs_attacks::variants`, so their cells
+//! rebuild from serialized configs alone. A few figures (3, 4, 6b) and
+//! Table II need direct simulation access and build their [`Report`] by
+//! hand; every command renders through the same Markdown/CSV/JSON sinks.
 
 use std::sync::Arc;
 
 use frs_attacks::{AttackKind, AttackSel};
-use frs_data::{synth, DataSource, DatasetSpec, DatasetStats};
+use frs_data::{synth, DataSource, Dataset, DatasetSpec, DatasetStats, TrainTestSplit};
 use frs_defense::{DefenseKind, DefenseSel};
-use frs_federation::ClientsPerRound;
+use frs_federation::{ClientsPerRound, CoreBudget, Simulation};
 use frs_metrics::{
     average_recommended_popularity, catalogue_coverage, covered_users, gini_coefficient,
     pairwise_kl, recommendation_frequency, user_coverage_ratio, DeltaNormTracker,
@@ -145,7 +144,8 @@ impl PaperCommand {
     /// Suite-backed commands execute through `exec` — their cells consult
     /// its cache and stream to its progress sink. The bespoke commands that
     /// drive a simulation directly (`table2`, `fig3`, `fig4`,
-    /// `popularity-bias`) have no per-cell grid and bypass both.
+    /// `popularity-bias`, `scale`) have no per-cell grid and bypass both;
+    /// they take only its core budget.
     pub fn run(&self, args: &CommonArgs, exec: &ExecOptions<'_>) -> Result<Report, String> {
         let opts = args.run_options();
         let operands = &args.positional.get(1..).unwrap_or_default();
@@ -207,7 +207,7 @@ impl PaperCommand {
                 .map_err(|e| e.to_string())?
                 .report(),
             Self::PopularityBias => popularity_bias(args, &opts, exec),
-            Self::Scale => scale_smoke(args, operands, &opts)?,
+            Self::Scale => scale_smoke(args, operands, &opts, exec)?,
         })
     }
 }
@@ -562,13 +562,39 @@ fn fig7() -> ExperimentSuite {
 
 // --------------------------------------------------------- bespoke reports
 
-/// The bespoke commands drive one simulation at a time, so an `Auto` policy
-/// simply leases from the shared budget for the simulation's lifetime (the
-/// sole holder gets the whole grant).
-fn bespoke_lease(opts: &RunOptions, exec: &ExecOptions<'_>) -> Option<frs_federation::CoreLease> {
-    exec.budget
-        .filter(|_| opts.round_threads.is_auto())
-        .map(|budget| budget.lease())
+/// What a bespoke command drives: its world's split, the training set the
+/// simulation shares, the target items, and the simulation itself.
+struct BespokeRun {
+    split: TrainTestSplit,
+    train: Arc<Dataset>,
+    targets: Vec<u32>,
+    sim: Simulation,
+}
+
+/// Builds a bespoke command's world and simulation under the run's
+/// `--round-threads` policy. The bespoke commands drive one simulation at a
+/// time, so an `Auto` policy simply leases from the shared budget for the
+/// simulation's lifetime (the sole holder gets the whole grant).
+fn bespoke_run(cfg: &mut ScenarioConfig, opts: &RunOptions, exec: &ExecOptions<'_>) -> BespokeRun {
+    cfg.federation.round_threads = opts.round_threads;
+    let (full, split, targets) = build_world(cfg);
+    // Every retained Dataset copy is ~100 MB at `paper scale`'s million
+    // mark; the RSS ceiling CI asserts depends on dropping the unsplit
+    // original before the training set is cloned.
+    drop(full);
+    let train = Arc::new(split.train.clone());
+    let mut sim = build_simulation(cfg, Arc::clone(&train), &targets);
+    sim.set_core_lease(
+        exec.budget
+            .filter(|_| opts.round_threads.is_auto())
+            .map(CoreBudget::lease),
+    );
+    BespokeRun {
+        split,
+        train,
+        targets,
+        sim,
+    }
 }
 
 /// `paper scale [n_users]` — the sampled million-client smoke cell (the CI
@@ -587,6 +613,7 @@ fn scale_smoke(
     args: &CommonArgs,
     operands: &[String],
     opts: &RunOptions,
+    exec: &ExecOptions<'_>,
 ) -> Result<Report, String> {
     let n_users: usize = match operands.first().map(String::as_str) {
         Some(s) => s
@@ -628,14 +655,13 @@ fn scale_smoke(
     cfg.federation.clients_per_round = opts
         .clients_per_round
         .unwrap_or(ClientsPerRound::Count(1024));
-    cfg.federation.round_threads = opts.round_threads;
 
-    let (full, split, targets) = build_world(&cfg);
-    // Every retained Dataset copy is ~100 MB at the million mark; the RSS
-    // ceiling CI asserts depends on dropping the unsplit original here.
-    drop(full);
-    let train = Arc::new(split.train.clone());
-    let mut sim = build_simulation(&cfg, Arc::clone(&train), &targets);
+    let BespokeRun {
+        split,
+        train,
+        targets,
+        mut sim,
+    } = bespoke_run(&mut cfg, opts, exec);
     for _ in 0..cfg.rounds {
         sim.run_round();
     }
@@ -709,11 +735,7 @@ fn table2(args: &CommonArgs, opts: &RunOptions, exec: &ExecOptions<'_>) -> Repor
 
     for kind in [ModelKind::Mf, ModelKind::Ncf] {
         let mut cfg = paper_scenario(PaperDataset::Ml100k, kind, opts.scale, opts.seed);
-        cfg.federation.round_threads = opts.round_threads;
-        let (_, split, _) = build_world(&cfg);
-        let train = Arc::new(split.train.clone());
-        let mut sim = build_simulation(&cfg, Arc::clone(&train), &[]);
-        sim.set_core_lease(bespoke_lease(opts, exec));
+        let BespokeRun { train, mut sim, .. } = bespoke_run(&mut cfg, opts, exec);
 
         // Track Δ-Norm across the whole run so the mined set is the stable one.
         let mut tracker = DeltaNormTracker::new(train.n_items());
@@ -791,13 +813,9 @@ fn fig4(opts: &RunOptions, exec: &ExecOptions<'_>) -> Report {
 
     for kind in [ModelKind::Mf, ModelKind::Ncf] {
         let mut cfg = paper_scenario(PaperDataset::Ml100k, kind, opts.scale, opts.seed);
-        cfg.federation.round_threads = opts.round_threads;
-        let (_, split, _) = build_world(&cfg);
-        let train = Arc::new(split.train.clone());
+        let BespokeRun { train, mut sim, .. } = bespoke_run(&mut cfg, opts, exec);
         let popularity_rank = train.popularity_rank_of();
         let n_popular = (train.n_items() as f64 * 0.15).ceil() as usize;
-        let mut sim = build_simulation(&cfg, Arc::clone(&train), &[]);
-        sim.set_core_lease(bespoke_lease(opts, exec));
 
         let mut table = Table::new(&[
             "Round",
@@ -972,11 +990,7 @@ fn popularity_bias(args: &CommonArgs, opts: &RunOptions, exec: &ExecOptions<'_>)
         cfg.attack = attack.into();
         cfg.defense = defense.into();
         cfg.mined_top_n = 30;
-        cfg.federation.round_threads = opts.round_threads;
-        let (_, split, targets) = build_world(&cfg);
-        let train = Arc::new(split.train.clone());
-        let mut sim = build_simulation(&cfg, Arc::clone(&train), &targets);
-        sim.set_core_lease(bespoke_lease(opts, exec));
+        let BespokeRun { train, mut sim, .. } = bespoke_run(&mut cfg, opts, exec);
         sim.run(args.rounds_or(150));
         let benign = sim.benign_ids();
         let freq =
@@ -1008,6 +1022,35 @@ fn popularity_bias(args: &CommonArgs, opts: &RunOptions, exec: &ExecOptions<'_>)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use frs_federation::RoundThreads;
+
+    #[test]
+    fn bespoke_runs_lease_their_width_from_the_budget() {
+        let budget = CoreBudget::new(4);
+        let exec = ExecOptions {
+            cache: None,
+            sink: None,
+            budget: Some(&budget),
+            checkpoint_every: 0,
+            checkpoint_keep: 1,
+        };
+        let auto = RunOptions {
+            scale: 0.05,
+            round_threads: RoundThreads::Auto,
+            ..RunOptions::default()
+        };
+        let mut cfg = paper_scenario(PaperDataset::Ml100k, ModelKind::Mf, 0.05, auto.seed);
+        let run = bespoke_run(&mut cfg, &auto, &exec);
+        assert_eq!(run.sim.effective_round_width(1024), 4);
+
+        // The default fixed policy ignores the budget.
+        let fixed = RunOptions {
+            round_threads: RoundThreads::default(),
+            ..auto
+        };
+        let run = bespoke_run(&mut cfg, &fixed, &exec);
+        assert_eq!(run.sim.effective_round_width(1024), 1);
+    }
 
     #[test]
     fn command_names_round_trip() {
@@ -1036,7 +1079,7 @@ mod tests {
     #[test]
     fn ablation_attacks_are_builtin_catalog_entries() {
         // The names resolve from a cold registry, *before* any suite is
-        // declared: table6/table9 perform zero runtime registrations.
+        // declared.
         assert!(frs_attacks::attack_factory("ipe-ablation-pkl").is_some());
         assert!(frs_attacks::attack_factory("ipe-ablation-full").is_some());
         assert!(frs_attacks::attack_factory("pieck-uea-copy").is_some());

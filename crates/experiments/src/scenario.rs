@@ -1,10 +1,10 @@
 //! One experiment scenario: dataset × model × attack × defense.
 //!
-//! Attacks and defenses are referenced by *registry name* through
+//! Attacks and defenses are referenced by *catalog name* through
 //! [`AttackSel`] / [`DefenseSel`], so scenarios serialize to plain data and
-//! out-of-crate attacks registered via `frs_attacks::register_attack` run
-//! through the same path as the paper's built-ins. The legacy enums still
-//! convert into selections with `.into()`.
+//! rebuild from that data alone. The legacy enums still convert into
+//! selections with `.into()`; [`run_with`] swaps in hand-wired attackers
+//! for golden tests.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -233,7 +233,7 @@ pub struct ScenarioOutcome {
 /// and figure commands can inspect the same world the scenario ran in).
 /// Synthetic specs generate; file-backed specs load through
 /// `frs_data::movielens` (panicking with the path on unreadable files —
-/// a misconfigured scenario, like an unregistered attack name).
+/// a misconfigured scenario, like an unknown attack name).
 pub fn build_world(cfg: &ScenarioConfig) -> (Dataset, TrainTestSplit, Vec<u32>) {
     let mut rng = StdRng::seed_from_u64(cfg.federation.seed ^ 0xDA7A);
     let full = match &cfg.dataset.source {
@@ -261,20 +261,19 @@ fn load_dataset_file(path: &str) -> Dataset {
 }
 
 /// Assembles the client population and simulation, with malicious clients
-/// produced by `malicious_builder(first_id, count)` — the hook ablation
-/// experiments use to run custom PIECK configurations.
+/// produced by `malicious_builder(first_id, count)` instead of the
+/// configured attack — the hook golden tests use to hand-wire attackers.
 pub fn build_simulation_with(
     cfg: &ScenarioConfig,
     train: Arc<Dataset>,
-    _targets: &[u32],
     malicious_builder: impl FnOnce(usize, usize) -> Vec<Box<dyn Client>>,
 ) -> Simulation {
     let mut rng = StdRng::seed_from_u64(cfg.federation.seed ^ 0x0DE1);
     let model = GlobalModel::new(&cfg.model, train.n_items(), &mut rng);
     let n_benign = train.n_users();
     let dim = cfg.model.embedding_dim;
-    // Every defense — the paper's included — instantiates through the open
-    // registry: one `DefenseInstance` per scenario, whose regularizer
+    // Every defense — the paper's included — instantiates through its
+    // catalog row: one `DefenseInstance` per scenario, whose regularizer
     // factory arms each sampled benign client with its own regularizer.
     let defense = cfg.defense.build(&cfg.defense_ctx());
 
@@ -305,7 +304,7 @@ pub fn build_simulation_with(
 
 /// Assembles the client population and simulation for a config.
 pub fn build_simulation(cfg: &ScenarioConfig, train: Arc<Dataset>, targets: &[u32]) -> Simulation {
-    build_simulation_with(cfg, train, targets, |first_id, count| {
+    build_simulation_with(cfg, train, |first_id, count| {
         cfg.attack
             .build_clients(&cfg.attack_ctx(first_id, count, targets))
     })
@@ -329,7 +328,7 @@ pub fn run_with_lease(
 ) -> ScenarioOutcome {
     let (_full, split, targets) = build_world(cfg);
     let train = Arc::new(split.train.clone());
-    let mut sim = build_simulation_with(cfg, Arc::clone(&train), &targets, |first, count| {
+    let mut sim = build_simulation_with(cfg, Arc::clone(&train), |first, count| {
         malicious_builder(first, count, &targets)
     });
     sim.set_core_lease(lease);

@@ -20,12 +20,10 @@
 //! [`Report`] with Markdown/CSV/JSON sinks.
 //!
 //! Everything in a suite is plain serde-serializable data: attacks and
-//! defenses are registry names plus a canonical params payload
+//! defenses are catalog names plus a canonical params payload
 //! ([`AttackSel`], [`DefenseSel`], e.g. `ours:beta=0.9`), variant axes are
-//! [`ConfigPatch`] value patches. A suite can therefore be written
-//! to JSON, inspected, or rebuilt elsewhere — and an attack or defense
-//! registered at runtime via `frs_attacks::register_attack` /
-//! `frs_defense::register_defense` sweeps exactly like a builtin.
+//! [`ConfigPatch`] value patches. A suite can therefore be written to
+//! JSON, inspected, or rebuilt in another process from that JSON alone.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -294,7 +292,7 @@ impl Sweep {
         self
     }
 
-    /// Sweeps over attacks — enum kinds or any registered name.
+    /// Sweeps over attacks — enum kinds or any catalog name.
     pub fn over_attacks<I, A>(mut self, attacks: I) -> Self
     where
         I: IntoIterator<Item = A>,
@@ -305,7 +303,7 @@ impl Sweep {
         self
     }
 
-    /// Sweeps over defenses — enum kinds or any registered name.
+    /// Sweeps over defenses — enum kinds or any catalog name.
     pub fn over_defenses<I, D>(mut self, defenses: I) -> Self
     where
         I: IntoIterator<Item = D>,
@@ -518,12 +516,11 @@ impl ExperimentSuite {
             }
         };
 
-        // A panicking cell (e.g. an unregistered attack name) propagates out
-        // of the scope as a panic; the Ok below is therefore unconditional
-        // with the vendored crossbeam shim (std::thread::scope semantics).
-        let _ = crossbeam::thread::scope(|scope| {
+        // A panicking cell (e.g. an unknown attack name) propagates out of
+        // the scope as a panic.
+        std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|_| loop {
+                scope.spawn(|| loop {
                     if stop.load(Ordering::SeqCst) {
                         break;
                     }

@@ -42,10 +42,10 @@ where
     let next = AtomicUsize::new(0);
 
     let workers = width.min(n);
-    let result = crossbeam::thread::scope(|scope| {
+    let first_panic = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                scope.spawn(|_| loop {
+                scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::SeqCst);
                     if i >= n {
                         break;
@@ -71,7 +71,7 @@ where
         }
         first_panic
     });
-    if let Some(payload) = result.expect("round pool scope failed") {
+    if let Some(payload) = first_panic {
         std::panic::resume_unwind(payload);
     }
 

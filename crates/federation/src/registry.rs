@@ -1,20 +1,25 @@
-//! One registry and one selection type for every factory family.
+//! One fixed catalog and one selection type for every factory family.
 //!
 //! Attacks and defenses are both *named factories*: a [`Registry`] maps a
-//! kebab-case name to a shared trait object, and a scenario references an
-//! entry through a [`Selection`], the name plus a canonical [`Params`]
-//! payload. The families differ only in what a factory is handed and what
-//! it returns. A [`Catalog`] names those types once per family
-//! (`frs_attacks::Attacks`, `frs_defense::Defenses`); everything else lives
-//! here, once:
+//! kebab-case name to a trait object, and a scenario references an entry
+//! through a [`Selection`], the name plus a canonical [`Params`] payload.
+//! The families differ only in what a factory is handed and what it
+//! returns. A [`Catalog`] names those types once per family
+//! (`frs_attacks::Attacks`, `frs_defense::Defenses`) and builds the
+//! family's registry from its builtin rows; everything else lives here,
+//! once:
 //!
-//! - [`Factory`]: the name, label, parameter schema and fingerprint every
-//!   entry declares;
-//! - [`Registry`]: register, look up and list entries;
+//! - [`Factory`]: the name, label and parameter schema every entry
+//!   declares;
+//! - [`Registry`]: the immutable name → factory map, looked up and listed;
 //! - [`Selection`]: the serializable reference. [`Selection::try_build`] is
 //!   the one place a name is resolved, params are checked against the
 //!   factory's declared schema, and the factory runs. A factory therefore
 //!   never sees a key it did not declare, and checks only values.
+//!
+//! The catalogs are closed: a new attack or defense is a new row in its
+//! family's catalog, so every cell is rebuilt from its serialized config
+//! alone and a name always means the same code.
 //!
 //! A selection serializes as the plain name string when its params are
 //! empty (`"pieck-uea"`) and as `{"name": "pieck-uea", "params": {…}}`
@@ -28,21 +33,20 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::marker::PhantomData;
-use std::sync::{Arc, RwLock};
 
 use crate::client::Client;
 use crate::params::{ParamSpec, ParamValue, Params};
 
-/// The registry name of every family's baseline entry: no attack, no
+/// The catalog name of every family's baseline entry: no attack, no
 /// defense.
 const NONE: &str = "none";
 
-/// What every registered factory declares, whatever it builds.
+/// What every catalog entry declares, whatever it builds.
 pub trait Factory: Send + Sync {
-    /// Stable registry key (kebab-case).
+    /// Stable catalog key (kebab-case).
     fn name(&self) -> &str;
 
-    /// Row label for experiment tables; defaults to the registry name.
+    /// Row label for experiment tables; defaults to the catalog name.
     fn label(&self) -> &str {
         self.name()
     }
@@ -53,24 +57,10 @@ pub trait Factory: Send + Sync {
     fn param_schema(&self) -> Vec<ParamSpec> {
         Vec::new()
     }
-
-    /// Optional behaviour fingerprint, mixed into suite cache keys.
-    ///
-    /// Selection *params* need no fingerprint: they live in the config JSON
-    /// and key the cache directly. The fingerprint covers what a
-    /// runtime-registered factory *closed over*: a factory that returns a
-    /// stable string describing its captured parameters re-keys every
-    /// affected cell when the name is re-registered with different
-    /// behaviour. `None` (the default, and what the built-ins use: their
-    /// behaviour is code, versioned by the cache schema) keeps name-only
-    /// addressing.
-    fn fingerprint(&self) -> Option<String> {
-        None
-    }
 }
 
 /// A family of factories: the types a build consumes and produces, and the
-/// family's process-wide registry.
+/// family's fixed catalog.
 pub trait Catalog: 'static {
     /// The family's factory trait object, e.g. `dyn AttackFactory`.
     type Factory: ?Sized + Factory;
@@ -81,7 +71,7 @@ pub trait Catalog: 'static {
     /// The family's noun in error messages ("attack", "defense").
     const NOUN: &'static str;
 
-    /// The family's registry, seeded with its builtin entries on first use.
+    /// The family's registry of builtin entries, built on first use.
     fn registry() -> &'static Registry<Self::Factory>;
 
     /// Runs `factory`. Every key of `params` is declared in the factory's
@@ -93,53 +83,34 @@ pub trait Catalog: 'static {
     ) -> Result<Self::Built, String>;
 }
 
-/// A name → factory map shared by every thread of the process.
+/// An immutable name → factory map, built once per family by
+/// [`Catalog::registry`].
 pub struct Registry<F: ?Sized> {
-    entries: RwLock<BTreeMap<String, Arc<F>>>,
+    entries: BTreeMap<String, Box<F>>,
 }
 
 impl<F: ?Sized + Factory> Registry<F> {
-    /// A registry holding `builtins`, each under its own name.
-    pub fn new(builtins: impl IntoIterator<Item = Arc<F>>) -> Self {
-        let entries = builtins
+    /// A registry holding `entries`, each under its own name.
+    pub fn new(entries: impl IntoIterator<Item = Box<F>>) -> Self {
+        let entries = entries
             .into_iter()
             .map(|factory| (factory.name().to_string(), factory))
             .collect();
-        Self {
-            entries: RwLock::new(entries),
-        }
-    }
-
-    /// Registers (or replaces) `factory` under its name. Returns the
-    /// previously registered factory of that name, if any.
-    pub fn register(&self, factory: Arc<F>) -> Option<Arc<F>> {
-        self.entries
-            .write()
-            .expect("registry poisoned")
-            .insert(factory.name().to_string(), factory)
+        Self { entries }
     }
 
     /// Looks a factory up by name.
-    pub fn get(&self, name: &str) -> Option<Arc<F>> {
-        self.entries
-            .read()
-            .expect("registry poisoned")
-            .get(name)
-            .cloned()
+    pub fn get(&self, name: &str) -> Option<&F> {
+        self.entries.get(name).map(|factory| &**factory)
     }
 
-    /// All registered names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.entries
-            .read()
-            .expect("registry poisoned")
-            .keys()
-            .cloned()
-            .collect()
+    /// Every entry, in name order.
+    pub fn iter(&self) -> impl Iterator<Item = &F> {
+        self.entries.values().map(|factory| &**factory)
     }
 }
 
-/// A serializable reference to an entry of catalog `C`: its registry name
+/// A serializable reference to an entry of catalog `C`: its catalog name
 /// plus a canonical [`Params`] payload. This is what scenario
 /// configurations carry; see the module docs for its wire and CLI forms.
 pub struct Selection<C> {
@@ -149,8 +120,8 @@ pub struct Selection<C> {
 }
 
 impl<C: Catalog> Selection<C> {
-    /// References a registered (or to-be-registered) entry by name, with no
-    /// parameter overrides.
+    /// References an entry by name, with no parameter overrides. The name
+    /// is resolved only when the selection is labelled or built.
     pub fn named(name: impl Into<String>) -> Self {
         Self {
             name: name.into(),
@@ -184,7 +155,7 @@ impl<C: Catalog> Selection<C> {
         })
     }
 
-    /// Registry key.
+    /// Catalog key.
     pub fn name(&self) -> &str {
         &self.name
     }
@@ -206,33 +177,27 @@ impl<C: Catalog> Selection<C> {
     }
 
     /// Resolves through the catalog's registry.
-    pub fn resolve(&self) -> Option<Arc<C::Factory>> {
+    pub fn resolve(&self) -> Option<&'static C::Factory> {
         C::registry().get(&self.name)
     }
 
     /// Table row label: the factory's, falling back to the raw name for
-    /// not-yet-registered references. Params do not change the label; they
-    /// surface through the variant axis and progress events instead.
+    /// unknown references. Params do not change the label; they surface
+    /// through the variant axis and progress events instead.
     pub fn label(&self) -> String {
         self.resolve()
             .map_or_else(|| self.name.clone(), |f| f.label().to_string())
     }
 
-    /// The resolved factory's behaviour fingerprint, if it declares one
-    /// (unregistered names and fingerprint-less factories yield `None`).
-    pub fn fingerprint(&self) -> Option<String> {
-        self.resolve().and_then(|f| f.fingerprint())
-    }
-
-    /// Whether the resolved factory's schema declares `key`. Unresolved
-    /// names accept every key: their schema is unknowable here, and the
-    /// build still rejects strays.
+    /// Whether the resolved factory's schema declares `key`. Unknown names
+    /// accept every key: they have no schema, and the build rejects the
+    /// name itself.
     pub fn accepts(&self, key: &str) -> bool {
         self.resolve()
             .is_none_or(|f| f.param_schema().iter().any(|spec| spec.key == key))
     }
 
-    /// Builds the entry. `Err` for unregistered names, for params the
+    /// Builds the entry. `Err` for unknown names, for params the
     /// factory's schema does not declare, and for the factory's own value
     /// errors (type mismatches, out-of-range values). The CLI probes this
     /// at startup, so a bad `--attack`/`--defense` spec is a clean exit
@@ -243,7 +208,7 @@ impl<C: Catalog> Selection<C> {
                 "{} `{}` is not registered (known: {:?})",
                 C::NOUN,
                 self.name,
-                C::registry().names()
+                C::registry().iter().map(Factory::name).collect::<Vec<_>>()
             )
         })?;
         let schema = factory.param_schema();
@@ -260,7 +225,7 @@ impl<C: Catalog> Selection<C> {
                 e
             }
         })?;
-        C::build(&factory, ctx, &self.params)
+        C::build(factory, ctx, &self.params)
     }
 
     /// Builds the entry; panics on configuration errors (the harness path:

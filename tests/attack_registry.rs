@@ -1,23 +1,19 @@
 //! Integration tests of the attack-side registry redesign (the mirror of
-//! `defense_registry.rs`): attacks built through the parameterized open
-//! registry are byte-identical to the pre-refactor hard-wired dispatch and
-//! to the deleted `table6`/`table9` runtime-registered closures; every
-//! `AttackSel` params flip re-keys the suite cache; and an out-of-crate
-//! *parameterized* attack — defined right here, never touching
-//! `AttackKind` — registers through `register_attack` and runs end to end
-//! through an `ExperimentSuite`.
+//! `defense_registry.rs`): attacks built through the parameterized catalog
+//! are byte-identical to the pre-refactor hard-wired dispatch and to the
+//! deleted `table6`/`table9` runtime-registered closures; every `AttackSel`
+//! params flip re-keys the suite cache; and a builtin attack's params reach
+//! its clients end to end through an `ExperimentSuite`.
 
-use pieck_frs::attacks::{
-    register_attack, AttackKind, AttackSel, FnAttackFactory, ParamSpec, ScaledClient,
-};
+use pieck_frs::attacks::{AttackKind, AttackSel, ScaledClient};
 use pieck_frs::data::DatasetSpec;
 use pieck_frs::experiments::cache::scenario_key;
 use pieck_frs::experiments::progress::MemorySink;
 use pieck_frs::experiments::scenario::{self, ScenarioConfig};
 use pieck_frs::experiments::suite::ExecOptions;
 use pieck_frs::experiments::{ConfigPatch, ExperimentSuite, RunOptions, Sweep};
-use pieck_frs::federation::{Client, RoundContext};
-use pieck_frs::model::{GlobalGradients, GlobalModel, ModelKind};
+use pieck_frs::federation::Client;
+use pieck_frs::model::ModelKind;
 use pieck_frs::pieck::{
     IpeConfig, MultiTargetStrategy, PieckClient, PieckConfig, SimilarityMetric,
 };
@@ -146,64 +142,15 @@ fn variant_catalog_entries_match_the_old_runtime_closures_exactly() {
     assert_outcomes_identical("pieck-uea-together", &via_registry, &via_hand);
 }
 
-/// A deliberately simple parameterized poisoning client living only in this
-/// test crate: every round it uploads a constant gradient of magnitude
-/// `strength` pulling its targets' embeddings upward. `strength = 0` is a
-/// no-op attacker — observable proof the param actually reached the client.
-struct FloodClient {
-    id: usize,
-    targets: Vec<u32>,
-    strength: f32,
-}
-
-impl Client for FloodClient {
-    fn id(&self) -> usize {
-        self.id
-    }
-
-    fn is_malicious(&self) -> bool {
-        true
-    }
-
-    fn local_round(&mut self, _ctx: &RoundContext, model: &GlobalModel) -> GlobalGradients {
-        let mut grads = GlobalGradients::new();
-        for &t in &self.targets {
-            // The server applies θ ← θ − η·g, so a negative constant raises
-            // every coordinate of the target embedding.
-            grads.add_item_grad(t, &vec![-self.strength; model.dim()]);
-        }
-        grads
-    }
-}
-
+/// A builtin parameterized attack swept at two values of one declared
+/// param: the values reach the clients (the cells differ), the progress
+/// events record them, and a mistyped value is a clean build error.
 #[test]
 fn out_of_crate_parameterized_attack_runs_through_a_suite() {
-    register_attack(
-        FnAttackFactory::parameterized("flood", "Flood", |ctx, params| {
-            let strength = params.get_f32("strength")?.unwrap_or(0.2);
-            if strength < 0.0 {
-                return Err(format!("param `strength` must be ≥ 0, got {strength}"));
-            }
-            Ok((0..ctx.count)
-                .map(|i| {
-                    Box::new(FloodClient {
-                        id: ctx.first_id + i,
-                        targets: ctx.targets.to_vec(),
-                        strength,
-                    }) as Box<dyn Client>
-                })
-                .collect())
-        })
-        .with_param_schema([ParamSpec::new("strength", "upload magnitude", "0.2")])
-        // PR-3 contract: runtime registrations fingerprint themselves so
-        // same-name re-registrations re-key cached cells.
-        .with_fingerprint("flood-v1 strength-default=0.2"),
-    );
-
-    let suite = ExperimentSuite::new("custom-atk", "Custom attack suite").sweep(
-        Sweep::new("grid", "inert vs full strength").over_attacks([
-            AttackSel::named("flood").with_param("strength", 0.0f32),
-            AttackSel::named("flood").with_param("strength", 0.3f32),
+    let suite = ExperimentSuite::new("param-atk", "Parameterized attack suite").sweep(
+        Sweep::new("grid", "weak vs full scale").over_attacks([
+            AttackSel::named("pieck-ipe").with_param("scale", 1u64),
+            AttackSel::named("pieck-ipe").with_param("scale", 12u64),
         ]),
     );
     let opts = RunOptions {
@@ -237,22 +184,22 @@ fn out_of_crate_parameterized_attack_runs_through_a_suite() {
             .er_percent
     };
     assert!(
-        er_of("strength=0.3") > er_of("strength=0"),
-        "a stronger flood must expose the target more: {} vs {}",
-        er_of("strength=0.3"),
-        er_of("strength=0")
+        er_of("scale=12") > er_of("scale=1"),
+        "a larger poison scale must expose the target more: {} vs {}",
+        er_of("scale=12"),
+        er_of("scale=1")
     );
     // Events record the attack params the cells actually ran with, and the
-    // registered label renders in reports.
+    // catalog label renders in reports.
     let mut event_params: Vec<String> =
         sink.events().into_iter().map(|e| e.attack_params).collect();
     event_params.sort();
-    assert_eq!(event_params, ["strength=0", "strength=0.3"]);
-    assert!(result.report().to_markdown().contains("Flood"));
+    assert_eq!(event_params, ["scale=1", "scale=12"]);
+    assert!(result.report().to_markdown().contains("PIECK-IPE"));
 
     // Bad values surface as clean errors through try_build_clients, the
     // same path the CLI probes at startup.
-    let bad = AttackSel::named("flood").with_param("strength", "huge");
+    let bad = AttackSel::named("pieck-ipe").with_param("scale", "huge");
     let probe = pieck_frs::attacks::AttackBuildCtx::minimal(0, 0, &[]);
     assert!(bad.try_build_clients(&probe).is_err());
 }

@@ -1,23 +1,20 @@
 //! Integration tests of the defense-side registry redesign: the paper's
-//! defense built through the open registry is byte-identical to the
-//! pre-refactor hand-wired special case; every `DefenseSel` params flip
-//! re-keys the suite cache; and an out-of-crate *client-side* defense —
-//! defined right here, never touching `DefenseKind` — runs end to end
-//! through an `ExperimentSuite`.
+//! defense built through the catalog is byte-identical to the pre-refactor
+//! hand-wired special case; every `DefenseSel` params flip re-keys the
+//! suite cache; and the client-side defense's params reach every benign
+//! client end to end through an `ExperimentSuite`.
 
 use std::sync::Arc;
 
 use pieck_frs::attacks::AttackKind;
 use pieck_frs::data::DatasetSpec;
-use pieck_frs::defense::{register_defense, DefenseKind, DefenseSel, FnDefenseFactory, ParamSpec};
+use pieck_frs::defense::{DefenseKind, DefenseSel};
 use pieck_frs::experiments::cache::scenario_key;
 use pieck_frs::experiments::scenario::{self, build_world, ScenarioConfig};
 use pieck_frs::experiments::{ExperimentSuite, RunOptions, Sweep};
-use pieck_frs::federation::{
-    BenignClient, Client, LocalRegularizer, RoundContext, Simulation, SumAggregator,
-};
+use pieck_frs::federation::{BenignClient, Client, Simulation, SumAggregator};
 use pieck_frs::metrics::{ExposureReport, QualityReport};
-use pieck_frs::model::{GlobalGradients, GlobalModel, ModelKind};
+use pieck_frs::model::{GlobalModel, ModelKind};
 use pieck_frs::pieck::{DefenseConfig, PieckDefense};
 use proptest::prelude::*;
 
@@ -113,63 +110,23 @@ fn model_tuned_defaults_flow_through_the_context() {
     assert_eq!(mf.embedding_dim, 16);
 }
 
-/// A deliberately blunt client-side defense living only in this test crate:
-/// scales every uploaded item gradient by `tau`. With `tau = 0` benign
-/// clients upload nothing, so the global model cannot learn — observable
-/// proof the regularizer actually ran inside every client.
-struct Attenuator {
-    tau: f32,
-}
-
-impl LocalRegularizer for Attenuator {
-    fn observe(&mut self, _ctx: &RoundContext, _model: &GlobalModel) {}
-
-    fn apply(
-        &mut self,
-        _ctx: &RoundContext,
-        _model: &GlobalModel,
-        _user_embedding: &[f32],
-        _local_items: &[u32],
-        grads: &mut GlobalGradients,
-        _d_user: &mut [f32],
-    ) {
-        for v in grads.rows_mut() {
-            *v *= self.tau;
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "attenuate"
-    }
-}
-
+/// The client-side defense with both regularizers switched off: its
+/// params reach the regularizer inside every benign client, so the suite's
+/// two `ours` cells differ.
 #[test]
 fn out_of_crate_client_side_defense_runs_through_a_suite() {
-    register_defense(
-        FnDefenseFactory::new("attenuate", "Attenuate", |_| Box::new(SumAggregator))
-            .with_param_schema([ParamSpec::new("tau", "upload scale factor", "1.0")])
-            .with_params_regularizer(|_ctx, params, _client_id| {
-                Box::new(Attenuator {
-                    tau: params
-                        .get_f32("tau")
-                        .expect("tau is numeric")
-                        .unwrap_or(1.0),
-                })
-            })
-            // PR-3 contract: runtime registrations fingerprint themselves so
-            // same-name re-registrations re-key cached cells.
-            .with_fingerprint("attenuate-v1 tau-default=1.0"),
-    );
-    assert!(DefenseSel::named("attenuate")
+    assert!(DefenseSel::named("ours")
         .resolve()
         .unwrap()
         .is_client_side());
 
-    let suite = ExperimentSuite::new("custom-def", "Custom defense suite").sweep(
-        Sweep::new("grid", "none vs attenuated").over_defenses([
-            DefenseSel::none(),
-            DefenseSel::named("attenuate").with_param("tau", 0.0f32),
-        ]),
+    let suite = ExperimentSuite::new("client-def", "Client-side defense suite").sweep(
+        Sweep::new("grid", "ours vs ours without Re1/Re2")
+            .over_attacks([AttackKind::PieckUea])
+            .over_defenses([
+                DefenseSel::named("ours"),
+                DefenseSel::parse("ours:re1=false,re2=false").unwrap(),
+            ]),
     );
     let opts = RunOptions {
         scale: 0.08,
@@ -181,22 +138,22 @@ fn out_of_crate_client_side_defense_runs_through_a_suite() {
     let result = suite.run(&opts);
     let cells: Vec<_> = result.all_cells().collect();
     assert_eq!(cells.len(), 2);
-    let hr_of = |name: &str| {
-        cells
+    let outcome_of = |params: &str| {
+        let cell = cells
             .iter()
-            .find(|c| c.cell.defense.name() == name)
-            .unwrap()
-            .outcome
-            .hr_percent
+            .find(|c| c.cell.defense.params().to_string() == params)
+            .unwrap();
+        (
+            cell.outcome.er_percent,
+            cell.outcome.hr_percent,
+            cell.outcome.ndcg,
+        )
     };
-    assert!(
-        hr_of("attenuate") < hr_of("none"),
-        "zeroed uploads must hurt quality: {} vs {}",
-        hr_of("attenuate"),
-        hr_of("none")
+    assert_ne!(
+        outcome_of(""),
+        outcome_of("re1=false,re2=false"),
+        "switching both regularizers off must change the run"
     );
-    // The registered label renders in reports.
-    assert!(result.report().to_markdown().contains("Attenuate"));
 }
 
 /// A parameterized selection round-trips through the scenario config JSON

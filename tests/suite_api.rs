@@ -1,44 +1,14 @@
 //! Integration tests of the `ExperimentSuite` API across crate boundaries:
-//! an *out-of-crate* attack — defined right here, never touching
-//! `AttackKind` — registers through `AttackFactory` and runs through a suite
-//! alongside the built-ins; suite configurations round-trip through JSON;
-//! and the `paper` command declarations execute end to end at CI scale.
+//! an attack × defense grid runs through a suite and its attack beats the
+//! clean baseline; suite configurations round-trip through JSON, unknown
+//! attack names included; and the `paper` command declarations execute end
+//! to end at CI scale.
 
-use pieck_frs::attacks::{register_attack, AttackKind, AttackSel, FnAttackFactory};
+use pieck_frs::attacks::{AttackKind, AttackSel};
 use pieck_frs::defense::DefenseKind;
 use pieck_frs::experiments::{
     Axis, ConfigPatch, ExperimentSuite, RunOptions, ScenarioConfig, Sweep,
 };
-use pieck_frs::federation::{Client, RoundContext};
-use pieck_frs::model::{GlobalGradients, GlobalModel};
-
-/// A deliberately simple poisoning client that exists only in this test
-/// crate: every round it uploads a large constant gradient pulling its
-/// targets' embeddings upward. No core crate knows this type.
-struct BlastClient {
-    id: usize,
-    targets: Vec<u32>,
-}
-
-impl Client for BlastClient {
-    fn id(&self) -> usize {
-        self.id
-    }
-
-    fn is_malicious(&self) -> bool {
-        true
-    }
-
-    fn local_round(&mut self, _ctx: &RoundContext, model: &GlobalModel) -> GlobalGradients {
-        let mut grads = GlobalGradients::new();
-        for &t in &self.targets {
-            // The server applies θ ← θ − η·g, so a negative constant raises
-            // every coordinate of the target embedding.
-            grads.add_item_grad(t, &vec![-0.2; model.dim()]);
-        }
-        grads
-    }
-}
 
 fn tiny_opts(threads: usize) -> RunOptions {
     RunOptions {
@@ -52,26 +22,18 @@ fn tiny_opts(threads: usize) -> RunOptions {
 
 #[test]
 fn out_of_crate_attack_runs_through_a_suite() {
-    register_attack(FnAttackFactory::new("blast", "Blast", |ctx| {
-        (0..ctx.count)
-            .map(|i| {
-                Box::new(BlastClient {
-                    id: ctx.first_id + i,
-                    targets: ctx.targets.to_vec(),
-                }) as Box<dyn Client>
-            })
-            .collect()
-    }));
-
-    let suite = ExperimentSuite::new("custom", "Custom attack suite").sweep(
-        Sweep::new("grid", "builtin vs registered")
-            .over_attacks([
-                AttackSel::from(AttackKind::NoAttack),
-                AttackSel::named("blast"),
-            ])
+    let suite = ExperimentSuite::new("grid", "Attack × defense suite").sweep(
+        Sweep::new("grid", "clean vs attacked")
+            .over_attacks([AttackKind::NoAttack, AttackKind::PieckUea])
             .over_defenses([DefenseKind::NoDefense, DefenseKind::NormBound]),
     );
-    let result = suite.run(&tiny_opts(2));
+    // PIECK mines the popular items for two rounds before it poisons, so
+    // the grid runs longer than `tiny_opts`.
+    let result = suite.run(&RunOptions {
+        scale: 0.08,
+        rounds: Some(40),
+        ..tiny_opts(2)
+    });
 
     let cells: Vec<_> = result.all_cells().collect();
     assert_eq!(cells.len(), 4);
@@ -79,8 +41,8 @@ fn out_of_crate_attack_runs_through_a_suite() {
         assert!(cell.outcome.er_percent.is_finite(), "{:?}", cell.cell);
         assert!(cell.outcome.hr_percent.is_finite(), "{:?}", cell.cell);
     }
-    // The registered attack actually fielded malicious clients: its undefended
-    // exposure must exceed the clean baseline's.
+    // The attack actually fielded malicious clients: its undefended exposure
+    // must exceed the clean baseline's.
     let er_of = |attack: &str, defense: DefenseKind| {
         cells
             .iter()
@@ -90,14 +52,14 @@ fn out_of_crate_attack_runs_through_a_suite() {
             .er_percent
     };
     assert!(
-        er_of("blast", DefenseKind::NoDefense) > er_of("none", DefenseKind::NoDefense),
-        "blast should expose its target: {} vs {}",
-        er_of("blast", DefenseKind::NoDefense),
+        er_of("pieck-uea", DefenseKind::NoDefense) > er_of("none", DefenseKind::NoDefense),
+        "PIECK-UEA should expose its target: {} vs {}",
+        er_of("pieck-uea", DefenseKind::NoDefense),
         er_of("none", DefenseKind::NoDefense)
     );
-    // And it renders under its registered label.
+    // And it renders under its catalog label.
     let md = result.report().to_markdown();
-    assert!(md.contains("Blast"), "{md}");
+    assert!(md.contains("PIECK-UEA"), "{md}");
 }
 
 #[test]
@@ -119,7 +81,7 @@ fn suite_with_custom_attack_round_trips_through_json() {
     assert_eq!(cells[1].attack, AttackKind::PieckIpe);
     assert_eq!(cells[0].config.federation.negative_ratio, 4);
 
-    // A single materialized scenario round-trips too, custom name included.
+    // A single materialized scenario round-trips too, unknown name included.
     let cfg_json = serde_json::to_string(&cells[0].config).unwrap();
     let cfg: ScenarioConfig = serde_json::from_str(&cfg_json).unwrap();
     assert_eq!(cfg.attack, AttackSel::named("blast"));
