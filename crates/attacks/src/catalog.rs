@@ -1,22 +1,22 @@
-//! Attack catalogue: the paper's Table III rows.
+//! Attack catalogue: the paper's Table III rows and the Table VI / IX
+//! variants, one [`AttackKind`] variant each.
 //!
-//! [`AttackKind`] enumerates the attacks evaluated in the paper. Each row is
-//! an [`AttackFactory`] carrying its construction logic, and the rows, with
-//! the Table VI / IX variants, make up the attack registry (see
-//! [`crate::registry`]). Scenarios reference them through selections
-//! (`AttackSel::from(AttackKind::PieckUea)`), so a new attack row needs no
-//! enum edit.
+//! [`AttackKind`] is the attack family's [`Catalog`]: every row's name,
+//! label, parameter schema and construction are match arms here, and the
+//! Table VI / IX rows build through [`crate::variants`]. Scenarios
+//! reference rows through selections
+//! (`AttackSel::from(AttackKind::PieckUea)`), so a new attack is one more
+//! variant plus its arms.
 
-use frs_federation::registry::Factory;
-use frs_federation::Client;
+use frs_federation::{Catalog, Client, ParamSpec, Params};
 use pieck_core::{PieckClient, PieckConfig};
-use serde::{Deserialize, Serialize};
 
 use crate::fedrecattack::FedRecAttack;
 use crate::interaction::{AHumClient, ARaClient};
 use crate::pipattack::PipAttack;
-use crate::registry::{AttackBuildCtx, AttackFactory, AttackParams, ParamSpec};
+use crate::registry::AttackBuildCtx;
 use crate::scaled::ScaledClient;
+use crate::variants;
 
 /// Norm cap applied to scaled gradient-style poison uploads.
 pub(crate) const POISON_NORM_CAP: f32 = 2.0;
@@ -50,7 +50,7 @@ pub(crate) fn mining_rounds_spec() -> ParamSpec {
 /// client is constructed, so the CLI's `count = 0` probe catches them.
 pub(crate) fn resolve_pieck_knobs(
     ctx: &AttackBuildCtx<'_>,
-    params: &AttackParams,
+    params: &Params,
 ) -> Result<(usize, usize, f32), String> {
     let top_n = params.get_usize("top_n")?.unwrap_or(ctx.mined_top_n);
     if params.get_usize("top_n")?.is_some() && top_n == 0 {
@@ -65,10 +65,7 @@ pub(crate) fn resolve_pieck_knobs(
 }
 
 /// Validates and resolves the `scale` param against the scenario default.
-pub(crate) fn resolve_scale(
-    ctx: &AttackBuildCtx<'_>,
-    params: &AttackParams,
-) -> Result<f32, String> {
+pub(crate) fn resolve_scale(ctx: &AttackBuildCtx<'_>, params: &Params) -> Result<f32, String> {
     match params.get_f32("scale")? {
         None => Ok(ctx.poison_scale),
         Some(s) if s > 0.0 => Ok(s),
@@ -79,7 +76,7 @@ pub(crate) fn resolve_scale(
 /// UEA's effective scale: the explicit param only (validated positive,
 /// defaulting to 1 = unscaled) — the scenario-wide poison_scale never
 /// applies to UEA's absolute displacement.
-pub(crate) fn resolve_uea_scale(params: &AttackParams) -> Result<f32, String> {
+pub(crate) fn resolve_uea_scale(params: &Params) -> Result<f32, String> {
     match params.get_f32("scale")? {
         None => Ok(1.0),
         Some(s) if s > 0.0 => Ok(s),
@@ -87,18 +84,25 @@ pub(crate) fn resolve_uea_scale(params: &AttackParams) -> Result<f32, String> {
     }
 }
 
-/// Wraps a crafted client in a norm-capped [`ScaledClient`] when the scale
-/// deviates from 1 (the builtin gradient-style policy).
+/// Wraps a crafted client in a [`ScaledClient`] capped at
+/// [`POISON_NORM_CAP`], even at scale 1.
+pub(crate) fn capped(client: Box<dyn Client>, scale: f32) -> Box<dyn Client> {
+    Box::new(ScaledClient::new(client, scale).with_cap(POISON_NORM_CAP))
+}
+
+/// [`capped`] when the scale deviates from 1 (the builtin gradient-style
+/// policy), else the client as crafted.
 pub(crate) fn maybe_scaled(client: Box<dyn Client>, scale: f32) -> Box<dyn Client> {
     if (scale - 1.0).abs() > f32::EPSILON {
-        Box::new(ScaledClient::new(client, scale).with_cap(POISON_NORM_CAP))
+        capped(client, scale)
     } else {
         client
     }
 }
 
-/// Every attack evaluated in the paper, in Table III row order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// Every attack row: the paper's Table III attacks, then the Table VI and
+/// Table IX variants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttackKind {
     /// No malicious clients at all.
     NoAttack,
@@ -114,10 +118,26 @@ pub enum AttackKind {
     PieckIpe,
     /// PIECK-UEA (ours).
     PieckUea,
+    /// Table VI `L_IPE` ablation: KL similarity, no κ, no P±.
+    IpeAblationPkl,
+    /// Table VI: cosine similarity, no κ, no P±.
+    IpeAblationPcos,
+    /// Table VI: cosine similarity with the rank weights κ.
+    IpeAblationPcosK,
+    /// Table VI: the full `L_IPE`, cosine with κ and the sign partition P±.
+    IpeAblationFull,
+    /// Table IX: PIECK-IPE crafting one gradient per target.
+    PieckIpeTogether,
+    /// Table IX: PIECK-IPE optimizing one target and copying its gradient.
+    PieckIpeCopy,
+    /// Table IX: PIECK-UEA crafting one gradient per target.
+    PieckUeaTogether,
+    /// Table IX: PIECK-UEA optimizing one target and copying its gradient.
+    PieckUeaCopy,
 }
 
 impl AttackKind {
-    /// All attacks, in the paper's table order.
+    /// The Table III attacks, in the paper's row order.
     pub fn all() -> [AttackKind; 7] {
         [
             AttackKind::NoAttack,
@@ -129,55 +149,82 @@ impl AttackKind {
             AttackKind::PieckUea,
         ]
     }
-
-    /// Stable registry name (kebab-case).
-    pub fn name(&self) -> &'static str {
-        match self {
-            AttackKind::NoAttack => "none",
-            AttackKind::FedRecA => "fedrecattack",
-            AttackKind::Pipa => "pipattack",
-            AttackKind::ARa => "a-ra",
-            AttackKind::AHum => "a-hum",
-            AttackKind::PieckIpe => "pieck-ipe",
-            AttackKind::PieckUea => "pieck-uea",
-        }
-    }
-
-    /// Row label matching the paper's tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            AttackKind::NoAttack => "NoAttack",
-            AttackKind::FedRecA => "FedRecA",
-            AttackKind::Pipa => "PipA",
-            AttackKind::ARa => "A-ra",
-            AttackKind::AHum => "A-hum",
-            AttackKind::PieckIpe => "PIECK-IPE",
-            AttackKind::PieckUea => "PIECK-UEA",
-        }
-    }
 }
 
-impl Factory for AttackKind {
-    fn name(&self) -> &str {
-        AttackKind::name(self)
+/// The builtin construction logic. Params override the scenario-level
+/// context defaults; an empty payload reproduces the pre-params wiring bit
+/// for bit.
+impl Catalog for AttackKind {
+    const NOUN: &'static str = "attack";
+    type Ctx<'a> = AttackBuildCtx<'a>;
+    type Built = Vec<Box<dyn Client>>;
+
+    fn rows() -> &'static [Self] {
+        &[
+            Self::AHum,
+            Self::ARa,
+            Self::FedRecA,
+            Self::IpeAblationFull,
+            Self::IpeAblationPcos,
+            Self::IpeAblationPcosK,
+            Self::IpeAblationPkl,
+            Self::NoAttack,
+            Self::PieckIpe,
+            Self::PieckIpeCopy,
+            Self::PieckIpeTogether,
+            Self::PieckUea,
+            Self::PieckUeaCopy,
+            Self::PieckUeaTogether,
+            Self::Pipa,
+        ]
     }
 
-    fn label(&self) -> &str {
-        AttackKind::label(self)
-    }
-
-    fn param_schema(&self) -> Vec<ParamSpec> {
+    fn name(self) -> &'static str {
         match self {
-            AttackKind::NoAttack => Vec::new(),
-            AttackKind::FedRecA | AttackKind::Pipa | AttackKind::ARa | AttackKind::AHum => {
-                vec![scale_spec()]
-            }
-            AttackKind::PieckIpe => vec![
+            Self::NoAttack => "none",
+            Self::FedRecA => "fedrecattack",
+            Self::Pipa => "pipattack",
+            Self::ARa => "a-ra",
+            Self::AHum => "a-hum",
+            Self::PieckIpe => "pieck-ipe",
+            Self::PieckUea => "pieck-uea",
+            Self::IpeAblationPkl => "ipe-ablation-pkl",
+            Self::IpeAblationPcos => "ipe-ablation-pcos",
+            Self::IpeAblationPcosK => "ipe-ablation-pcos-k",
+            Self::IpeAblationFull => "ipe-ablation-full",
+            Self::PieckIpeTogether => "pieck-ipe-together",
+            Self::PieckIpeCopy => "pieck-ipe-copy",
+            Self::PieckUeaTogether => "pieck-uea-together",
+            Self::PieckUeaCopy => "pieck-uea-copy",
+        }
+    }
+
+    fn label(self) -> &'static str {
+        match self {
+            Self::NoAttack => "NoAttack",
+            Self::FedRecA => "FedRecA",
+            Self::Pipa => "PipA",
+            Self::ARa => "A-ra",
+            Self::AHum => "A-hum",
+            Self::PieckIpe | Self::PieckIpeTogether | Self::PieckIpeCopy => "PIECK-IPE",
+            Self::PieckUea | Self::PieckUeaTogether | Self::PieckUeaCopy => "PIECK-UEA",
+            Self::IpeAblationPkl => "PKL",
+            Self::IpeAblationPcos => "PCOS",
+            Self::IpeAblationPcosK => "PCOS +κ",
+            Self::IpeAblationFull => "PCOS +κ +P±",
+        }
+    }
+
+    fn param_schema(self) -> Vec<ParamSpec> {
+        match self {
+            Self::NoAttack => Vec::new(),
+            Self::FedRecA | Self::Pipa | Self::ARa | Self::AHum => vec![scale_spec()],
+            Self::PieckIpe => vec![
                 top_n_spec("scenario mined_top_n"),
                 mining_rounds_spec(),
                 scale_spec(),
             ],
-            AttackKind::PieckUea => vec![
+            Self::PieckUea => vec![
                 top_n_spec("scenario mined_top_n"),
                 mining_rounds_spec(),
                 ParamSpec::new(
@@ -188,25 +235,37 @@ impl Factory for AttackKind {
                     "1 (unscaled)",
                 ),
             ],
+            Self::IpeAblationPkl
+            | Self::IpeAblationPcos
+            | Self::IpeAblationPcosK
+            | Self::IpeAblationFull => variants::ablation_schema(),
+            Self::PieckIpeTogether
+            | Self::PieckIpeCopy
+            | Self::PieckUeaTogether
+            | Self::PieckUeaCopy => variants::multi_target_schema(self),
         }
     }
-}
 
-/// The builtin construction logic. Params override the scenario-level
-/// context defaults; an empty payload reproduces the pre-params wiring
-/// bit for bit.
-impl AttackFactory for AttackKind {
-    fn build_clients(
-        &self,
+    fn build(
+        self,
         ctx: &AttackBuildCtx<'_>,
-        params: &AttackParams,
+        params: &Params,
     ) -> Result<Vec<Box<dyn Client>>, String> {
         // Values are checked first: a `count = 0` probe must still catch
         // bad values before any client is constructed.
-        if *self == AttackKind::NoAttack {
-            return Ok(Vec::new());
-        }
-        let pieck = matches!(self, AttackKind::PieckIpe | AttackKind::PieckUea);
+        let pieck = match self {
+            Self::NoAttack => return Ok(Vec::new()),
+            Self::IpeAblationPkl
+            | Self::IpeAblationPcos
+            | Self::IpeAblationPcosK
+            | Self::IpeAblationFull => return variants::build_ablation(self, ctx, params),
+            Self::PieckIpeTogether
+            | Self::PieckIpeCopy
+            | Self::PieckUeaTogether
+            | Self::PieckUeaCopy => return variants::build_multi_target(self, ctx, params),
+            Self::PieckIpe | Self::PieckUea => true,
+            Self::FedRecA | Self::Pipa | Self::ARa | Self::AHum => false,
+        };
         let (top_n, mining_rounds, param_scale) = if pieck {
             resolve_pieck_knobs(ctx, params)?
         } else {
@@ -218,7 +277,7 @@ impl AttackFactory for AttackKind {
         // scenario-wide poison_scale never applies; only an explicit
         // `scale` param does. All gradient-style attacks scale, with a norm
         // cap to prevent runaway feedback (see ScaledClient::with_cap).
-        let scale = if *self == AttackKind::PieckUea {
+        let scale = if self == Self::PieckUea {
             resolve_uea_scale(params)?
         } else {
             param_scale
@@ -230,37 +289,27 @@ impl AttackFactory for AttackKind {
                 // One attacker controls every sybil (Section III-B), so the
                 // synthetic users / classifiers are shared across malicious
                 // clients: poison directions add up instead of cancelling.
-                let client_seed = ctx.seed ^ 0xA77AC;
+                let seed = ctx.seed ^ 0xA77AC;
                 let client: Box<dyn Client> = match self {
-                    AttackKind::NoAttack => unreachable!("returned above"),
-                    AttackKind::FedRecA => Box::new(FedRecAttack::new(
-                        id,
-                        targets.clone(),
-                        32,
-                        None,
-                        client_seed,
-                    )),
-                    AttackKind::Pipa => {
-                        Box::new(PipAttack::new(id, targets.clone(), 32, None, client_seed))
+                    Self::FedRecA => {
+                        Box::new(FedRecAttack::new(id, targets.clone(), 32, None, seed))
                     }
-                    AttackKind::ARa => {
-                        Box::new(ARaClient::new(id, targets.clone(), 32, client_seed))
-                    }
-                    AttackKind::AHum => {
-                        Box::new(AHumClient::new(id, targets.clone(), 32, 10, client_seed))
-                    }
-                    AttackKind::PieckIpe => {
+                    Self::Pipa => Box::new(PipAttack::new(id, targets.clone(), 32, None, seed)),
+                    Self::ARa => Box::new(ARaClient::new(id, targets.clone(), 32, seed)),
+                    Self::AHum => Box::new(AHumClient::new(id, targets.clone(), 32, 10, seed)),
+                    Self::PieckIpe => {
                         let mut cfg = PieckConfig::ipe(targets.clone());
                         cfg.top_n = top_n;
                         cfg.mining_rounds = mining_rounds;
                         Box::new(PieckClient::new(id, cfg))
                     }
-                    AttackKind::PieckUea => {
+                    Self::PieckUea => {
                         let mut cfg = PieckConfig::uea(targets.clone());
                         cfg.top_n = top_n;
                         cfg.mining_rounds = mining_rounds;
                         Box::new(PieckClient::new(id, cfg))
                     }
+                    other => unreachable!("{other:?} returned above"),
                 };
                 maybe_scaled(client, scale)
             })

@@ -31,8 +31,5 @@ pub use catalog::AttackKind;
 pub use fedrecattack::FedRecAttack;
 pub use interaction::{AHumClient, ARaClient};
 pub use pipattack::PipAttack;
-pub use registry::{
-    attack_factory, AttackBuildCtx, AttackFactory, AttackParams, AttackSel, Attacks, ParamSpec,
-    ParamValue,
-};
+pub use registry::{AttackBuildCtx, AttackSel};
 pub use scaled::ScaledClient;

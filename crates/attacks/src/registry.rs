@@ -1,20 +1,20 @@
-//! The attack family of the shared registry (`frs_federation::registry`).
+//! Selecting an attack: [`AttackSel`] and the [`AttackBuildCtx`] its row
+//! builds from.
 //!
-//! Attacks are [`AttackFactory`] trait objects looked up by name. A factory
-//! turns a scenario-level [`AttackBuildCtx`] plus the selection's
-//! [`AttackParams`] into the scenario's malicious population. [`Attacks`] is
-//! the family's [`Catalog`]: its registry holds the [`AttackKind`] rows and
-//! the Table VI / IX variants (`crate::variants`), and a new attack is a new
-//! row there.
+//! Attacks are the rows of [`AttackKind`], the family's [`Catalog`]: the
+//! Table III attacks and the Table VI / IX variants (`crate::variants`). A
+//! row turns a scenario-level [`AttackBuildCtx`] plus the selection's params
+//! into the scenario's malicious population, and a new attack is one more
+//! variant.
 //!
 //! Scenarios reference attacks through [`AttackSel`], the shared
 //! [`Selection`] over this catalog (`"pieck-uea"`,
 //! `pieck-uea:scale=2.0,top_n=20` on the CLI); see
 //! `frs_federation::registry` for its wire forms. A selection's build checks
-//! its params against the factory's [`param_schema`](Factory::param_schema)
-//! before the factory runs, and the factory rejects mistyped and
-//! out-of-range values, so a typo'd `--attack` spec fails at startup (the
-//! CLI probes a `count = 0` build) instead of three cells into a sweep.
+//! its params against the row's [`param_schema`] before the row builds, and
+//! the row rejects mistyped and out-of-range values, so a typo'd `--attack`
+//! spec fails at startup (the CLI probes a `count = 0` build) instead of
+//! three cells into a sweep.
 //!
 //! ```
 //! use frs_attacks::{AttackBuildCtx, AttackSel};
@@ -29,34 +29,21 @@
 //!     .is_err());
 //! ```
 //!
-//! [`AttackKind`]: crate::AttackKind
+//! [`Catalog`]: frs_federation::Catalog
+//! [`param_schema`]: frs_federation::Catalog::param_schema
 
-use std::sync::OnceLock;
-
-use frs_federation::registry::{Catalog, Factory, Registry, Selection};
-use frs_federation::Client;
+use frs_federation::registry::Selection;
 use frs_model::ModelKind;
 
 use crate::catalog::AttackKind;
-use crate::variants::{IpeAblation, MultiTargetPieck};
 
-pub use frs_federation::params::{ParamSpec, ParamValue};
+/// A serializable reference to an attack row (see the module docs).
+pub type AttackSel = Selection<AttackKind>;
 
-/// The canonical attack hyper-parameter payload an [`AttackSel`] carries:
-/// the shared [`frs_federation::params::Params`] map (sorted keys, one
-/// variant per numeric value, no non-finite numbers — see that module for
-/// the caching invariants), aliased for readability. The defense registry
-/// aliases the same type as `frs_defense::DefenseParams`.
-pub type AttackParams = frs_federation::params::Params;
-
-/// A serializable, registry-backed reference to an attack (see the module
-/// docs).
-pub type AttackSel = Selection<Attacks>;
-
-/// Everything a scenario knows that an attack factory may consume when
+/// Everything a scenario knows that an attack row may consume when
 /// populating a run with malicious clients. Scenario-level values
 /// (`mined_top_n`, `poison_scale`) are *defaults*; selection params
-/// override them per factory schema.
+/// override them per row schema.
 #[derive(Debug, Clone)]
 pub struct AttackBuildCtx<'a> {
     /// First client id to assign; ids must be dense `first_id..first_id+count`.
@@ -105,87 +92,24 @@ impl<'a> AttackBuildCtx<'a> {
     }
 }
 
-/// A named attack that can populate a scenario with malicious clients.
-pub trait AttackFactory: Factory {
-    /// Builds `ctx.count` malicious clients with dense ids starting at
-    /// `ctx.first_id`. Every key of `params` is in the declared schema;
-    /// implementations check the values **before** constructing any client
-    /// (a `count = 0` probe must still reject bad values), falling back to
-    /// context-derived defaults for missing keys.
-    fn build_clients(
-        &self,
-        ctx: &AttackBuildCtx<'_>,
-        params: &AttackParams,
-    ) -> Result<Vec<Box<dyn Client>>, String>;
-}
-
-/// The attack family: [`AttackFactory`] entries building client
-/// populations from an [`AttackBuildCtx`].
-pub enum Attacks {}
-
-impl Catalog for Attacks {
-    type Factory = dyn AttackFactory;
-    type Ctx<'a> = AttackBuildCtx<'a>;
-    type Built = Vec<Box<dyn Client>>;
-    const NOUN: &'static str = "attack";
-
-    fn registry() -> &'static Registry<dyn AttackFactory> {
-        static REGISTRY: OnceLock<Registry<dyn AttackFactory>> = OnceLock::new();
-        fn boxed(factory: impl AttackFactory + 'static) -> Box<dyn AttackFactory> {
-            Box::new(factory)
-        }
-        // The paper's Table VI / Table IX variants are ordinary catalog
-        // rows next to the `AttackKind` ones.
-        REGISTRY.get_or_init(|| {
-            let rows = AttackKind::all().map(boxed).into_iter();
-            let variants = IpeAblation::all().map(boxed).into_iter();
-            Registry::new(
-                rows.chain(variants)
-                    .chain(MultiTargetPieck::all().map(boxed)),
-            )
-        })
-    }
-
-    fn build(
-        factory: &Self::Factory,
-        ctx: &AttackBuildCtx<'_>,
-        params: &AttackParams,
-    ) -> Result<Vec<Box<dyn Client>>, String> {
-        factory.build_clients(ctx, params)
-    }
-}
-
-/// Looks an attack up by catalog name.
-pub fn attack_factory(name: &str) -> Option<&'static dyn AttackFactory> {
-    Attacks::registry().get(name)
-}
-
-impl From<AttackKind> for AttackSel {
-    fn from(kind: AttackKind) -> Self {
-        AttackSel::named(kind.name())
-    }
-}
-
-/// Name-only comparison: a parameterized `pieck-uea:scale=2` still *is* the
-/// `PieckUea` attack for labelling/reporting purposes.
-impl PartialEq<AttackKind> for AttackSel {
-    fn eq(&self, kind: &AttackKind) -> bool {
-        self.name() == kind.name()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use frs_federation::Catalog;
 
     #[test]
     fn builtins_are_registered() {
-        for kind in AttackKind::all() {
-            let f = attack_factory(kind.name()).unwrap_or_else(|| panic!("{kind:?}"));
-            assert_eq!(f.name(), kind.name());
-            assert_eq!(f.label(), kind.label());
+        // Every row's name resolves back to that row, and the names ascend
+        // strictly, so no two rows share one.
+        let rows = AttackKind::rows();
+        assert_eq!(rows.len(), 15);
+        for &row in rows {
+            assert_eq!(AttackSel::from(row).resolve(), Some(row));
         }
-        assert!(Attacks::registry().iter().count() >= AttackKind::all().len());
+        assert!(
+            rows.windows(2).all(|w| w[0].name() < w[1].name()),
+            "{rows:?}"
+        );
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use frs_bench::{bench_cell_uploads, bench_uploads};
 use frs_defense::{DefenseBuildCtx, DefenseKind, DefenseSel};
+use frs_federation::Catalog;
 
 fn aggregation(c: &mut Criterion) {
     let uploads = bench_uploads(64, 3, 400, 16);

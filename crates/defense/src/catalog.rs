@@ -1,30 +1,28 @@
 //! Defense catalogue: the rows of Table IV.
 //!
-//! Like `frs_attacks::catalog`, each [`DefenseKind`] row is a
-//! [`DefenseFactory`] carrying its construction logic, and the rows make up
-//! the defense registry in [`crate::registry`]. Scenarios reference them
-//! through selections (`DefenseSel::from(DefenseKind::Krum)`), so a
-//! defense's params compose with every caller.
+//! Like `frs_attacks::catalog`, [`DefenseKind`] is its family's
+//! [`Catalog`]: every row's name, label, parameter schema and construction
+//! are match arms here. Scenarios reference rows through selections
+//! (`DefenseSel::from(DefenseKind::Krum)`), so a defense's params compose
+//! with every caller.
 //!
 //! The paper's client-side defense (`Ours`, `pieck_core::defense`) is an
-//! ordinary factory here: it reads its β/γ weights, Re1/Re2 switches, and
-//! mining parameters from the selection's [`DefenseParams`], falling back
-//! to the model-tuned defaults the [`DefenseBuildCtx`] carries.
+//! ordinary row here: it reads its β/γ weights, Re1/Re2 switches, and
+//! mining parameters from the selection's params, falling back to the
+//! model-tuned defaults the [`DefenseBuildCtx`] carries.
 
-use frs_federation::registry::Factory;
-use frs_federation::{Aggregator, ShardedAggregator, SumAggregator};
+use frs_federation::{Aggregator, Catalog, ParamSpec, Params, ShardedAggregator, SumAggregator};
 use pieck_core::{DefenseConfig, PieckDefense};
-use serde::{Deserialize, Serialize};
 
 use crate::krum::{Bulyan, Krum, MultiKrum};
 use crate::median::{Median, TrimmedMean};
 use crate::norm_bound::NormBound;
-use crate::registry::{DefenseBuildCtx, DefenseFactory, DefenseInstance, DefenseParams, ParamSpec};
+use crate::registry::{DefenseBuildCtx, DefenseInstance};
 
 /// Every defense evaluated in the paper, in Table IV row order. `Ours` is
 /// client-side (see `pieck_core::defense`) and pairs with plain-sum server
 /// aggregation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DefenseKind {
     NoDefense,
     NormBound,
@@ -52,45 +50,59 @@ impl DefenseKind {
         ]
     }
 
-    /// Stable registry name (kebab-case).
-    pub fn name(&self) -> &'static str {
-        match self {
-            DefenseKind::NoDefense => "none",
-            DefenseKind::NormBound => "norm-bound",
-            DefenseKind::Median => "median",
-            DefenseKind::TrimmedMean => "trimmed-mean",
-            DefenseKind::Krum => "krum",
-            DefenseKind::MultiKrum => "multi-krum",
-            DefenseKind::Bulyan => "bulyan",
-            DefenseKind::Ours => "ours",
-        }
-    }
-
-    /// Row label matching the paper.
-    pub fn label(&self) -> &'static str {
-        match self {
-            DefenseKind::NoDefense => "NoDefense",
-            DefenseKind::NormBound => "NormBound",
-            DefenseKind::Median => "Median",
-            DefenseKind::TrimmedMean => "TrimmedMean",
-            DefenseKind::Krum => "Krum",
-            DefenseKind::MultiKrum => "MultiKrum",
-            DefenseKind::Bulyan => "Bulyan",
-            DefenseKind::Ours => "ours",
-        }
+    /// True for defenses that run inside benign clients rather than in the
+    /// server's aggregation rule.
+    pub fn is_client_side(self) -> bool {
+        self == DefenseKind::Ours
     }
 }
 
-impl Factory for DefenseKind {
-    fn name(&self) -> &str {
-        DefenseKind::name(self)
+/// The builtin construction logic.
+impl Catalog for DefenseKind {
+    const NOUN: &'static str = "defense";
+    type Ctx<'a> = DefenseBuildCtx;
+    type Built = DefenseInstance;
+
+    fn rows() -> &'static [Self] {
+        &[
+            Self::Bulyan,
+            Self::Krum,
+            Self::Median,
+            Self::MultiKrum,
+            Self::NoDefense,
+            Self::NormBound,
+            Self::Ours,
+            Self::TrimmedMean,
+        ]
     }
 
-    fn label(&self) -> &str {
-        DefenseKind::label(self)
+    fn name(self) -> &'static str {
+        match self {
+            Self::NoDefense => "none",
+            Self::NormBound => "norm-bound",
+            Self::Median => "median",
+            Self::TrimmedMean => "trimmed-mean",
+            Self::Krum => "krum",
+            Self::MultiKrum => "multi-krum",
+            Self::Bulyan => "bulyan",
+            Self::Ours => "ours",
+        }
     }
 
-    fn param_schema(&self) -> Vec<ParamSpec> {
+    fn label(self) -> &'static str {
+        match self {
+            Self::NoDefense => "NoDefense",
+            Self::NormBound => "NormBound",
+            Self::Median => "Median",
+            Self::TrimmedMean => "TrimmedMean",
+            Self::Krum => "Krum",
+            Self::MultiKrum => "MultiKrum",
+            Self::Bulyan => "Bulyan",
+            Self::Ours => "ours",
+        }
+    }
+
+    fn param_schema(self) -> Vec<ParamSpec> {
         let shards = || {
             ParamSpec::new(
                 "shards",
@@ -99,17 +111,14 @@ impl Factory for DefenseKind {
             )
         };
         match self {
-            DefenseKind::NoDefense => Vec::new(),
-            DefenseKind::Median => vec![shards()],
-            DefenseKind::NormBound => vec![ParamSpec::new(
+            Self::NoDefense => Vec::new(),
+            Self::Median => vec![shards()],
+            Self::NormBound => vec![ParamSpec::new(
                 "threshold",
                 "L2 clipping threshold per upload",
                 "scenario norm_bound_threshold",
             )],
-            DefenseKind::TrimmedMean
-            | DefenseKind::Krum
-            | DefenseKind::MultiKrum
-            | DefenseKind::Bulyan => vec![
+            Self::TrimmedMean | Self::Krum | Self::MultiKrum | Self::Bulyan => vec![
                 ParamSpec::new(
                     "ratio",
                     "assumed malicious fraction p̃ (clamped to [0, 0.49])",
@@ -117,7 +126,7 @@ impl Factory for DefenseKind {
                 ),
                 shards(),
             ],
-            DefenseKind::Ours => vec![
+            Self::Ours => vec![
                 ParamSpec::new("beta", "weight β of Re1 (Eq. 14)", "model-tuned (ctx)"),
                 ParamSpec::new("gamma", "weight γ of Re2 (Eq. 15)", "model-tuned (ctx)"),
                 ParamSpec::new("re1", "enable the Re1 confusion term", "true"),
@@ -131,19 +140,8 @@ impl Factory for DefenseKind {
             ],
         }
     }
-}
 
-/// The builtin construction logic.
-impl DefenseFactory for DefenseKind {
-    fn is_client_side(&self) -> bool {
-        matches!(self, DefenseKind::Ours)
-    }
-
-    fn build(
-        &self,
-        ctx: &DefenseBuildCtx,
-        params: &DefenseParams,
-    ) -> Result<DefenseInstance, String> {
+    fn build(self, ctx: &DefenseBuildCtx, params: &Params) -> Result<DefenseInstance, String> {
         // Robust rules assume a minority of malicious uploads; clamp.
         let ratio = params
             .get_f64("ratio")?
@@ -169,21 +167,26 @@ impl DefenseFactory for DefenseKind {
         // (`sharded_parity` pins it) and only costs the per-shard copies:
         // they run bare, and `shards` stays a keyed, validated no-op.
         Ok(match self {
-            DefenseKind::NoDefense => DefenseInstance::server(Box::new(SumAggregator)),
-            DefenseKind::NormBound => {
+            Self::NoDefense => DefenseInstance::server(Box::new(SumAggregator)),
+            Self::NormBound => {
+                // Checked whether it came from the param or from the ctx
+                // default, which a ConfigPatch can set.
                 let threshold = params
                     .get_f32("threshold")?
                     .unwrap_or(ctx.norm_bound_threshold);
+                if threshold <= 0.0 || !threshold.is_finite() {
+                    return Err(format!(
+                        "param `threshold` must be positive and finite, got {threshold}"
+                    ));
+                }
                 DefenseInstance::server(Box::new(NormBound::new(threshold)))
             }
-            DefenseKind::Median => DefenseInstance::server(Box::new(Median)),
-            DefenseKind::TrimmedMean => DefenseInstance::server(Box::new(TrimmedMean::new(ratio))),
-            DefenseKind::Krum => DefenseInstance::server(sharded(Box::new(Krum::new(ratio)))),
-            DefenseKind::MultiKrum => {
-                DefenseInstance::server(sharded(Box::new(MultiKrum::new(ratio))))
-            }
-            DefenseKind::Bulyan => DefenseInstance::server(sharded(Box::new(Bulyan::new(ratio)))),
-            DefenseKind::Ours => {
+            Self::Median => DefenseInstance::server(Box::new(Median)),
+            Self::TrimmedMean => DefenseInstance::server(Box::new(TrimmedMean::new(ratio))),
+            Self::Krum => DefenseInstance::server(sharded(Box::new(Krum::new(ratio)))),
+            Self::MultiKrum => DefenseInstance::server(sharded(Box::new(MultiKrum::new(ratio)))),
+            Self::Bulyan => DefenseInstance::server(sharded(Box::new(Bulyan::new(ratio)))),
+            Self::Ours => {
                 let config = DefenseConfig {
                     mining_rounds: params.get_usize("mining_rounds")?.unwrap_or(2),
                     top_n: params
@@ -409,5 +412,25 @@ mod tests {
         let loose = DefenseSel::named("norm-bound").build(&ctx);
         let out = loose.aggregator.aggregate(&[u]);
         assert_eq!(out.get(0).unwrap(), vec![3.0, 4.0]);
+    }
+
+    #[test]
+    fn normbound_rejects_a_non_positive_threshold_without_panicking() {
+        // From the param…
+        let ctx = DefenseBuildCtx::minimal(0.05, 1.0);
+        for spec in ["norm-bound:threshold=0", "norm-bound:threshold=-1"] {
+            let err = DefenseSel::parse(spec)
+                .unwrap()
+                .try_build(&ctx)
+                .unwrap_err();
+            assert!(err.contains("must be positive and finite"), "{spec}: {err}");
+        }
+        // …and from the ctx default a ConfigPatch can set.
+        for threshold in [0.0, -1.0, f32::INFINITY, f32::NAN] {
+            let err = DefenseSel::from(DefenseKind::NormBound)
+                .try_build(&DefenseBuildCtx::minimal(0.05, threshold))
+                .unwrap_err();
+            assert!(err.contains("threshold"), "{threshold}: {err}");
+        }
     }
 }

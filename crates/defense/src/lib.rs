@@ -17,8 +17,8 @@
 //! (`Ẽ(v_j) ≫ p̃`, Eq. 11), so majority-seeking statistics faithfully keep the
 //! poison. The paper's actual defense is client-side
 //! (`pieck_core::defense`); it is the ordinary `"ours"` row of the
-//! [`registry`], parameterized through [`DefenseParams`] like every other
-//! entry.
+//! [`catalog`], parameterized through its selection's params like every
+//! other row.
 
 pub mod catalog;
 pub mod krum;
@@ -30,7 +30,4 @@ pub use catalog::DefenseKind;
 pub use krum::{Bulyan, Krum, MultiKrum};
 pub use median::{Median, TrimmedMean};
 pub use norm_bound::NormBound;
-pub use registry::{
-    defense_factory, DefenseBuildCtx, DefenseFactory, DefenseInstance, DefenseParams, DefenseSel,
-    Defenses, ParamSpec, ParamValue, RegularizerFactory,
-};
+pub use registry::{DefenseBuildCtx, DefenseInstance, DefenseSel, RegularizerFactory};

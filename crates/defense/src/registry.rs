@@ -1,24 +1,24 @@
-//! The defense family of the shared registry (`frs_federation::registry`).
+//! Selecting a defense: [`DefenseSel`], the [`DefenseBuildCtx`] its row
+//! builds from, and the [`DefenseInstance`] it builds.
 //!
-//! Defenses are [`DefenseFactory`] trait objects looked up by name. A
-//! factory turns a scenario-level [`DefenseBuildCtx`] plus the selection's
-//! [`DefenseParams`] into a [`DefenseInstance`]: the server-side
-//! [`Aggregator`] and — for client-side schemes like the paper's
-//! regularization defense — a per-client [`LocalRegularizer`] factory the
-//! harness invokes once per benign client. [`Defenses`] is the family's
-//! [`Catalog`]: its registry holds the [`DefenseKind`] rows, and a new
-//! defense is a new row there.
+//! Defenses are the rows of [`DefenseKind`], the family's [`Catalog`]. A
+//! row turns a scenario-level [`DefenseBuildCtx`] plus the selection's
+//! params into a [`DefenseInstance`]: the server-side [`Aggregator`] and —
+//! for client-side schemes like the paper's regularization defense — a
+//! per-client [`LocalRegularizer`] factory the harness invokes once per
+//! benign client. A new defense is one more variant.
 //!
 //! Scenarios reference defenses through [`DefenseSel`], the shared
 //! [`Selection`] over this catalog (`"ours"`, `ours:beta=0.9` on the CLI);
 //! see `frs_federation::registry` for its wire forms and for the schema
-//! check every build runs before the factory does.
+//! check every build runs before the row does.
 //!
-//! The paper's own defense (`"ours"`) goes through this registry like every
-//! other factory: its β/γ weights, the Re1/Re2 ablation switches, and the
-//! mining parameters are ordinary [`DefenseParams`] entries, with
-//! model-tuned defaults supplied by the [`DefenseBuildCtx`]. There is no
-//! harness special case.
+//! The paper's own defense (`"ours"`) is a row like every other: its β/γ
+//! weights, the Re1/Re2 ablation switches, and the mining parameters are
+//! ordinary params, with model-tuned defaults supplied by the
+//! [`DefenseBuildCtx`]. There is no harness special case. A bad value,
+//! such as a non-positive NormBound threshold, is an `Err` from the build,
+//! never a panic.
 //!
 //! ```
 //! use frs_defense::{DefenseBuildCtx, DefenseSel};
@@ -31,29 +31,18 @@
 //! assert!(DefenseSel::parse("none:shards=2").unwrap().try_build(&ctx).is_err());
 //! ```
 //!
-//! [`DefenseKind`]: crate::DefenseKind
+//! [`Catalog`]: frs_federation::Catalog
 
-use std::sync::OnceLock;
-
-use frs_federation::registry::{Catalog, Factory, Registry, Selection};
+use frs_federation::registry::Selection;
 use frs_federation::{Aggregator, LocalRegularizer};
 use frs_model::ModelKind;
 
 use crate::catalog::DefenseKind;
 
-pub use frs_federation::params::{ParamSpec, ParamValue};
 pub use frs_federation::RegularizerFactory;
 
-/// The canonical defense hyper-parameter payload a [`DefenseSel`] carries:
-/// the shared [`frs_federation::params::Params`] map (sorted keys, one
-/// variant per numeric value, no non-finite numbers — see that module for
-/// the caching invariants), aliased for readability. The attack registry
-/// aliases the same type as `frs_attacks::AttackParams`.
-pub type DefenseParams = frs_federation::params::Params;
-
-/// A serializable, registry-backed reference to a defense (see the module
-/// docs).
-pub type DefenseSel = Selection<Defenses>;
+/// A serializable reference to a defense row (see the module docs).
+pub type DefenseSel = Selection<DefenseKind>;
 
 /// Everything a scenario knows that a defense may consume when
 /// instantiating — the paper's defense needs most of it (mined `N`, the
@@ -101,8 +90,8 @@ impl DefenseBuildCtx {
     }
 }
 
-/// A fully instantiated defense: what [`DefenseFactory::build`] returns and
-/// the harness wires into a simulation.
+/// A fully instantiated defense: what a [`DefenseKind`] row builds and the
+/// harness wires into a simulation.
 pub struct DefenseInstance {
     /// The server-side aggregation rule (client-side defenses pair with a
     /// plain sum here).
@@ -143,84 +132,24 @@ impl DefenseInstance {
     }
 }
 
-/// A named defense that can arm a scenario.
-pub trait DefenseFactory: Factory {
-    /// True for defenses that run inside benign clients rather than in the
-    /// server's aggregation rule.
-    fn is_client_side(&self) -> bool {
-        false
-    }
-
-    /// Instantiates the defense for one scenario. Every key of `params` is
-    /// in the declared schema; implementations check the values and fall
-    /// back to context-derived defaults for missing keys.
-    fn build(
-        &self,
-        ctx: &DefenseBuildCtx,
-        params: &DefenseParams,
-    ) -> Result<DefenseInstance, String>;
-}
-
-/// The defense family: [`DefenseFactory`] entries building a
-/// [`DefenseInstance`] from a [`DefenseBuildCtx`].
-pub enum Defenses {}
-
-impl Catalog for Defenses {
-    type Factory = dyn DefenseFactory;
-    type Ctx<'a> = DefenseBuildCtx;
-    type Built = DefenseInstance;
-    const NOUN: &'static str = "defense";
-
-    fn registry() -> &'static Registry<dyn DefenseFactory> {
-        static REGISTRY: OnceLock<Registry<dyn DefenseFactory>> = OnceLock::new();
-        REGISTRY.get_or_init(|| {
-            Registry::new(
-                DefenseKind::all()
-                    .into_iter()
-                    .map(|kind| Box::new(kind) as Box<dyn DefenseFactory>),
-            )
-        })
-    }
-
-    fn build(
-        factory: &Self::Factory,
-        ctx: &DefenseBuildCtx,
-        params: &DefenseParams,
-    ) -> Result<DefenseInstance, String> {
-        factory.build(ctx, params)
-    }
-}
-
-/// Looks a defense up by catalog name.
-pub fn defense_factory(name: &str) -> Option<&'static dyn DefenseFactory> {
-    Defenses::registry().get(name)
-}
-
-impl From<DefenseKind> for DefenseSel {
-    fn from(kind: DefenseKind) -> Self {
-        DefenseSel::named(kind.name())
-    }
-}
-
-/// Name-only comparison: a parameterized `ours:beta=0.9` still *is* the
-/// `Ours` defense for labelling/reporting purposes.
-impl PartialEq<DefenseKind> for DefenseSel {
-    fn eq(&self, kind: &DefenseKind) -> bool {
-        self.name() == kind.name()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use frs_federation::{Catalog, ParamValue, Params};
 
     #[test]
     fn builtins_are_registered() {
-        for kind in DefenseKind::all() {
-            let f = defense_factory(kind.name()).unwrap_or_else(|| panic!("{kind:?}"));
-            assert_eq!(f.label(), kind.label());
-            assert_eq!(f.is_client_side(), kind.is_client_side());
+        // Every row's name resolves back to that row, and the names ascend
+        // strictly, so no two rows share one.
+        let rows = DefenseKind::rows();
+        assert_eq!(rows.len(), 8);
+        for &row in rows {
+            assert_eq!(DefenseSel::from(row).resolve(), Some(row));
         }
+        assert!(
+            rows.windows(2).all(|w| w[0].name() < w[1].name()),
+            "{rows:?}"
+        );
     }
 
     #[test]
@@ -347,7 +276,7 @@ mod tests {
     fn f32_overflow_is_a_clean_error_not_infinity() {
         // 1e39 is a finite f64 but narrows to f32::INFINITY — it must not
         // slip past the finiteness guards as an "infinite β".
-        let params = DefenseParams::new().with("beta", 1e39f64);
+        let params = Params::new().with("beta", 1e39f64);
         assert!(params.get_f32("beta").unwrap_err().contains("f32"));
         assert_eq!(params.get_f64("beta").unwrap(), Some(1e39));
         let sel = DefenseSel::parse("ours:beta=1e39").unwrap();
@@ -363,7 +292,7 @@ mod tests {
         // JSON null and collide cache keys), so typed accessors error.
         assert_eq!(ParamValue::parse("nan"), ParamValue::Str("nan".into()));
         assert_eq!(ParamValue::parse("-inf"), ParamValue::Str("-inf".into()));
-        let params = DefenseParams::new().with("beta", ParamValue::parse("nan"));
+        let params = Params::new().with("beta", ParamValue::parse("nan"));
         assert!(params.get_f32("beta").is_err());
         // Wire form: a non-finite number fails deserialization.
         let bad: Result<ParamValue, _> =
@@ -374,12 +303,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "must be finite")]
     fn non_finite_programmatic_params_panic() {
-        let _ = DefenseParams::new().with("beta", f64::INFINITY);
+        let _ = Params::new().with("beta", f64::INFINITY);
     }
 
     #[test]
     fn param_value_types_round_trip_and_check() {
-        let params = DefenseParams::new()
+        let params = Params::new()
             .with("b", true)
             .with("f", 0.5f32)
             .with("i", 7usize)
@@ -397,7 +326,7 @@ mod tests {
         assert!(err.contains("unknown parameter"), "{err}");
 
         let v = serde::Serialize::to_value(&params);
-        let back: DefenseParams = serde::Deserialize::from_value(&v).unwrap();
+        let back: Params = serde::Deserialize::from_value(&v).unwrap();
         assert_eq!(back, params);
     }
 }

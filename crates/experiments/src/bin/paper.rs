@@ -14,8 +14,8 @@
 //! paper all --json out/      # everything, with JSON reports in out/
 //! paper all --cache-dir cache/ --progress run.jsonl   # cached + observable
 //! paper cache stats --cache-dir cache/                # inspect the cache
-//! paper defenses list        # defense registry: names, sides, param schemas
-//! paper attacks list         # attack registry: names, labels, param schemas
+//! paper defenses list        # defense catalog: names, sides, param schemas
+//! paper attacks list         # attack catalog: names, labels, param schemas
 //! paper table5 --defense ours:beta=0.9,re2=false  # parameterized override
 //! paper table3 --attack pieck-uea:scale=2.0,top_n=20  # attack-side override
 //! paper table4 mf --dataset file:data/u.data      # real MovieLens dump
@@ -40,12 +40,12 @@
 // binary's command dispatch.
 #![allow(clippy::exit)]
 
-use frs_attacks::Attacks;
-use frs_defense::Defenses;
+use frs_attacks::AttackKind;
+use frs_defense::DefenseKind;
 use frs_experiments::paper::PaperCommand;
 use frs_experiments::suite::ExecOptions;
 use frs_experiments::{CommonArgs, JsonlSink, Report, ReportFormat, SuiteCache};
-use frs_federation::{Catalog, CoreBudget, Factory, Selection};
+use frs_federation::{Catalog, CoreBudget, Selection};
 
 fn print_usage() {
     eprintln!("usage: paper <command> [operands] [--scale f] [--rounds n] [--seed s] [--full]");
@@ -79,19 +79,18 @@ fn probe<C: Catalog>(sel: &Selection<C>, ctx: &C::Ctx<'_>, flag: &str) {
     }
 }
 
-/// `paper attacks list` / `paper defenses list`: every entry of
-/// catalog `C` with its table label, its `side` column when the family has
-/// one, and its parameter schema (the keys `--attack`/`--defense
-/// name:k=v,…` accepts).
-fn list<C: Catalog>(name_width: usize, side: Option<fn(&C::Factory) -> &'static str>) {
+/// `paper attacks list` / `paper defenses list`: every row of catalog `C`
+/// with its table label, its `side` column when the family has one, and its
+/// parameter schema (the keys `--attack`/`--defense name:k=v,…` accepts).
+fn list<C: Catalog>(name_width: usize, side: Option<fn(C) -> &'static str>) {
     let side_header = side.map_or(String::new(), |_| format!("{:<7} ", "side"));
     println!(
         "{:<name_width$} {:<14} {side_header}params",
         "name", "label"
     );
-    for factory in C::registry().iter() {
-        let side_cell = side.map_or(String::new(), |side| format!("{:<7} ", side(factory)));
-        let schema = factory.param_schema();
+    for &row in C::rows() {
+        let side_cell = side.map_or(String::new(), |side| format!("{:<7} ", side(row)));
+        let schema = row.param_schema();
         let params = if schema.is_empty() {
             "-".to_string()
         } else {
@@ -103,8 +102,8 @@ fn list<C: Catalog>(name_width: usize, side: Option<fn(&C::Factory) -> &'static 
         };
         println!(
             "{:<name_width$} {:<14} {side_cell}{params}",
-            factory.name(),
-            factory.label()
+            row.name(),
+            row.label()
         );
     }
 }
@@ -449,10 +448,10 @@ fn main() {
                 }
             }
             if cmd == "defenses" {
-                list::<Defenses>(
+                list::<DefenseKind>(
                     14,
-                    Some(|f| {
-                        if f.is_client_side() {
+                    Some(|row| {
+                        if row.is_client_side() {
                             "client"
                         } else {
                             "server"
@@ -460,7 +459,7 @@ fn main() {
                     }),
                 );
             } else {
-                list::<Attacks>(22, None);
+                list::<AttackKind>(22, None);
             }
             return;
         }

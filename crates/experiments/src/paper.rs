@@ -9,10 +9,10 @@
 
 use std::sync::Arc;
 
-use frs_attacks::{AttackKind, AttackSel};
+use frs_attacks::AttackKind;
 use frs_data::{synth, DataSource, Dataset, DatasetSpec, DatasetStats, TrainTestSplit};
 use frs_defense::{DefenseKind, DefenseSel};
-use frs_federation::{ClientsPerRound, CoreBudget, Simulation};
+use frs_federation::{Catalog, ClientsPerRound, CoreBudget, Simulation};
 use frs_metrics::{
     average_recommended_popularity, catalogue_coverage, covered_users, gini_coefficient,
     pairwise_kl, recommendation_frequency, user_coverage_ratio, DeltaNormTracker,
@@ -313,15 +313,14 @@ fn table5() -> ExperimentSuite {
 
 /// Table VI: L_IPE ablation (left) and L_def ablation (right).
 fn table6() -> ExperimentSuite {
-    // The ablation rows are builtin parameterized catalog entries
-    // (`frs_attacks::variants::IpeAblation`), not runtime registrations.
+    // The ablation rows are `AttackKind` rows (built in
+    // `frs_attacks::variants`), in Table VI order.
     let ablation_attacks = [
-        "ipe-ablation-pkl",
-        "ipe-ablation-pcos",
-        "ipe-ablation-pcos-k",
-        "ipe-ablation-full",
-    ]
-    .map(AttackSel::named);
+        AttackKind::IpeAblationPkl,
+        AttackKind::IpeAblationPcos,
+        AttackKind::IpeAblationPcosK,
+        AttackKind::IpeAblationFull,
+    ];
     let def_variants =
         [(false, false), (true, false), (false, true), (true, true)].map(|(re1, re2)| {
             ConfigPatch {
@@ -387,18 +386,18 @@ fn table7() -> ExperimentSuite {
     )
 }
 
-/// The Table IX rows: builtin catalog entries pinning PIECK to a
-/// multi-target strategy (`frs_attacks::variants::MultiTargetPieck`), with
-/// the paper's per-solution mined-set sizes as their `top_n` defaults.
-fn multi_target_attacks(strategy: MultiTargetStrategy) -> Vec<AttackSel> {
-    let suffix = match strategy {
-        MultiTargetStrategy::TrainTogether => "together",
-        MultiTargetStrategy::TrainOneThenCopy => "copy",
-    };
-    ["pieck-ipe", "pieck-uea"]
-        .into_iter()
-        .map(|base| AttackSel::named(format!("{base}-{suffix}")))
-        .collect()
+/// The Table IX rows: `AttackKind` rows pinning PIECK-IPE and PIECK-UEA
+/// to a multi-target strategy (built in `frs_attacks::variants`), with the
+/// paper's per-solution mined-set sizes as their `top_n` defaults.
+fn multi_target_attacks(strategy: MultiTargetStrategy) -> [AttackKind; 2] {
+    match strategy {
+        MultiTargetStrategy::TrainTogether => {
+            [AttackKind::PieckIpeTogether, AttackKind::PieckUeaTogether]
+        }
+        MultiTargetStrategy::TrainOneThenCopy => {
+            [AttackKind::PieckIpeCopy, AttackKind::PieckUeaCopy]
+        }
+    }
 }
 
 /// Table IX: |T| ∈ {2..5} under both multi-target strategies.
@@ -1022,6 +1021,7 @@ fn popularity_bias(args: &CommonArgs, opts: &RunOptions, exec: &ExecOptions<'_>)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use frs_attacks::AttackSel;
     use frs_federation::RoundThreads;
 
     #[test]
@@ -1078,12 +1078,16 @@ mod tests {
 
     #[test]
     fn ablation_attacks_are_builtin_catalog_entries() {
-        // The names resolve from a cold registry, *before* any suite is
+        // The names resolve to catalog rows, *before* any suite is
         // declared.
-        assert!(frs_attacks::attack_factory("ipe-ablation-pkl").is_some());
-        assert!(frs_attacks::attack_factory("ipe-ablation-full").is_some());
-        assert!(frs_attacks::attack_factory("pieck-uea-copy").is_some());
-        assert!(frs_attacks::attack_factory("pieck-ipe-together").is_some());
+        for name in [
+            "ipe-ablation-pkl",
+            "ipe-ablation-full",
+            "pieck-uea-copy",
+            "pieck-ipe-together",
+        ] {
+            assert!(AttackSel::named(name).resolve().is_some(), "{name}");
+        }
         // And every cell the ablation suites materialize builds cleanly
         // from its serialized config alone.
         for suite in [table6(), table9()] {

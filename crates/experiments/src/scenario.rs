@@ -2,9 +2,9 @@
 //!
 //! Attacks and defenses are referenced by *catalog name* through
 //! [`AttackSel`] / [`DefenseSel`], so scenarios serialize to plain data and
-//! rebuild from that data alone. The legacy enums still convert into
-//! selections with `.into()`; [`run_with`] swaps in hand-wired attackers
-//! for golden tests.
+//! rebuild from that data alone. The catalog enums (`AttackKind`,
+//! `DefenseKind`) convert into selections with `.into()`; [`run_with`]
+//! swaps in hand-wired attackers for golden tests.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -27,12 +27,12 @@ pub struct ScenarioConfig {
     pub dataset: DatasetSpec,
     pub model: ModelConfig,
     pub federation: FederationConfig,
-    /// Attack, referenced by registry name plus a canonical parameter
+    /// Attack, referenced by catalog name plus a canonical parameter
     /// payload (see `frs_attacks::registry` — e.g. `pieck-uea:scale=2`).
     /// Attack hyper-parameter *overrides* live here; `mined_top_n` /
     /// `poison_scale` below stay the scenario-level defaults.
     pub attack: AttackSel,
-    /// Defense, referenced by registry name plus a canonical parameter
+    /// Defense, referenced by catalog name plus a canonical parameter
     /// payload (see `frs_defense::registry` — e.g. `ours:beta=0.9`). All
     /// defense hyper-parameters, including the paper's β/γ and Re1/Re2
     /// ablation switches, live here.
@@ -115,7 +115,7 @@ impl ScenarioConfig {
         ((p / (1.0 - p)) * n_benign as f64).round().max(1.0) as usize
     }
 
-    /// The registry context used to instantiate this scenario's defense:
+    /// The build context used to instantiate this scenario's defense:
     /// everything the paper's defense needs (mined `N`, the model family
     /// its β/γ are tuned per, embedding dim, seed) plus the classic
     /// server-side knobs. Selection params override these defaults.
@@ -139,7 +139,7 @@ impl ScenarioConfig {
         }
     }
 
-    /// The registry context used to instantiate this scenario's attack for
+    /// The build context used to instantiate this scenario's attack for
     /// `count` clients starting at `first_id`: the scenario-level defaults
     /// (mined `N`, poison scale) that selection params override, plus the
     /// model family, embedding dimension, spec-declared dataset sizes, and

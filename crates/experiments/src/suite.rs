@@ -144,7 +144,7 @@ impl ConfigPatch {
             }
         }
         // Defense hyper-parameters route through the selection's canonical
-        // params payload — the registry API every defense (the paper's
+        // params payload — the catalog API every defense (the paper's
         // included) is configured by. A key is applied only when the cell's
         // resolved defense declares it, so a `--defense krum` override
         // running through table6's `ours`-specific ablation variants skips

@@ -50,6 +50,6 @@ pub use config::{ClientsPerRound, FederationConfig, RoundThreads};
 pub use context::RoundContext;
 pub use params::{ParamSpec, ParamValue, Params};
 pub use population::{ClientPool, LazyClientPool, RegularizerFactory};
-pub use registry::{Catalog, Factory, Registry, Selection};
+pub use registry::{Catalog, Selection};
 pub use server::{Simulation, SimulationBuilder};
 pub use stats::{RoundStats, TrainingStats};

@@ -1,10 +1,9 @@
-//! Canonical factory-parameter payloads shared by the attack and defense
-//! registries.
+//! Canonical parameter payloads shared by the attack and defense catalogs.
 //!
 //! Both `frs_attacks::AttackSel` and `frs_defense::DefenseSel` reference a
-//! factory by registry name plus a serializable hyper-parameter map. The
-//! map's invariants are what make suite caching sound, so they live here —
-//! once, below both registries — instead of being duplicated per side:
+//! catalog row by name plus a serializable hyper-parameter map. The map's
+//! invariants are what make suite caching sound, so they live here — once,
+//! below both catalogs — instead of being duplicated per side:
 //!
 //! - **Canonical bytes.** [`Params`] is a sorted-key map of JSON-shaped
 //!   [`ParamValue`]s, so structurally equal payloads always serialize to the
@@ -18,12 +17,12 @@
 //!   strings that fail the typed accessors) on every path, and `get_f32`
 //!   refuses f64 values that would narrow to infinity.
 //!
-//! [`ParamSpec`] is the declared schema entry factories validate against
+//! [`ParamSpec`] is the declared schema entry rows validate against
 //! ([`Params::check_known`]) and the CLI catalogs print.
 
 use std::collections::BTreeMap;
 
-/// One factory hyper-parameter value. Kept deliberately JSON-shaped so the
+/// One row hyper-parameter value. Kept deliberately JSON-shaped so the
 /// whole params map canonicalizes exactly like every other config field.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ParamValue {
@@ -193,9 +192,9 @@ impl serde::Deserialize for ParamValue {
     }
 }
 
-/// A canonical (sorted-key) map of factory hyper-parameters — the
+/// A canonical (sorted-key) map of row hyper-parameters — the
 /// serializable payload an `AttackSel`/`DefenseSel` carries alongside its
-/// registry name. Missing keys mean "use the factory's context-derived
+/// catalog name. Missing keys mean "use the row's context-derived
 /// default".
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Params {
@@ -299,7 +298,7 @@ impl Params {
         }
     }
 
-    /// Errors when any key is not in `known` — factories call this first so
+    /// Errors when any key is not in `known` — every build checks this first so
     /// a typo'd `--defense ours:betta=1` or `--attack pieck-uea:topn=5`
     /// fails loudly instead of silently running the defaults.
     pub fn check_known(&self, known: &[&str], owner: &str) -> Result<(), String> {
@@ -313,7 +312,8 @@ impl Params {
         }
     }
 
-    /// Parses a CLI-style `k=v,k=v,…` list.
+    /// Parses a CLI-style `k=v,k=v,…` list. A key given twice is an error:
+    /// letting the last value win would leave the first silently inert.
     pub fn parse_list(s: &str) -> Result<Self, String> {
         let mut params = Self::new();
         for pair in s.split(',') {
@@ -324,10 +324,14 @@ impl Params {
             let (key, value) = pair
                 .split_once('=')
                 .ok_or_else(|| format!("bad param `{pair}`; expected key=value"))?;
-            if key.trim().is_empty() {
+            let key = key.trim();
+            if key.is_empty() {
                 return Err(format!("bad param `{pair}`; empty key"));
             }
-            params.set(key.trim(), ParamValue::parse(value.trim()));
+            if params.get(key).is_some() {
+                return Err(format!("param `{key}` given twice"));
+            }
+            params.set(key, ParamValue::parse(value.trim()));
         }
         Ok(params)
     }
@@ -371,8 +375,8 @@ impl serde::Deserialize for Params {
     }
 }
 
-/// Declared schema entry of one factory parameter (`paper attacks list` /
-/// `paper defenses list` and [`Params::check_known`] feed off the factory's
+/// Declared schema entry of one row parameter (`paper attacks list` /
+/// `paper defenses list` and [`Params::check_known`] feed off the row's
 /// schema).
 #[derive(Debug, Clone)]
 pub struct ParamSpec {
@@ -500,5 +504,21 @@ mod tests {
         assert!(Params::parse_list("scale").is_err());
         assert!(Params::parse_list("=1").is_err());
         assert!(Params::parse_list("").unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_key_given_twice_is_rejected() {
+        // Letting the last value win would leave the first silently inert.
+        for (list, key) in [
+            ("scale=2,scale=3", "scale"),
+            ("scale=2, scale =2", "scale"),
+            ("top_n=5,scale=1,top_n=5", "top_n"),
+        ] {
+            let err = Params::parse_list(list).unwrap_err();
+            assert!(
+                err.contains(&format!("`{key}` given twice")),
+                "{list}: {err}"
+            );
+        }
     }
 }

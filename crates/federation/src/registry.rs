@@ -1,25 +1,19 @@
-//! One fixed catalog and one selection type for every factory family.
+//! One catalog trait and one selection type for every family of rows.
 //!
-//! Attacks and defenses are both *named factories*: a [`Registry`] maps a
-//! kebab-case name to a trait object, and a scenario references an entry
-//! through a [`Selection`], the name plus a canonical [`Params`] payload.
-//! The families differ only in what a factory is handed and what it
-//! returns. A [`Catalog`] names those types once per family
-//! (`frs_attacks::Attacks`, `frs_defense::Defenses`) and builds the
-//! family's registry from its builtin rows; everything else lives here,
-//! once:
+//! Attacks and defenses are both *closed catalogs*: each family is an enum
+//! whose variants are its rows (`frs_attacks::AttackKind`,
+//! `frs_defense::DefenseKind`), and a scenario references a row through a
+//! [`Selection`], its kebab-case name plus a canonical [`Params`] payload.
+//! [`Catalog`] is what every row enum implements: its name, label and
+//! parameter schema, the context a build is handed and what it returns.
+//! [`Selection::try_build`] is the one place a name is resolved to its
+//! row, params are checked against the row's declared schema, and the row
+//! builds. A row therefore never sees a key it did not declare, and checks
+//! only values.
 //!
-//! - [`Factory`]: the name, label and parameter schema every entry
-//!   declares;
-//! - [`Registry`]: the immutable name → factory map, looked up and listed;
-//! - [`Selection`]: the serializable reference. [`Selection::try_build`] is
-//!   the one place a name is resolved, params are checked against the
-//!   factory's declared schema, and the factory runs. A factory therefore
-//!   never sees a key it did not declare, and checks only values.
-//!
-//! The catalogs are closed: a new attack or defense is a new row in its
-//! family's catalog, so every cell is rebuilt from its serialized config
-//! alone and a name always means the same code.
+//! A new attack or defense is one more variant plus its match arms, so
+//! every cell is rebuilt from its serialized config alone and a name always
+//! means the same code.
 //!
 //! A selection serializes as the plain name string when its params are
 //! empty (`"pieck-uea"`) and as `{"name": "pieck-uea", "params": {…}}`
@@ -30,89 +24,46 @@
 //!
 //! [`Display`]: std::fmt::Display
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::marker::PhantomData;
 
 use crate::client::Client;
 use crate::params::{ParamSpec, ParamValue, Params};
 
-/// The catalog name of every family's baseline entry: no attack, no
-/// defense.
+/// The catalog name of every family's baseline row: no attack, no defense.
 const NONE: &str = "none";
 
-/// What every catalog entry declares, whatever it builds.
-pub trait Factory: Send + Sync {
-    /// Stable catalog key (kebab-case).
-    fn name(&self) -> &str;
-
-    /// Row label for experiment tables; defaults to the catalog name.
-    fn label(&self) -> &str {
-        self.name()
-    }
-
-    /// The parameters this factory accepts, for validation and for the
-    /// `paper attacks list` / `paper defenses list` catalogs. Empty (the
-    /// default) means "takes none".
-    fn param_schema(&self) -> Vec<ParamSpec> {
-        Vec::new()
-    }
-}
-
-/// A family of factories: the types a build consumes and produces, and the
-/// family's fixed catalog.
-pub trait Catalog: 'static {
-    /// The family's factory trait object, e.g. `dyn AttackFactory`.
-    type Factory: ?Sized + Factory;
-    /// What a scenario hands a factory.
+/// A family's row enum: every builtin attack, or every builtin defense.
+pub trait Catalog: Copy + 'static {
+    /// The family's noun in error messages ("attack", "defense").
+    const NOUN: &'static str;
+    /// What a scenario hands a build.
     type Ctx<'a>;
     /// What a build returns.
     type Built;
-    /// The family's noun in error messages ("attack", "defense").
-    const NOUN: &'static str;
 
-    /// The family's registry of builtin entries, built on first use.
-    fn registry() -> &'static Registry<Self::Factory>;
+    /// Every row, in name order.
+    fn rows() -> &'static [Self];
 
-    /// Runs `factory`. Every key of `params` is declared in the factory's
-    /// schema; checking the values is the factory's job.
-    fn build(
-        factory: &Self::Factory,
-        ctx: &Self::Ctx<'_>,
-        params: &Params,
-    ) -> Result<Self::Built, String>;
+    /// Stable catalog key (kebab-case).
+    fn name(self) -> &'static str;
+
+    /// Row label for experiment tables.
+    fn label(self) -> &'static str;
+
+    /// The parameters this row accepts, for validation and for the `paper
+    /// attacks list` / `paper defenses list` catalogs. Empty means "takes
+    /// none".
+    fn param_schema(self) -> Vec<ParamSpec>;
+
+    /// Builds the row. Every key of `params` is declared in its schema;
+    /// checking the values is the row's job.
+    fn build(self, ctx: &Self::Ctx<'_>, params: &Params) -> Result<Self::Built, String>;
 }
 
-/// An immutable name → factory map, built once per family by
-/// [`Catalog::registry`].
-pub struct Registry<F: ?Sized> {
-    entries: BTreeMap<String, Box<F>>,
-}
-
-impl<F: ?Sized + Factory> Registry<F> {
-    /// A registry holding `entries`, each under its own name.
-    pub fn new(entries: impl IntoIterator<Item = Box<F>>) -> Self {
-        let entries = entries
-            .into_iter()
-            .map(|factory| (factory.name().to_string(), factory))
-            .collect();
-        Self { entries }
-    }
-
-    /// Looks a factory up by name.
-    pub fn get(&self, name: &str) -> Option<&F> {
-        self.entries.get(name).map(|factory| &**factory)
-    }
-
-    /// Every entry, in name order.
-    pub fn iter(&self) -> impl Iterator<Item = &F> {
-        self.entries.values().map(|factory| &**factory)
-    }
-}
-
-/// A serializable reference to an entry of catalog `C`: its catalog name
-/// plus a canonical [`Params`] payload. This is what scenario
-/// configurations carry; see the module docs for its wire and CLI forms.
+/// A serializable reference to a row of catalog `C`: its name plus a
+/// canonical [`Params`] payload. This is what scenario configurations
+/// carry; see the module docs for its wire and CLI forms.
 pub struct Selection<C> {
     name: String,
     params: Params,
@@ -120,8 +71,8 @@ pub struct Selection<C> {
 }
 
 impl<C: Catalog> Selection<C> {
-    /// References an entry by name, with no parameter overrides. The name
-    /// is resolved only when the selection is labelled or built.
+    /// References a row by name, with no parameter overrides. The name is
+    /// resolved only when the selection is labelled or built.
     pub fn named(name: impl Into<String>) -> Self {
         Self {
             name: name.into(),
@@ -130,12 +81,12 @@ impl<C: Catalog> Selection<C> {
         }
     }
 
-    /// The baseline entry: no attack, or no defense.
+    /// The baseline row: no attack, or no defense.
     pub fn none() -> Self {
         Self::named(NONE)
     }
 
-    /// True for the baseline entry.
+    /// True for the baseline row.
     pub fn is_none(&self) -> bool {
         self.name == NONE
     }
@@ -176,68 +127,63 @@ impl<C: Catalog> Selection<C> {
         self.params.set(key, value);
     }
 
-    /// Resolves through the catalog's registry.
-    pub fn resolve(&self) -> Option<&'static C::Factory> {
-        C::registry().get(&self.name)
+    /// The row this selection names; `None` for an unknown name.
+    pub fn resolve(&self) -> Option<C> {
+        C::rows().iter().copied().find(|r| r.name() == self.name)
     }
 
-    /// Table row label: the factory's, falling back to the raw name for
+    /// Table row label: the row's, falling back to the raw name for
     /// unknown references. Params do not change the label; they surface
     /// through the variant axis and progress events instead.
     pub fn label(&self) -> String {
         self.resolve()
-            .map_or_else(|| self.name.clone(), |f| f.label().to_string())
+            .map_or_else(|| self.name.clone(), |row| row.label().to_string())
     }
 
-    /// Whether the resolved factory's schema declares `key`. Unknown names
-    /// accept every key: they have no schema, and the build rejects the
-    /// name itself.
+    /// Whether the row's schema declares `key`. Unknown names accept every
+    /// key: they have no schema, and the build rejects the name itself.
     pub fn accepts(&self, key: &str) -> bool {
         self.resolve()
-            .is_none_or(|f| f.param_schema().iter().any(|spec| spec.key == key))
+            .is_none_or(|row| row.param_schema().iter().any(|spec| spec.key == key))
     }
 
-    /// Builds the entry. `Err` for unknown names, for params the
-    /// factory's schema does not declare, and for the factory's own value
-    /// errors (type mismatches, out-of-range values). The CLI probes this
-    /// at startup, so a bad `--attack`/`--defense` spec is a clean exit
-    /// instead of a panic three cells into a sweep.
+    /// Builds the row. `Err` for unknown names, for params the row's
+    /// schema does not declare, and for the row's own value errors (type
+    /// mismatches, out-of-range values). The CLI probes this at startup, so
+    /// a bad `--attack`/`--defense` spec is a clean exit instead of a panic
+    /// three cells into a sweep.
     pub fn try_build(&self, ctx: &C::Ctx<'_>) -> Result<C::Built, String> {
-        let factory = self.resolve().ok_or_else(|| {
-            format!(
-                "{} `{}` is not registered (known: {:?})",
-                C::NOUN,
-                self.name,
-                C::registry().iter().map(Factory::name).collect::<Vec<_>>()
-            )
+        let name = &self.name;
+        let row = self.resolve().ok_or_else(|| {
+            let known: Vec<&str> = C::rows().iter().map(|r| r.name()).collect();
+            format!("{} `{name}` is not registered (known: {known:?})", C::NOUN)
         })?;
-        let schema = factory.param_schema();
+        let schema = row.param_schema();
         let known: Vec<&str> = schema.iter().map(|spec| spec.key.as_str()).collect();
-        self.params.check_known(&known, &self.name).map_err(|e| {
+        self.params.check_known(&known, name).map_err(|e| {
             if known.is_empty() {
                 format!(
-                    "{} `{}` takes no parameters (got `{}`): {e}",
+                    "{} `{name}` takes no parameters (got `{}`): {e}",
                     C::NOUN,
-                    self.name,
                     self.params
                 )
             } else {
                 e
             }
         })?;
-        C::build(factory, ctx, &self.params)
+        row.build(ctx, &self.params)
     }
 
-    /// Builds the entry; panics on configuration errors (the harness path:
-    /// a scenario referencing a bad entry is a programming error).
+    /// Builds the row; panics on configuration errors (the harness path: a
+    /// scenario referencing a bad row is a programming error).
     pub fn build(&self, ctx: &C::Ctx<'_>) -> C::Built {
         self.try_build(ctx)
             .unwrap_or_else(|e| panic!("cannot build {} `{self}`: {e}", C::NOUN))
     }
 }
 
-/// Catalogs whose entries build client populations (the attack family)
-/// keep the `build_clients` spelling.
+/// Catalogs whose rows build client populations (the attack family) keep
+/// the `build_clients` spelling.
 impl<C: Catalog<Built = Vec<Box<dyn Client>>>> Selection<C> {
     /// [`Selection::try_build`], returning the built clients.
     pub fn try_build_clients(&self, ctx: &C::Ctx<'_>) -> Result<Vec<Box<dyn Client>>, String> {
@@ -267,6 +213,20 @@ impl<C> PartialEq for Selection<C> {
 }
 
 impl<C> Eq for Selection<C> {}
+
+impl<C: Catalog> From<C> for Selection<C> {
+    fn from(row: C) -> Self {
+        Self::named(row.name())
+    }
+}
+
+/// Name-only comparison: a parameterized `pieck-uea:scale=2` still *is* the
+/// `PieckUea` row for labelling and reporting.
+impl<C: Catalog> PartialEq<C> for Selection<C> {
+    fn eq(&self, row: &C) -> bool {
+        self.name == row.name()
+    }
+}
 
 impl<C> std::hash::Hash for Selection<C> {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {

@@ -7,6 +7,7 @@
 use pieck_frs::attacks::AttackKind;
 use pieck_frs::defense::DefenseKind;
 use pieck_frs::experiments::{paper_scenario, run, PaperDataset};
+use pieck_frs::federation::Catalog;
 use pieck_frs::model::ModelKind;
 
 fn main() {

@@ -12,7 +12,7 @@ use pieck_frs::experiments::progress::MemorySink;
 use pieck_frs::experiments::scenario::{self, ScenarioConfig};
 use pieck_frs::experiments::suite::ExecOptions;
 use pieck_frs::experiments::{ConfigPatch, ExperimentSuite, RunOptions, Sweep};
-use pieck_frs::federation::Client;
+use pieck_frs::federation::{Catalog, Client};
 use pieck_frs::model::ModelKind;
 use pieck_frs::pieck::{
     IpeConfig, MultiTargetStrategy, PieckClient, PieckConfig, SimilarityMetric,
