@@ -9,7 +9,6 @@
 //!    `TrainOneThenCopy`, one gradient is computed (for the first target) and
 //!    uploaded for every target id.
 
-use frs_linalg::vector;
 use frs_model::{GlobalGradients, GlobalModel};
 
 use frs_federation::{Client, RoundContext};
@@ -54,7 +53,7 @@ impl PieckClient {
         target: u32,
         server_lr: f32,
     ) -> Vec<f32> {
-        let mut grad = match &self.config.variant {
+        match &self.config.variant {
             PieckVariant::Ipe(ipe_cfg) => {
                 let popular_embs: Vec<&[f32]> = popular
                     .iter()
@@ -67,9 +66,7 @@ impl PieckClient {
                 let filtered: Vec<u32> = popular.iter().copied().filter(|&k| k != target).collect();
                 uea_poison_gradient(uea_cfg, model, &filtered, target, server_lr)
             }
-        };
-        vector::scale(&mut grad, self.config.gradient_scale);
-        grad
+        }
     }
 }
 
@@ -221,25 +218,6 @@ mod tests {
             upload.get(16).unwrap(),
             "independent targets get independent gradients"
         );
-    }
-
-    #[test]
-    fn gradient_scale_multiplies_upload() {
-        let mut m1 = model();
-        let mut c1 = PieckClient::new(100, PieckConfig::ipe(vec![15]));
-        complete_mining(&mut c1, &mut m1);
-        let g1 = c1.local_round(&ctx(10), &m1);
-
-        let mut m2 = model();
-        let mut cfg = PieckConfig::ipe(vec![15]);
-        cfg.gradient_scale = 2.0;
-        let mut c2 = PieckClient::new(100, cfg);
-        complete_mining(&mut c2, &mut m2);
-        let g2 = c2.local_round(&ctx(10), &m2);
-
-        for (a, b) in g1.get(15).unwrap().iter().zip(g2.get(15).unwrap()) {
-            assert!((2.0 * a - b).abs() < 1e-5);
-        }
     }
 
     #[test]

@@ -47,9 +47,6 @@ pub struct PieckConfig {
     pub targets: Vec<u32>,
     /// Multi-target handling.
     pub multi_target: MultiTargetStrategy,
-    /// Scale applied to uploaded poison (1.0 = the raw Algorithm 2/3
-    /// gradient). Exposed for ablations on attack strength.
-    pub gradient_scale: f32,
 }
 
 impl PieckConfig {
@@ -61,7 +58,6 @@ impl PieckConfig {
             variant: PieckVariant::Ipe(IpeConfig::default()),
             targets,
             multi_target: MultiTargetStrategy::TrainOneThenCopy,
-            gradient_scale: 1.0,
         }
     }
 
@@ -73,7 +69,6 @@ impl PieckConfig {
             variant: PieckVariant::Uea(UeaConfig::default()),
             targets,
             multi_target: MultiTargetStrategy::TrainOneThenCopy,
-            gradient_scale: 1.0,
         }
     }
 
@@ -87,9 +82,6 @@ impl PieckConfig {
         }
         if self.targets.is_empty() {
             return Err("need at least one target item".into());
-        }
-        if self.gradient_scale <= 0.0 || !self.gradient_scale.is_finite() {
-            return Err("gradient_scale must be positive and finite".into());
         }
         Ok(())
     }
@@ -112,9 +104,6 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = PieckConfig::ipe(vec![1]);
         c.mining_rounds = 0;
-        assert!(c.validate().is_err());
-        let mut c = PieckConfig::ipe(vec![1]);
-        c.gradient_scale = 0.0;
         assert!(c.validate().is_err());
     }
 

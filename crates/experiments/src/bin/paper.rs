@@ -249,19 +249,20 @@ fn serve_spec(spec: &str, args: &CommonArgs) -> Result<frs_experiments::ServeSce
             ))
         }
     };
-    let dataset = args
+    let opts = &args.run;
+    let dataset = opts
         .dataset
         .clone()
         .unwrap_or(frs_experiments::PaperDataset::Ml100k);
-    let mut cfg = frs_experiments::paper_scenario(dataset, kind, args.scale, args.seed);
-    cfg.rounds = args.rounds_or(cfg.rounds);
-    if let Some(attack) = &args.attack {
+    let mut cfg = frs_experiments::paper_scenario(dataset, kind, opts.scale, opts.seed);
+    cfg.rounds = opts.rounds.unwrap_or(cfg.rounds);
+    if let Some(attack) = &opts.attack {
         cfg.attack = attack.clone();
     }
-    if let Some(defense) = &args.defense {
+    if let Some(defense) = &opts.defense {
         cfg.defense = defense.clone();
     }
-    cfg.federation.round_threads = args.round_threads;
+    cfg.federation.round_threads = opts.round_threads;
     Ok(frs_experiments::ServeScenarioSpec { name, cfg })
 }
 
@@ -308,7 +309,7 @@ fn serve_command(args: &CommonArgs) -> ! {
     // Serve is always interruptible: the whole point of the daemon is that
     // Ctrl-C drains queries and leaves a resumable checkpoint behind.
     frs_experiments::shutdown::install_handlers();
-    let budget = CoreBudget::new(args.threads);
+    let budget = CoreBudget::new(args.run.threads);
     for spec in &specs {
         eprintln!(
             "paper serve: scenario `{}` — {} rounds on {}",
@@ -382,7 +383,7 @@ fn loadtest_command(args: &CommonArgs) -> ! {
             None => frs_loadtest::Mode::Closed,
         },
         dist,
-        seed: args.seed,
+        seed: args.run.seed,
         scenarios: args.scenarios.clone(),
         ..frs_loadtest::LoadOptions::default()
     };
@@ -487,14 +488,14 @@ fn main() {
     // worker panic three cells into a sweep. Every attack and defense the
     // paper CLI can sweep is a builtin catalog entry, so an unresolved name
     // here is always an error.
-    if let Some(sel) = &args.attack {
+    if let Some(sel) = &args.run.attack {
         probe(
             sel,
             &frs_attacks::AttackBuildCtx::minimal(0, 0, &[]),
             "--attack",
         );
     }
-    if let Some(sel) = &args.defense {
+    if let Some(sel) = &args.run.defense {
         probe(
             sel,
             &frs_defense::DefenseBuildCtx::minimal(0.05, 0.05),
@@ -505,7 +506,7 @@ fn main() {
     // Same courtesy for --dataset file:PATH — a missing file should be a
     // clean argument error, not a mid-sweep worker panic. (Malformed
     // content still fails at load time with the offending line number.)
-    if let Some(frs_experiments::PaperDataset::File(path)) = &args.dataset {
+    if let Some(frs_experiments::PaperDataset::File(path)) = &args.run.dataset {
         if !std::path::Path::new(path).is_file() {
             eprintln!("bad --dataset file:{path}: no such file");
             std::process::exit(2);
@@ -539,7 +540,7 @@ fn main() {
     // One core budget for the whole invocation: `paper all` runs many suites
     // through the same ledger, so their combined fan-out never oversubscribes
     // the `--threads` grant.
-    let budget = CoreBudget::new(args.threads);
+    let budget = CoreBudget::new(args.run.threads);
     // Checkpointed runs trade default kill-me-now signal semantics for
     // checkpoint-and-exit-130; plain runs keep the default.
     if args.checkpoint_every > 0 {

@@ -2,7 +2,9 @@
 //!
 //! Kept dependency-free (no clap in the sanctioned crate set): flags are
 //! `--name value` pairs plus positional arguments (the subcommand and its
-//! operands).
+//! operands). The flags every experiment shares parse straight into the
+//! [`RunOptions`] that [`CommonArgs::run`] carries; the rest configure
+//! sinks, the cache, and the `serve`/`loadtest` daemons.
 
 use std::path::PathBuf;
 
@@ -11,40 +13,18 @@ use frs_defense::DefenseSel;
 use frs_federation::{ClientsPerRound, RoundThreads};
 
 use crate::presets::PaperDataset;
-use crate::suite::{default_threads, RunOptions};
+use crate::suite::RunOptions;
 
 /// Arguments every `paper` subcommand understands.
 #[derive(Debug, Clone)]
 pub struct CommonArgs {
-    /// Dataset scale factor in (0, 1]; presets shrink shape-preservingly.
-    pub scale: f64,
-    /// Override for the number of communication rounds.
-    pub rounds: Option<usize>,
-    /// Root seed.
-    pub seed: u64,
-    /// Core budget of the run: worker threads executing suite cells, and —
-    /// with `--round-threads auto` — the pool per-cell leases draw from.
-    pub threads: usize,
-    /// Per-round client fan-out policy (`--round-threads auto|N`). `auto`
-    /// leases each executing cell its fair share of `--threads`; a number
-    /// freezes the width. Results are identical under every setting.
-    pub round_threads: RoundThreads,
-    /// Attack override (`--attack name[:k=v,…]`, e.g.
-    /// `--attack pieck-uea:scale=2.0`): collapses every sweep's attack axis
-    /// to this one selection. Probed with a full try-build at startup, so a
-    /// typo'd spec is a clean exit 2, not a mid-sweep worker panic.
-    pub attack: Option<AttackSel>,
-    /// Defense override (`--defense name[:k=v,…]`, e.g.
-    /// `--defense ours:beta=0.5`): collapses every sweep's defense axis to
-    /// this one selection.
-    pub defense: Option<DefenseSel>,
-    /// Dataset override (`--dataset ml100k|ml1m|az|file:PATH`): collapses
-    /// every sweep's dataset axis to this one dataset.
-    pub dataset: Option<PaperDataset>,
-    /// Per-round sample width override (`--clients-per-round 256|0.01|25%`):
-    /// overrides every cell's `|U^r|` — a count, fraction, or percentage of
-    /// the registered population.
-    pub clients_per_round: Option<ClientsPerRound>,
+    /// The run options every command shares: `--scale`/`--full`,
+    /// `--rounds`, `--seed`, `--threads`, `--round-threads`, and the
+    /// `--attack`, `--defense`, `--dataset` and `--clients-per-round`
+    /// overrides. `--attack` and `--defense` are probed with a full
+    /// try-build at startup, so a typo'd spec is a clean exit 2, not a
+    /// mid-sweep worker panic.
+    pub run: RunOptions,
     /// Directory to write the JSON report into (`--json out/`).
     pub json: Option<PathBuf>,
     /// Directory to write the CSV report into (`--csv out/`).
@@ -106,15 +86,7 @@ pub struct CommonArgs {
 impl Default for CommonArgs {
     fn default() -> Self {
         Self {
-            scale: 0.25,
-            rounds: None,
-            seed: 7,
-            threads: default_threads(),
-            round_threads: RoundThreads::default(),
-            attack: None,
-            defense: None,
-            dataset: None,
-            clients_per_round: None,
+            run: RunOptions::default(),
             json: None,
             csv: None,
             quiet: false,
@@ -149,24 +121,24 @@ impl CommonArgs {
             match arg.as_str() {
                 "--scale" => {
                     let v = iter.next().ok_or("--scale needs a value")?;
-                    out.scale = v.parse().map_err(|_| format!("bad --scale: {v}"))?;
-                    if out.scale <= 0.0 || out.scale > 1.0 {
+                    out.run.scale = v.parse().map_err(|_| format!("bad --scale: {v}"))?;
+                    if out.run.scale <= 0.0 || out.run.scale > 1.0 {
                         return Err("--scale must be in (0, 1]".into());
                     }
                 }
                 "--rounds" => {
                     let v = iter.next().ok_or("--rounds needs a value")?;
-                    out.rounds = Some(v.parse().map_err(|_| format!("bad --rounds: {v}"))?);
+                    out.run.rounds = Some(v.parse().map_err(|_| format!("bad --rounds: {v}"))?);
                 }
                 "--seed" => {
                     let v = iter.next().ok_or("--seed needs a value")?;
-                    out.seed = v.parse().map_err(|_| format!("bad --seed: {v}"))?;
+                    out.run.seed = v.parse().map_err(|_| format!("bad --seed: {v}"))?;
                 }
-                "--full" => out.scale = 1.0,
+                "--full" => out.run.scale = 1.0,
                 "--threads" => {
                     let v = iter.next().ok_or("--threads needs a value")?;
-                    out.threads = v.parse().map_err(|_| format!("bad --threads: {v}"))?;
-                    if out.threads == 0 {
+                    out.run.threads = v.parse().map_err(|_| format!("bad --threads: {v}"))?;
+                    if out.run.threads == 0 {
                         return Err("--threads must be ≥ 1".into());
                     }
                 }
@@ -174,24 +146,24 @@ impl CommonArgs {
                     let v = iter
                         .next()
                         .ok_or("--round-threads needs `auto` or a count")?;
-                    out.round_threads =
+                    out.run.round_threads =
                         RoundThreads::parse(&v).map_err(|e| format!("bad --round-threads: {e}"))?;
                 }
                 "--attack" => {
                     let v = iter.next().ok_or("--attack needs a name[:k=v,...] spec")?;
-                    out.attack =
+                    out.run.attack =
                         Some(AttackSel::parse(&v).map_err(|e| format!("bad --attack: {e}"))?);
                 }
                 "--defense" => {
                     let v = iter.next().ok_or("--defense needs a name[:k=v,...] spec")?;
-                    out.defense =
+                    out.run.defense =
                         Some(DefenseSel::parse(&v).map_err(|e| format!("bad --defense: {e}"))?);
                 }
                 "--dataset" => {
                     let v = iter
                         .next()
                         .ok_or("--dataset needs ml100k|ml1m|az|file:PATH")?;
-                    out.dataset = Some(PaperDataset::from_name(&v).ok_or_else(|| {
+                    out.run.dataset = Some(PaperDataset::from_name(&v).ok_or_else(|| {
                         format!("bad --dataset: {v}; use ml100k|ml1m|az|file:PATH")
                     })?);
                 }
@@ -199,7 +171,7 @@ impl CommonArgs {
                     let v = iter
                         .next()
                         .ok_or("--clients-per-round needs a count, fraction, or pct%")?;
-                    out.clients_per_round = Some(
+                    out.run.clients_per_round = Some(
                         ClientsPerRound::parse(&v)
                             .map_err(|e| format!("bad --clients-per-round: {e}"))?,
                     );
@@ -342,26 +314,6 @@ impl CommonArgs {
             }
         }
     }
-
-    /// Rounds to run, with an experiment-provided default.
-    pub fn rounds_or(&self, default: usize) -> usize {
-        self.rounds.unwrap_or(default)
-    }
-
-    /// The suite-level run options these arguments describe.
-    pub fn run_options(&self) -> RunOptions {
-        RunOptions {
-            scale: self.scale,
-            seed: self.seed,
-            rounds: self.rounds,
-            threads: self.threads,
-            round_threads: self.round_threads,
-            attack: self.attack.clone(),
-            defense: self.defense.clone(),
-            dataset: self.dataset.clone(),
-            clients_per_round: self.clients_per_round,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -375,23 +327,22 @@ mod tests {
     #[test]
     fn defaults_without_args() {
         let a = parse(&[]).unwrap();
-        assert_eq!(a.scale, 0.25);
-        assert!(a.rounds.is_none());
-        assert_eq!(a.rounds_or(100), 100);
+        assert_eq!(a.run.scale, 0.25);
+        assert!(a.run.rounds.is_none());
     }
 
     #[test]
     fn parses_flags_and_positionals() {
         let a = parse(&["--scale", "0.5", "--rounds", "50", "--seed", "9", "p", "n"]).unwrap();
-        assert_eq!(a.scale, 0.5);
-        assert_eq!(a.rounds_or(1), 50);
-        assert_eq!(a.seed, 9);
+        assert_eq!(a.run.scale, 0.5);
+        assert_eq!(a.run.rounds, Some(50));
+        assert_eq!(a.run.seed, 9);
         assert_eq!(a.positional, vec!["p", "n"]);
     }
 
     #[test]
     fn full_sets_scale_one() {
-        assert_eq!(parse(&["--full"]).unwrap().scale, 1.0);
+        assert_eq!(parse(&["--full"]).unwrap().run.scale, 1.0);
     }
 
     #[test]
@@ -409,12 +360,14 @@ mod tests {
     #[test]
     fn parses_round_threads_policy() {
         use frs_federation::RoundThreads;
-        assert_eq!(parse(&[]).unwrap().round_threads, RoundThreads::Fixed(1));
+        assert_eq!(
+            parse(&[]).unwrap().run.round_threads,
+            RoundThreads::Fixed(1)
+        );
         let auto = parse(&["table4", "--round-threads", "auto"]).unwrap();
-        assert_eq!(auto.round_threads, RoundThreads::Auto);
-        assert_eq!(auto.run_options().round_threads, RoundThreads::Auto);
+        assert_eq!(auto.run.round_threads, RoundThreads::Auto);
         let fixed = parse(&["--round-threads", "6"]).unwrap();
-        assert_eq!(fixed.round_threads, RoundThreads::Fixed(6));
+        assert_eq!(fixed.run.round_threads, RoundThreads::Fixed(6));
     }
 
     #[test]
@@ -431,13 +384,11 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(a.positional, vec!["table4"]);
-        assert_eq!(a.threads, 3);
+        assert_eq!(a.run.threads, 3);
         assert_eq!(a.json.as_deref(), Some(std::path::Path::new("out/j")));
         assert_eq!(a.csv.as_deref(), Some(std::path::Path::new("out/c")));
         assert!(a.quiet);
-        let opts = a.run_options();
-        assert_eq!(opts.threads, 3);
-        assert_eq!(opts.scale, 0.25);
+        assert_eq!(a.run.scale, 0.25);
     }
 
     #[test]
@@ -466,14 +417,13 @@ mod tests {
     #[test]
     fn parses_attack_overrides() {
         let a = parse(&["table3", "--attack", "pieck-uea:scale=2.0,top_n=20"]).unwrap();
-        let sel = a.attack.clone().unwrap();
+        let sel = a.run.attack.unwrap();
         assert_eq!(sel.name(), "pieck-uea");
         assert_eq!(sel.params().get_f32("scale").unwrap(), Some(2.0));
         assert_eq!(sel.params().get_usize("top_n").unwrap(), Some(20));
-        assert_eq!(a.run_options().attack, a.attack);
 
         let a = parse(&["table3", "--attack", "pieck-ipe"]).unwrap();
-        assert!(a.attack.unwrap().params().is_empty());
+        assert!(a.run.attack.unwrap().params().is_empty());
 
         assert!(parse(&["--attack"]).is_err());
         assert!(parse(&["--attack", "pieck-uea:scale"]).is_err());
@@ -483,20 +433,21 @@ mod tests {
     #[test]
     fn parses_defense_and_dataset_overrides() {
         let a = parse(&["table4", "--defense", "ours:beta=0.5,re2=false"]).unwrap();
-        let sel = a.defense.clone().unwrap();
+        let sel = a.run.defense.unwrap();
         assert_eq!(sel.name(), "ours");
         assert_eq!(sel.params().get_f32("beta").unwrap(), Some(0.5));
         assert_eq!(sel.params().get_bool("re2").unwrap(), Some(false));
-        assert_eq!(a.run_options().defense, a.defense);
 
         let a = parse(&["table4", "--defense", "median"]).unwrap();
-        assert!(a.defense.unwrap().params().is_empty());
+        assert!(a.run.defense.unwrap().params().is_empty());
 
         let a = parse(&["table3", "--dataset", "file:data/u.data"]).unwrap();
-        assert_eq!(a.dataset, Some(PaperDataset::File("data/u.data".into())));
-        assert_eq!(a.run_options().dataset, a.dataset);
+        assert_eq!(
+            a.run.dataset,
+            Some(PaperDataset::File("data/u.data".into()))
+        );
         let a = parse(&["table3", "--dataset", "ml1m"]).unwrap();
-        assert_eq!(a.dataset, Some(PaperDataset::Ml1m));
+        assert_eq!(a.run.dataset, Some(PaperDataset::Ml1m));
 
         assert!(parse(&["--defense"]).is_err());
         assert!(parse(&["--defense", "ours:beta"]).is_err());
@@ -528,12 +479,14 @@ mod tests {
 
     #[test]
     fn parses_clients_per_round_override() {
-        assert!(parse(&[]).unwrap().clients_per_round.is_none());
+        assert!(parse(&[]).unwrap().run.clients_per_round.is_none());
         let a = parse(&["scale", "--clients-per-round", "512"]).unwrap();
-        assert_eq!(a.clients_per_round, Some(ClientsPerRound::Count(512)));
-        assert_eq!(a.run_options().clients_per_round, a.clients_per_round);
+        assert_eq!(a.run.clients_per_round, Some(ClientsPerRound::Count(512)));
         let a = parse(&["scale", "--clients-per-round", "25%"]).unwrap();
-        assert_eq!(a.clients_per_round, Some(ClientsPerRound::Fraction(0.25)));
+        assert_eq!(
+            a.run.clients_per_round,
+            Some(ClientsPerRound::Fraction(0.25))
+        );
         assert!(parse(&["--clients-per-round"]).is_err());
         assert!(parse(&["--clients-per-round", "0"]).is_err());
         assert!(parse(&["--clients-per-round", "150%"]).is_err());

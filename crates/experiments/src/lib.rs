@@ -3,7 +3,9 @@
 //! The stack, bottom up:
 //!
 //! - [`scenario`] — one grid cell: dataset × model × attack × defense ×
-//!   hyper-parameters, run end to end into a [`scenario::ScenarioOutcome`].
+//!   hyper-parameters, driven by a [`scenario::ScenarioRun`] into a
+//!   [`scenario::ScenarioOutcome`]. Suite cells, `paper serve` and the
+//!   bespoke commands share that one driver.
 //!   Attacks and defenses are both referenced by catalog name plus a
 //!   canonical params payload ([`frs_attacks::AttackSel`], e.g.
 //!   `pieck-uea:scale=2`; [`frs_defense::DefenseSel`], e.g. `ours:beta=0.9`)
@@ -50,6 +52,7 @@ pub use progress::{CellEvent, JsonlSink, MemorySink, ProgressSink, SuiteAborted}
 pub use report::{Report, ReportFormat, Table};
 pub use scenario::{
     run, CheckpointCtl, Interrupted, ScenarioCheckpoint, ScenarioConfig, ScenarioOutcome,
+    ScenarioRun,
 };
 pub use serve::{
     serve_scenarios, ScenarioServeSummary, ServeOptions, ServeScenarioSpec, ServeSummary,

@@ -3,16 +3,16 @@
 //! Every command is a declarative [`ExperimentSuite`] (or a bespoke report
 //! builder) over catalog selections: the ablation tables (VI, IX) sweep
 //! the parameterized rows of `frs_attacks::variants`, so their cells
-//! rebuild from serialized configs alone. A few figures (3, 4, 6b) and
-//! Table II need direct simulation access and build their [`Report`] by
-//! hand; every command renders through the same Markdown/CSV/JSON sinks.
-
-use std::sync::Arc;
+//! rebuild from serialized configs alone. Table II, Fig. 4,
+//! `popularity-bias` and `scale` need the simulation between rounds: they
+//! drive a [`ScenarioRun`] themselves and build their [`Report`] by hand
+//! (Fig. 3 only generates datasets). Every command takes the shared
+//! [`RunOptions`] and renders through the same Markdown/CSV/JSON sinks.
 
 use frs_attacks::AttackKind;
-use frs_data::{synth, DataSource, Dataset, DatasetSpec, DatasetStats, TrainTestSplit};
+use frs_data::{synth, DataSource, DatasetSpec, DatasetStats};
 use frs_defense::{DefenseKind, DefenseSel};
-use frs_federation::{Catalog, ClientsPerRound, CoreBudget, Simulation};
+use frs_federation::{Catalog, ClientsPerRound};
 use frs_metrics::{
     average_recommended_popularity, catalogue_coverage, covered_users, gini_coefficient,
     pairwise_kl, recommendation_frequency, user_coverage_ratio, DeltaNormTracker,
@@ -26,7 +26,7 @@ use crate::cache::sha256_hex;
 use crate::cli::CommonArgs;
 use crate::presets::{paper_scenario, PaperDataset};
 use crate::report::{pct, Report, Table};
-use crate::scenario::{build_simulation, build_world, ScenarioConfig};
+use crate::scenario::{stride_sample, ScenarioConfig, ScenarioRun};
 use crate::suite::{Axis, ConfigPatch, ExecOptions, ExperimentSuite, RunOptions, Sweep};
 
 /// Every subcommand of the `paper` CLI.
@@ -147,24 +147,24 @@ impl PaperCommand {
     /// `popularity-bias`, `scale`) have no per-cell grid and bypass both;
     /// they take only its core budget.
     pub fn run(&self, args: &CommonArgs, exec: &ExecOptions<'_>) -> Result<Report, String> {
-        let opts = args.run_options();
+        let opts = &args.run;
         let operands = &args.positional.get(1..).unwrap_or_default();
         Ok(match self {
-            Self::Table2 => table2(args, &opts, exec),
+            Self::Table2 => table2(opts, exec),
             Self::Table3 => table3(operands)?
-                .run_with(&opts, exec)
+                .run_with(opts, exec)
                 .map_err(|e| e.to_string())?
                 .pivot_report(Axis::Attack, Axis::Dataset),
             Self::Table4 => table4(operands)?
-                .run_with(&opts, exec)
+                .run_with(opts, exec)
                 .map_err(|e| e.to_string())?
                 .pivot_report(Axis::Defense, Axis::Attack),
             Self::Table5 => table5()
-                .run_with(&opts, exec)
+                .run_with(opts, exec)
                 .map_err(|e| e.to_string())?
                 .pivot_report(Axis::Attack, Axis::Variant),
             Self::Table6 => {
-                let result = table6().run_with(&opts, exec).map_err(|e| e.to_string())?;
+                let result = table6().run_with(opts, exec).map_err(|e| e.to_string())?;
                 let mut report = Report::new(result.name.clone(), result.title.clone());
                 // The two panels read best under different pivots: ablation
                 // variants are rows on the left, defense switches on the right.
@@ -179,35 +179,35 @@ impl PaperCommand {
                 report
             }
             Self::Table7 => table7()
-                .run_with(&opts, exec)
+                .run_with(opts, exec)
                 .map_err(|e| e.to_string())?
                 .pivot_report(Axis::Attack, Axis::Defense),
             Self::Table9 => table9()
-                .run_with(&opts, exec)
+                .run_with(opts, exec)
                 .map_err(|e| e.to_string())?
                 .pivot_report(Axis::Variant, Axis::Attack),
             Self::Table10 => table10()
-                .run_with(&opts, exec)
+                .run_with(opts, exec)
                 .map_err(|e| e.to_string())?
                 .pivot_report(Axis::Variant, Axis::Attack),
             Self::Table11 => table11()
-                .run_with(&opts, exec)
+                .run_with(opts, exec)
                 .map_err(|e| e.to_string())?
                 .pivot_report(Axis::Attack, Axis::Variant),
-            Self::Fig3 => fig3(args, operands, &opts)?,
-            Self::Fig4 => fig4(&opts, exec),
+            Self::Fig3 => fig3(operands, opts)?,
+            Self::Fig4 => fig4(opts, exec),
             Self::Fig5 => fig5(operands)
-                .run_with(&opts, exec)
+                .run_with(opts, exec)
                 .map_err(|e| e.to_string())?
                 .pivot_report(Axis::Variant, Axis::Attack),
-            Self::Fig6a => fig6a(args, operands, &opts, exec)?,
-            Self::Fig6b => fig6b(args, &opts, exec).map_err(|e| e.to_string())?,
+            Self::Fig6a => fig6a(operands, opts, exec)?,
+            Self::Fig6b => fig6b(opts, exec).map_err(|e| e.to_string())?,
             Self::Fig7 => fig7()
-                .run_with(&opts, exec)
+                .run_with(opts, exec)
                 .map_err(|e| e.to_string())?
                 .report(),
-            Self::PopularityBias => popularity_bias(args, &opts, exec),
-            Self::Scale => scale_smoke(args, operands, &opts, exec)?,
+            Self::PopularityBias => popularity_bias(opts, exec),
+            Self::Scale => scale_smoke(operands, opts, exec)?,
         })
     }
 }
@@ -561,39 +561,12 @@ fn fig7() -> ExperimentSuite {
 
 // --------------------------------------------------------- bespoke reports
 
-/// What a bespoke command drives: its world's split, the training set the
-/// simulation shares, the target items, and the simulation itself.
-struct BespokeRun {
-    split: TrainTestSplit,
-    train: Arc<Dataset>,
-    targets: Vec<u32>,
-    sim: Simulation,
-}
-
-/// Builds a bespoke command's world and simulation under the run's
-/// `--round-threads` policy. The bespoke commands drive one simulation at a
-/// time, so an `Auto` policy simply leases from the shared budget for the
-/// simulation's lifetime (the sole holder gets the whole grant).
-fn bespoke_run(cfg: &mut ScenarioConfig, opts: &RunOptions, exec: &ExecOptions<'_>) -> BespokeRun {
+/// Builds a bespoke command's scenario under the run's `--round-threads`
+/// policy. The bespoke commands drive one simulation at a time, so an
+/// `Auto` policy leases the whole shared budget for the run's lifetime.
+fn bespoke_run(mut cfg: ScenarioConfig, opts: &RunOptions, exec: &ExecOptions<'_>) -> ScenarioRun {
     cfg.federation.round_threads = opts.round_threads;
-    let (full, split, targets) = build_world(cfg);
-    // Every retained Dataset copy is ~100 MB at `paper scale`'s million
-    // mark; the RSS ceiling CI asserts depends on dropping the unsplit
-    // original before the training set is cloned.
-    drop(full);
-    let train = Arc::new(split.train.clone());
-    let mut sim = build_simulation(cfg, Arc::clone(&train), &targets);
-    sim.set_core_lease(
-        exec.budget
-            .filter(|_| opts.round_threads.is_auto())
-            .map(CoreBudget::lease),
-    );
-    BespokeRun {
-        split,
-        train,
-        targets,
-        sim,
-    }
+    ScenarioRun::new(cfg, exec.budget)
 }
 
 /// `paper scale [n_users]` — the sampled million-client smoke cell (the CI
@@ -601,15 +574,14 @@ fn bespoke_run(cfg: &mut ScenarioConfig, opts: &RunOptions, exec: &ExecOptions<'
 /// population of `n_users` registered clients (default 1,000,000): benign
 /// clients materialize lazily from the embedding arena, uploads stay
 /// sparse, and the default defense aggregates item-sharded
-/// (`median:shards=8`). Evaluation ranks a deterministic ~10k-user stride
-/// subsample — full-population ranking is an experiment of its own — and
-/// the report is byte-stable for a given seed: identical across
+/// (`median:shards=8`). Evaluation ranks the deterministic ~10k-user
+/// [`stride_sample`] — full-population ranking is an experiment of its
+/// own — and the report is byte-stable for a given seed: identical across
 /// `--round-threads` policies and replays, so CI `cmp`s
 /// two runs' reports verbatim. A SHA-256 digest over the final item table
 /// and the evaluated users' embedding bits pins the entire training
 /// trajectory, not just the headline metrics.
 fn scale_smoke(
-    args: &CommonArgs,
     operands: &[String],
     opts: &RunOptions,
     exec: &ExecOptions<'_>,
@@ -639,12 +611,12 @@ fn scale_smoke(
         source: DataSource::Synth,
     };
     let mut cfg = ScenarioConfig::baseline(spec, ModelKind::Mf, opts.seed);
-    cfg.rounds = args.rounds_or(3);
-    cfg.attack = args
+    cfg.rounds = opts.rounds.unwrap_or(3);
+    cfg.attack = opts
         .attack
         .clone()
         .unwrap_or_else(|| AttackKind::PieckUea.into());
-    cfg.defense = match &args.defense {
+    cfg.defense = match &opts.defense {
         Some(d) => d.clone(),
         None => DefenseSel::parse("median:shards=8").expect("builtin defense spec"),
     };
@@ -655,29 +627,11 @@ fn scale_smoke(
         .clients_per_round
         .unwrap_or(ClientsPerRound::Count(1024));
 
-    let BespokeRun {
-        split,
-        train,
-        targets,
-        mut sim,
-    } = bespoke_run(&mut cfg, opts, exec);
-    for _ in 0..cfg.rounds {
-        sim.run_round();
-    }
-
-    let stride = (n_users / 10_000).max(1);
-    let eval_users: Vec<usize> = (0..train.n_users()).step_by(stride).collect();
-    let embs = sim.user_embeddings();
-    let er = frs_metrics::ExposureReport::compute(
-        sim.model(),
-        &embs,
-        &eval_users,
-        &train,
-        &targets,
-        cfg.eval_k,
-    );
-    let hr =
-        frs_metrics::QualityReport::compute(sim.model(), &embs, &eval_users, &split, cfg.eval_k);
+    let mut run = bespoke_run(cfg, opts, exec);
+    run.sim.run(run.cfg.rounds);
+    let eval_users = stride_sample(run.train.n_users());
+    let eval = run.evaluate(&eval_users);
+    let (cfg, sim, embs) = (&run.cfg, &run.sim, run.sim.user_embeddings());
 
     // Exact final-state bits: item table first, then each evaluated user's
     // embedding row. Any nondeterminism anywhere in the run lands here.
@@ -718,32 +672,33 @@ fn scale_smoke(
     ]);
     table.row(&["upload bytes".into(), stats.total_upload_bytes.to_string()]);
     table.row(&["eval users".into(), eval_users.len().to_string()]);
-    table.row(&[format!("ER@{}", cfg.eval_k), pct(er.mean_percent())]);
-    table.row(&[format!("HR@{}", cfg.eval_k), pct(hr.hr_percent())]);
-    table.row(&["NDCG".into(), format!("{:.6}", hr.ndcg)]);
+    table.row(&[format!("ER@{}", cfg.eval_k), pct(eval.er_percent)]);
+    table.row(&[format!("HR@{}", cfg.eval_k), pct(eval.hr_percent)]);
+    table.row(&["NDCG".into(), format!("{:.6}", eval.ndcg)]);
     table.row(&["state digest".into(), digest]);
     report.section("Sampled cell", table);
     Ok(report)
 }
 
 /// Table II: PKL and UCR of the Δ-Norm-mined popular set, per model family.
-fn table2(args: &CommonArgs, opts: &RunOptions, exec: &ExecOptions<'_>) -> Report {
+fn table2(opts: &RunOptions, exec: &ExecOptions<'_>) -> Report {
     let mut report = Report::new("table2", "Table II — PKL and UCR of mined popular sets");
     let sizes = [1usize, 10, 50, 150];
-    let rounds = args.rounds_or(200);
+    let rounds = opts.rounds.unwrap_or(200);
 
     for kind in [ModelKind::Mf, ModelKind::Ncf] {
-        let mut cfg = paper_scenario(PaperDataset::Ml100k, kind, opts.scale, opts.seed);
-        let BespokeRun { train, mut sim, .. } = bespoke_run(&mut cfg, opts, exec);
+        let cfg = paper_scenario(PaperDataset::Ml100k, kind, opts.scale, opts.seed);
+        let mut run = bespoke_run(cfg, opts, exec);
 
         // Track Δ-Norm across the whole run so the mined set is the stable one.
-        let mut tracker = DeltaNormTracker::new(train.n_items());
-        tracker.observe(sim.model().items());
+        let mut tracker = DeltaNormTracker::new(run.train.n_items());
+        tracker.observe(run.sim.model().items());
         for _ in 0..rounds {
-            sim.run_round();
-            tracker.observe(sim.model().items());
+            run.round();
+            tracker.observe(run.sim.model().items());
         }
 
+        let (cfg, train, sim) = (&run.cfg, &run.train, &run.sim);
         let embs = sim.user_embeddings();
         let mut table = Table::new(&["N", "PKL", "UCR"]);
         for &n in &sizes {
@@ -752,12 +707,12 @@ fn table2(args: &CommonArgs, opts: &RunOptions, exec: &ExecOptions<'_>) -> Repor
                 .iter()
                 .map(|&j| sim.model().item_embedding(j))
                 .collect();
-            let covered = covered_users(&train, &popular);
+            let covered = covered_users(train, &popular);
             let user_embs: Vec<&[f32]> = covered.iter().map(|&u| embs.row(u)).collect();
             table.row(&[
                 n.to_string(),
                 format!("{:.4}", pairwise_kl(&item_embs, &user_embs)),
-                pct(user_coverage_ratio(&train, &popular) * 100.0),
+                pct(user_coverage_ratio(train, &popular) * 100.0),
             ]);
         }
         report.section(
@@ -769,7 +724,7 @@ fn table2(args: &CommonArgs, opts: &RunOptions, exec: &ExecOptions<'_>) -> Repor
 }
 
 /// Fig. 3: item-popularity long-tail distribution.
-fn fig3(args: &CommonArgs, operands: &[String], opts: &RunOptions) -> Result<Report, String> {
+fn fig3(operands: &[String], opts: &RunOptions) -> Result<Report, String> {
     let mut report = Report::new("fig3", "Fig. 3 — item-popularity distribution");
     for dataset in datasets_from(operands, &[PaperDataset::Ml100k, PaperDataset::Az])? {
         let spec = if opts.scale < 1.0 {
@@ -777,7 +732,7 @@ fn fig3(args: &CommonArgs, operands: &[String], opts: &RunOptions) -> Result<Rep
         } else {
             dataset.spec()
         };
-        let data = synth::generate(&spec, &mut StdRng::seed_from_u64(args.seed));
+        let data = synth::generate(&spec, &mut StdRng::seed_from_u64(opts.seed));
         let stats = DatasetStats::compute(&data);
         let mut table = Table::new(&["Top items (%)", "Share of interactions (%)"]);
         for top in [1.0, 5.0, 10.0, 15.0, 25.0, 50.0, 100.0] {
@@ -811,10 +766,10 @@ fn fig4(opts: &RunOptions, exec: &ExecOptions<'_>) -> Report {
     let top_k = 50;
 
     for kind in [ModelKind::Mf, ModelKind::Ncf] {
-        let mut cfg = paper_scenario(PaperDataset::Ml100k, kind, opts.scale, opts.seed);
-        let BespokeRun { train, mut sim, .. } = bespoke_run(&mut cfg, opts, exec);
-        let popularity_rank = train.popularity_rank_of();
-        let n_popular = (train.n_items() as f64 * 0.15).ceil() as usize;
+        let cfg = paper_scenario(PaperDataset::Ml100k, kind, opts.scale, opts.seed);
+        let mut run = bespoke_run(cfg, opts, exec);
+        let popularity_rank = run.train.popularity_rank_of();
+        let n_popular = (run.train.n_items() as f64 * 0.15).ceil() as usize;
 
         let mut table = Table::new(&[
             "Round",
@@ -822,12 +777,12 @@ fn fig4(opts: &RunOptions, exec: &ExecOptions<'_>) -> Report {
             "median popularity rank",
             "max popularity rank",
         ]);
-        let mut tracker = DeltaNormTracker::new(train.n_items());
-        tracker.observe(sim.model().items());
+        let mut tracker = DeltaNormTracker::new(run.train.n_items());
+        tracker.observe(run.sim.model().items());
         let last = *snapshots.last().unwrap();
         for round in 1..=last {
-            sim.run_round();
-            tracker.observe(sim.model().items());
+            run.round();
+            tracker.observe(run.sim.model().items());
             if snapshots.contains(&round) {
                 let top = tracker.top_n(top_k);
                 let mut ranks: Vec<usize> =
@@ -846,7 +801,7 @@ fn fig4(opts: &RunOptions, exec: &ExecOptions<'_>) -> Report {
         report.section(
             format!(
                 "top-{top_k} Δ-Norm items on {} ({})",
-                cfg.dataset.name,
+                run.cfg.dataset.name,
                 kind.label()
             ),
             table,
@@ -856,17 +811,12 @@ fn fig4(opts: &RunOptions, exec: &ExecOptions<'_>) -> Report {
 }
 
 /// Fig. 6(a): ER/HR convergence trends of IPE vs UEA.
-fn fig6a(
-    args: &CommonArgs,
-    operands: &[String],
-    opts: &RunOptions,
-    exec: &ExecOptions<'_>,
-) -> Result<Report, String> {
+fn fig6a(operands: &[String], opts: &RunOptions, exec: &ExecOptions<'_>) -> Result<Report, String> {
     let dataset = datasets_from(operands, &[PaperDataset::Ml1m])?
         .into_iter()
         .next()
         .expect("datasets_from returns at least the default");
-    let rounds = args.rounds_or(400);
+    let rounds = opts.rounds.unwrap_or(400);
     let every = (rounds / 20).max(1);
 
     let suite = ExperimentSuite::new("fig6a", "Fig. 6(a) — convergence trends (MF-FRS)").sweep(
@@ -909,11 +859,10 @@ fn fig6a(
 /// Timing-sensitive: a cache hit replays the *cold* run's measured wall
 /// time (the cache persists it), so warm reports stay byte-identical.
 fn fig6b(
-    args: &CommonArgs,
     opts: &RunOptions,
     exec: &ExecOptions<'_>,
 ) -> Result<Report, crate::progress::SuiteAborted> {
-    let rounds = args.rounds_or(50);
+    let rounds = opts.rounds.unwrap_or(50);
     let mut suite = ExperimentSuite::new("fig6b", "Fig. 6(b) — cost per round (ml1m-like)");
     for kind in [ModelKind::Mf, ModelKind::Ncf] {
         suite = suite
@@ -977,7 +926,7 @@ fn fig6b(
 }
 
 /// Extension experiment: popularity bias of the served top-10 lists.
-fn popularity_bias(args: &CommonArgs, opts: &RunOptions, exec: &ExecOptions<'_>) -> Report {
+fn popularity_bias(opts: &RunOptions, exec: &ExecOptions<'_>) -> Report {
     let mut table = Table::new(&["Scenario", "coverage@10", "Gini", "mean rec. popularity"]);
     for (label, attack, defense) in [
         ("clean", AttackKind::NoAttack, DefenseKind::NoDefense),
@@ -989,16 +938,21 @@ fn popularity_bias(args: &CommonArgs, opts: &RunOptions, exec: &ExecOptions<'_>)
         cfg.attack = attack.into();
         cfg.defense = defense.into();
         cfg.mined_top_n = 30;
-        let BespokeRun { train, mut sim, .. } = bespoke_run(&mut cfg, opts, exec);
-        sim.run(args.rounds_or(150));
-        let benign = sim.benign_ids();
-        let freq =
-            recommendation_frequency(sim.model(), &sim.user_embeddings(), &benign, &train, 10);
+        let mut run = bespoke_run(cfg, opts, exec);
+        run.sim.run(opts.rounds.unwrap_or(150));
+        let (sim, train) = (&run.sim, &run.train);
+        let freq = recommendation_frequency(
+            sim.model(),
+            &sim.user_embeddings(),
+            &sim.benign_ids(),
+            train,
+            10,
+        );
         table.row(&[
             label.to_string(),
             format!("{:.3}", catalogue_coverage(&freq)),
             format!("{:.3}", gini_coefficient(&freq)),
-            format!("{:.1}", average_recommended_popularity(&freq, &train)),
+            format!("{:.1}", average_recommended_popularity(&freq, train)),
         ]);
     }
     let mut report = Report::new(
@@ -1022,7 +976,7 @@ fn popularity_bias(args: &CommonArgs, opts: &RunOptions, exec: &ExecOptions<'_>)
 mod tests {
     use super::*;
     use frs_attacks::AttackSel;
-    use frs_federation::RoundThreads;
+    use frs_federation::{CoreBudget, RoundThreads};
 
     #[test]
     fn bespoke_runs_lease_their_width_from_the_budget() {
@@ -1039,8 +993,8 @@ mod tests {
             round_threads: RoundThreads::Auto,
             ..RunOptions::default()
         };
-        let mut cfg = paper_scenario(PaperDataset::Ml100k, ModelKind::Mf, 0.05, auto.seed);
-        let run = bespoke_run(&mut cfg, &auto, &exec);
+        let cfg = paper_scenario(PaperDataset::Ml100k, ModelKind::Mf, 0.05, auto.seed);
+        let run = bespoke_run(cfg.clone(), &auto, &exec);
         assert_eq!(run.sim.effective_round_width(1024), 4);
 
         // The default fixed policy ignores the budget.
@@ -1048,7 +1002,7 @@ mod tests {
             round_threads: RoundThreads::default(),
             ..auto
         };
-        let run = bespoke_run(&mut cfg, &fixed, &exec);
+        let run = bespoke_run(cfg, &fixed, &exec);
         assert_eq!(run.sim.effective_round_width(1024), 1);
     }
 

@@ -3,8 +3,15 @@
 //! Attacks and defenses are referenced by *catalog name* through
 //! [`AttackSel`] / [`DefenseSel`], so scenarios serialize to plain data and
 //! rebuild from that data alone. The catalog enums (`AttackKind`,
-//! `DefenseKind`) convert into selections with `.into()`; [`run_with`]
-//! swaps in hand-wired attackers for golden tests.
+//! `DefenseKind`) convert into selections with `.into()`.
+//!
+//! [`ScenarioRun`] is the one driver of a scenario in flight. Suite cells
+//! ([`run`], [`run_checkpointed`]), the `paper serve` trainer and the
+//! bespoke `paper` commands all build, resume, step, checkpoint and
+//! evaluate through it, so they share one world build, one lease rule, one
+//! checkpoint format (simulation state plus trend) and one ER/HR scoring
+//! path. [`ScenarioRun::with_attackers`] and [`run_with`] swap in
+//! hand-wired attackers for golden tests.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -13,13 +20,15 @@ use frs_attacks::{AttackBuildCtx, AttackSel};
 use frs_data::{leave_one_out, movielens, synth, DataSource, Dataset, DatasetSpec, TrainTestSplit};
 use frs_defense::{DefenseBuildCtx, DefenseSel};
 use frs_federation::{
-    Client, ClientPool, ClientsPerRound, CoreLease, FederationConfig, LazyClientPool, Simulation,
+    Client, ClientPool, ClientsPerRound, CoreBudget, FederationConfig, LazyClientPool, Simulation,
 };
 use frs_metrics::{ExposureReport, QualityReport};
 use frs_model::{GlobalModel, ModelConfig, ModelKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+
+use crate::cache::SuiteCache;
 
 /// Full description of one run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -185,12 +194,12 @@ pub struct ScenarioCheckpoint {
 }
 
 /// Where and how often a checkpointed run persists its state: a
-/// [`SuiteCache`](crate::cache::SuiteCache) slot (`<key>.ckpt.json` beside
+/// [`SuiteCache`] slot (`<key>.ckpt.json` beside
 /// the cell's eventual entry) written every `every` completed rounds, plus
 /// on a shutdown request.
 #[derive(Clone, Copy)]
 pub struct CheckpointCtl<'a> {
-    pub cache: &'a crate::cache::SuiteCache,
+    pub cache: &'a SuiteCache,
     pub key: &'a str,
     /// Rounds between periodic checkpoints (≥ 1; shutdown always snapshots).
     pub every: usize,
@@ -262,8 +271,8 @@ fn load_dataset_file(path: &str) -> Dataset {
 
 /// Assembles the client population and simulation, with malicious clients
 /// produced by `malicious_builder(first_id, count)` instead of the
-/// configured attack — the hook golden tests use to hand-wire attackers.
-pub fn build_simulation_with(
+/// configured attack — the hook [`ScenarioRun::with_attackers`] exposes.
+fn build_simulation_with(
     cfg: &ScenarioConfig,
     train: Arc<Dataset>,
     malicious_builder: impl FnOnce(usize, usize) -> Vec<Box<dyn Client>>,
@@ -310,160 +319,209 @@ pub fn build_simulation(cfg: &ScenarioConfig, train: Arc<Dataset>, targets: &[u3
     })
 }
 
+/// The users a sampled evaluation ranks out of `n` registered ones: every
+/// `⌊n / 10,000⌋`-th (every user below 20,000), so 10k–20k of them at any
+/// larger `n`. `paper scale` and the serve probes score this stride, since
+/// ranking a million-user population is an experiment of its own.
+pub fn stride_sample(n: usize) -> Vec<usize> {
+    (0..n).step_by((n / 10_000).max(1)).collect()
+}
+
+/// ER@K, HR@K and NDCG@K of a model over a set of users.
+#[derive(Debug, Clone, Copy)]
+pub struct Evaluation {
+    /// Mean ER@K over the targets, in percent.
+    pub er_percent: f64,
+    /// HR@K, in percent.
+    pub hr_percent: f64,
+    /// NDCG@K (0–1).
+    pub ndcg: f64,
+}
+
+/// One scenario in flight: its config, the world it trains on, the
+/// simulation, and the trend points sampled so far. Suite cells, the
+/// `paper serve` trainer and the bespoke `paper` commands all build,
+/// resume, step, checkpoint and evaluate a scenario through this one type.
+pub struct ScenarioRun {
+    pub cfg: ScenarioConfig,
+    pub split: TrainTestSplit,
+    /// The training set, shared with the simulation's clients.
+    pub train: Arc<Dataset>,
+    pub targets: Vec<u32>,
+    pub sim: Simulation,
+    pub trend: Vec<TrendPoint>,
+}
+
+impl ScenarioRun {
+    /// Builds the scenario's world and simulation with the configured
+    /// attack. Under `RoundThreads::Auto` the simulation leases its round
+    /// width from `budget`; other policies ignore the budget.
+    pub fn new(cfg: ScenarioConfig, budget: Option<&CoreBudget>) -> Self {
+        Self::build(cfg, budget, build_simulation)
+    }
+
+    /// Like [`ScenarioRun::new`], with malicious clients produced by
+    /// `malicious_builder(first_id, count, targets)` instead of the
+    /// configured attack — the hook golden tests use to hand-wire attackers.
+    pub fn with_attackers(
+        cfg: ScenarioConfig,
+        budget: Option<&CoreBudget>,
+        malicious_builder: impl FnOnce(usize, usize, &[u32]) -> Vec<Box<dyn Client>>,
+    ) -> Self {
+        Self::build(cfg, budget, |cfg, train, targets| {
+            build_simulation_with(cfg, train, |first_id, count| {
+                malicious_builder(first_id, count, targets)
+            })
+        })
+    }
+
+    fn build(
+        cfg: ScenarioConfig,
+        budget: Option<&CoreBudget>,
+        simulation: impl FnOnce(&ScenarioConfig, Arc<Dataset>, &[u32]) -> Simulation,
+    ) -> Self {
+        let (full, split, targets) = build_world(&cfg);
+        // Every retained Dataset copy is ~100 MB at `paper scale`'s million
+        // mark; the RSS ceiling CI asserts depends on dropping the unsplit
+        // original before the training set is cloned.
+        drop(full);
+        let train = Arc::new(split.train.clone());
+        let mut sim = simulation(&cfg, Arc::clone(&train), &targets);
+        let auto = cfg.federation.round_threads.is_auto();
+        sim.set_core_lease(budget.filter(|_| auto).map(CoreBudget::lease));
+        Self {
+            cfg,
+            split,
+            train,
+            targets,
+            sim,
+            trend: Vec::new(),
+        }
+    }
+
+    /// Completed rounds.
+    pub fn rounds_done(&self) -> usize {
+        self.sim.rounds_done()
+    }
+
+    /// Restores the checkpoint stored under `key`, if there is one within
+    /// the round target. A checkpoint that no longer matches the rebuilt
+    /// world (e.g. hand-copied between cache dirs) is a miss, not an
+    /// abort: the run stays at round zero.
+    pub fn resume(&mut self, cache: &SuiteCache, key: &str) {
+        let rounds = self.cfg.rounds;
+        if let Some(ckpt) = cache.load_checkpoint(key).filter(|c| c.sim.round <= rounds) {
+            match self.sim.restore_checkpoint(&ckpt.sim) {
+                Ok(()) => self.trend = ckpt.trend,
+                Err(e) => eprintln!("ignoring checkpoint for {key}: {e}"),
+            }
+        }
+    }
+
+    /// Stores the current state under `key`, keeping `keep` generations. A
+    /// failed write is reported and otherwise ignored: it costs only the
+    /// ability to resume from this round.
+    pub fn checkpoint(&self, cache: &SuiteCache, key: &str, keep: usize) {
+        let ckpt = ScenarioCheckpoint {
+            trend: self.trend.clone(),
+            sim: self.sim.capture_checkpoint(),
+        };
+        if let Err(e) = cache.store_checkpoint_rotating(key, &ckpt, keep) {
+            eprintln!("checkpoint write failed for {key}: {e}");
+        }
+    }
+
+    /// Runs one round, then samples a trend point when one is due.
+    pub fn round(&mut self) {
+        self.sim.run_round();
+        let done = self.rounds_done();
+        if self.cfg.trend_every > 0 && done.is_multiple_of(self.cfg.trend_every) {
+            let eval = self.evaluate(&self.sim.benign_ids());
+            self.trend.push(TrendPoint {
+                round: done,
+                er: eval.er_percent,
+                hr: eval.hr_percent,
+            });
+        }
+    }
+
+    /// Scores the current model over `users`.
+    pub fn evaluate(&self, users: &[usize]) -> Evaluation {
+        let (model, k) = (self.sim.model(), self.cfg.eval_k);
+        let embs = self.sim.user_embeddings();
+        let er = ExposureReport::compute(model, &embs, users, &self.train, &self.targets, k);
+        let hr = QualityReport::compute(model, &embs, users, &self.split, k);
+        Evaluation {
+            er_percent: er.mean_percent(),
+            hr_percent: hr.hr_percent(),
+            ndcg: hr.ndcg,
+        }
+    }
+
+    /// Runs the rounds still to go, then scores the final model over the
+    /// benign users.
+    pub fn finish(mut self) -> ScenarioOutcome {
+        while self.rounds_done() < self.cfg.rounds {
+            self.round();
+        }
+        let eval = self.evaluate(&self.sim.benign_ids());
+        let stats = self.sim.stats();
+        ScenarioOutcome {
+            er_percent: eval.er_percent,
+            hr_percent: eval.hr_percent,
+            ndcg: eval.ndcg,
+            targets: self.targets,
+            mean_round_time: stats.mean_round_time(),
+            total_upload_bytes: stats.total_upload_bytes,
+            max_round_threads: stats.max_round_threads,
+            trend: self.trend,
+        }
+    }
+}
+
 /// Runs the scenario end to end with a custom malicious-client builder.
 pub fn run_with(
     cfg: &ScenarioConfig,
     malicious_builder: impl FnOnce(usize, usize, &[u32]) -> Vec<Box<dyn Client>>,
 ) -> ScenarioOutcome {
-    run_with_lease(cfg, None, malicious_builder)
-}
-
-/// Like [`run_with`], additionally attaching a [`CoreLease`] so a
-/// `RoundThreads::Auto` federation config takes its per-round fan-out width
-/// from a shared core budget (the suite execution path).
-pub fn run_with_lease(
-    cfg: &ScenarioConfig,
-    lease: Option<CoreLease>,
-    malicious_builder: impl FnOnce(usize, usize, &[u32]) -> Vec<Box<dyn Client>>,
-) -> ScenarioOutcome {
-    let (_full, split, targets) = build_world(cfg);
-    let train = Arc::new(split.train.clone());
-    let mut sim = build_simulation_with(cfg, Arc::clone(&train), |first, count| {
-        malicious_builder(first, count, &targets)
-    });
-    sim.set_core_lease(lease);
-    finish_run(cfg, &mut sim, &split, &train, targets)
+    ScenarioRun::with_attackers(cfg.clone(), None, malicious_builder).finish()
 }
 
 /// Runs the scenario end to end with the configured attack.
 pub fn run(cfg: &ScenarioConfig) -> ScenarioOutcome {
-    run_leased(cfg, None)
+    ScenarioRun::new(cfg.clone(), None).finish()
 }
 
-/// Like [`run`], with an optional [`CoreLease`] granting budget-driven
-/// per-round parallelism (consulted only under `RoundThreads::Auto`).
-pub fn run_leased(cfg: &ScenarioConfig, lease: Option<CoreLease>) -> ScenarioOutcome {
-    run_with_lease(cfg, lease, |first_id, count, targets| {
-        cfg.attack
-            .build_clients(&cfg.attack_ctx(first_id, count, targets))
-    })
-}
-
-/// Like [`run_leased`], with mid-run checkpointing: an existing checkpoint
-/// for `ctl.key` is restored (skipping the rounds it covers), the state is
+/// Like [`run`], with mid-run checkpointing: an existing checkpoint for
+/// `ctl.key` is restored (skipping the rounds it covers), the state is
 /// re-persisted every `ctl.every` completed rounds and on a shutdown
 /// request, and a completed run removes its checkpoint. Restored runs are
 /// byte-identical to uninterrupted ones (`tests/checkpointing.rs`).
+/// Shutdown requests are honoured only here, where a checkpoint makes the
+/// stop resumable.
 pub fn run_checkpointed(
     cfg: &ScenarioConfig,
-    lease: Option<CoreLease>,
+    budget: Option<&CoreBudget>,
     ctl: &CheckpointCtl<'_>,
 ) -> Result<ScenarioOutcome, Interrupted> {
-    let (_full, split, targets) = build_world(cfg);
-    let train = Arc::new(split.train.clone());
-    let mut sim = build_simulation(cfg, Arc::clone(&train), &targets);
-    sim.set_core_lease(lease);
-    finish_run_ctl(cfg, &mut sim, &split, &train, targets, Some(ctl))
-}
-
-/// Shared tail of a scenario run: the round loop, trend sampling, and the
-/// final evaluation.
-fn finish_run(
-    cfg: &ScenarioConfig,
-    sim: &mut Simulation,
-    split: &TrainTestSplit,
-    train: &Arc<Dataset>,
-    targets: Vec<u32>,
-) -> ScenarioOutcome {
-    finish_run_ctl(cfg, sim, split, train, targets, None)
-        .expect("a run without checkpointing cannot be interrupted")
-}
-
-/// [`finish_run`] with optional checkpointing. Without a [`CheckpointCtl`]
-/// this is infallible (shutdown requests are only honoured where a
-/// checkpoint can make the stop resumable).
-fn finish_run_ctl(
-    cfg: &ScenarioConfig,
-    sim: &mut Simulation,
-    split: &TrainTestSplit,
-    train: &Arc<Dataset>,
-    targets: Vec<u32>,
-    ctl: Option<&CheckpointCtl<'_>>,
-) -> Result<ScenarioOutcome, Interrupted> {
-    let benign = sim.benign_ids();
-
-    let mut trend = Vec::new();
-    let mut start = 0;
-    if let Some(ctl) = ctl {
-        if let Some(ckpt) = ctl.cache.load_checkpoint(ctl.key) {
-            if ckpt.sim.round <= cfg.rounds {
-                match sim.restore_checkpoint(&ckpt.sim) {
-                    Ok(()) => {
-                        start = ckpt.sim.round;
-                        trend = ckpt.trend;
-                    }
-                    // A checkpoint that no longer matches the rebuilt world
-                    // (e.g. hand-copied between cache dirs) is a miss, not
-                    // an abort: recompute from round zero.
-                    Err(e) => eprintln!("ignoring checkpoint for {}: {e}", ctl.key),
-                }
-            }
+    let mut run = ScenarioRun::new(cfg.clone(), budget);
+    run.resume(ctl.cache, ctl.key);
+    while run.rounds_done() < cfg.rounds {
+        run.round();
+        let done = run.rounds_done();
+        let interrupted = done < cfg.rounds && crate::shutdown::requested();
+        let due = ctl.every > 0 && done.is_multiple_of(ctl.every) && done < cfg.rounds;
+        if due || interrupted {
+            run.checkpoint(ctl.cache, ctl.key, ctl.keep);
+        }
+        if interrupted {
+            return Err(Interrupted);
         }
     }
-
-    for r in start..cfg.rounds {
-        sim.run_round();
-        let done = r + 1;
-        if cfg.trend_every > 0 && done % cfg.trend_every == 0 {
-            let embs = sim.user_embeddings();
-            let er =
-                ExposureReport::compute(sim.model(), &embs, &benign, train, &targets, cfg.eval_k);
-            let hr = QualityReport::compute(sim.model(), &embs, &benign, split, cfg.eval_k);
-            trend.push(TrendPoint {
-                round: done,
-                er: er.mean_percent(),
-                hr: hr.hr_percent(),
-            });
-        }
-        if let Some(ctl) = ctl {
-            let interrupted = done < cfg.rounds && crate::shutdown::requested();
-            let due = ctl.every > 0 && done % ctl.every == 0 && done < cfg.rounds;
-            if due || interrupted {
-                let ckpt = ScenarioCheckpoint {
-                    trend: trend.clone(),
-                    sim: sim.capture_checkpoint(),
-                };
-                if let Err(e) = ctl
-                    .cache
-                    .store_checkpoint_rotating(ctl.key, &ckpt, ctl.keep)
-                {
-                    eprintln!("checkpoint write failed for {}: {e}", ctl.key);
-                }
-            }
-            if interrupted {
-                return Err(Interrupted);
-            }
-        }
-    }
-
-    let embs = sim.user_embeddings();
-    let er = ExposureReport::compute(sim.model(), &embs, &benign, train, &targets, cfg.eval_k);
-    let hr = QualityReport::compute(sim.model(), &embs, &benign, split, cfg.eval_k);
-    if let Some(ctl) = ctl {
-        // The finished outcome supersedes the sidecar; a failed removal is
-        // garbage for `gc`, never a correctness problem.
-        let _ = ctl.cache.remove_checkpoint(ctl.key);
-    }
-    Ok(ScenarioOutcome {
-        er_percent: er.mean_percent(),
-        hr_percent: hr.hr_percent(),
-        ndcg: hr.ndcg,
-        targets,
-        mean_round_time: sim.stats().mean_round_time(),
-        total_upload_bytes: sim.stats().total_upload_bytes,
-        max_round_threads: sim.stats().max_round_threads,
-        trend,
-    })
+    // The finished outcome supersedes the sidecar; a failed removal is
+    // garbage for `gc`, never a correctness problem.
+    let _ = ctl.cache.remove_checkpoint(ctl.key);
+    Ok(run.finish())
 }
 
 #[cfg(test)]
@@ -532,7 +590,7 @@ mod tests {
 
     #[test]
     fn round_width_never_changes_outcomes() {
-        use frs_federation::{CoreBudget, RoundThreads};
+        use frs_federation::RoundThreads;
 
         let sequential = run(&tiny_cfg(AttackKind::PieckIpe, "none"));
         assert_eq!(sequential.max_round_threads, 1);
@@ -545,7 +603,7 @@ mod tests {
         let budget = CoreBudget::new(8);
         let mut auto_cfg = tiny_cfg(AttackKind::PieckIpe, "none");
         auto_cfg.federation.round_threads = RoundThreads::Auto;
-        let auto = run_leased(&auto_cfg, Some(budget.lease()));
+        let auto = ScenarioRun::new(auto_cfg, Some(&budget)).finish();
         assert_eq!(auto.max_round_threads, 8, "sole lease gets the budget");
 
         for other in [&wide, &auto] {

@@ -2,9 +2,10 @@
 //! top-K recommendation queries on a Unix socket and/or a TCP listener.
 //!
 //! This is the orchestration between the experiment layer and the
-//! [`frs_serve`] subsystem: build each scenario's world, restore any cache
-//! checkpoint for its key, publish a model [`Snapshot`] at every round
-//! boundary, and keep the daemon answering until a SIGINT/SIGTERM. One
+//! [`frs_serve`] subsystem: build each scenario as a [`ScenarioRun`],
+//! resume it from any cache checkpoint for its key, publish a model
+//! [`Snapshot`] at every round boundary, and keep the daemon answering
+//! until a SIGINT/SIGTERM. One
 //! round-robin trainer advances every unfinished scenario a round at a
 //! time, handing a single [`CoreBudget`] lease to whichever simulation is
 //! currently training — idle scenarios hold no budget width — while the
@@ -17,10 +18,13 @@
 //!    round (or round zero) onward, concurrently with training. Requests
 //!    route by `{"scenario":NAME}`; the first `--scenario` is the default.
 //! 2. Every round publishes a fresh snapshot; with `--checkpoint-every N`
-//!    the run also persists a [`ScenarioCheckpoint`] every N rounds per
-//!    scenario (rotating `--keep-checkpoints` generations), and with
-//!    `--probe-every M` it publishes a stride-sampled ER@K/HR@K probe
-//!    through the status endpoint.
+//!    the run also persists a
+//!    [`ScenarioCheckpoint`](crate::scenario::ScenarioCheckpoint) every N
+//!    rounds per scenario (rotating `--keep-checkpoints` generations), and
+//!    with `--probe-every M` it publishes a stride-sampled ER@K/HR@K probe
+//!    through the status endpoint. Checkpoints carry the scenario's trend
+//!    points, so a served scenario may sample a trend and share its cache
+//!    key with a suite cell.
 //! 3. A shutdown request mid-training writes final checkpoints, drains
 //!    in-flight queries, and returns; re-running the same command resumes
 //!    each scenario where it stopped.
@@ -34,13 +38,11 @@ use std::sync::Arc;
 use std::sync::OnceLock;
 use std::time::Duration;
 
-use frs_data::{Dataset, TrainTestSplit};
-use frs_federation::{CoreBudget, Simulation};
-use frs_metrics::{ExposureReport, QualityReport};
+use frs_federation::CoreBudget;
 use frs_serve::{ProbeStatus, Router, ScenarioHandle, Snapshot};
 
 use crate::cache::{scenario_key, SuiteCache};
-use crate::scenario::{build_simulation, build_world, ScenarioCheckpoint, ScenarioConfig};
+use crate::scenario::{stride_sample, ScenarioConfig, ScenarioRun};
 use crate::shutdown;
 
 /// How the serve loop idles between shutdown-flag polls once training is
@@ -104,81 +106,33 @@ pub struct ServeSummary {
     pub tcp_addr: Option<SocketAddr>,
 }
 
-/// One hosted scenario's training-side state.
+/// One hosted scenario: its run, cache key and serving handle, plus the
+/// round the session resumed it from.
 struct Hosted {
-    spec: ServeScenarioSpec,
     key: String,
-    split: TrainTestSplit,
-    train: Arc<Dataset>,
-    targets: Vec<u32>,
-    sim: Simulation,
+    run: ScenarioRun,
     handle: Arc<ScenarioHandle>,
     start: usize,
-    done: usize,
-}
-
-fn make_snapshot(
-    target_rounds: usize,
-    done: usize,
-    sim: &Simulation,
-    train: &Arc<Dataset>,
-) -> Snapshot {
-    Snapshot::new(
-        done,
-        done >= target_rounds,
-        sim.model().clone(),
-        sim.user_embeddings(),
-        Arc::clone(train),
-    )
 }
 
 impl Hosted {
-    fn snapshot(&self) -> Snapshot {
-        make_snapshot(self.spec.cfg.rounds, self.done, &self.sim, &self.train)
-    }
-
-    fn store_checkpoint(&self, opts: &ServeOptions<'_>) {
+    fn checkpoint(&self, opts: &ServeOptions<'_>) {
         if let Some(cache) = opts.cache {
-            let ckpt = ScenarioCheckpoint {
-                trend: Vec::new(),
-                sim: self.sim.capture_checkpoint(),
-            };
-            if let Err(e) = cache.store_checkpoint_rotating(&self.key, &ckpt, opts.keep_checkpoints)
-            {
-                eprintln!("checkpoint write failed for {}: {e}", self.key);
-            }
+            self.run.checkpoint(cache, &self.key, opts.keep_checkpoints);
         }
     }
+}
 
-    /// Stride-sampled online evaluation against the current model, published
-    /// through the status endpoint. Timing-free: identical state yields
-    /// byte-identical probe values.
-    fn probe(&self) {
-        let cfg = &self.spec.cfg;
-        let stride = (self.train.n_users() / 10_000).max(1);
-        let eval_users: Vec<usize> = (0..self.train.n_users()).step_by(stride).collect();
-        let embs = self.sim.user_embeddings();
-        let er = ExposureReport::compute(
-            self.sim.model(),
-            &embs,
-            &eval_users,
-            &self.train,
-            &self.targets,
-            cfg.eval_k,
-        );
-        let hr = QualityReport::compute(
-            self.sim.model(),
-            &embs,
-            &eval_users,
-            &self.split,
-            cfg.eval_k,
-        );
-        self.handle.set_probe(ProbeStatus {
-            round: self.done,
-            er_percent: er.mean_percent(),
-            hr_percent: hr.hr_percent(),
-        });
-    }
+/// The serving snapshot of a run's current round.
+fn snapshot(run: &ScenarioRun) -> Snapshot {
+    let done = run.rounds_done();
+    Snapshot::new(
+        done,
+        done >= run.cfg.rounds,
+        run.sim.model().clone(),
+        run.sim.user_embeddings(),
+        Arc::clone(&run.train),
+    )
 }
 
 /// Runs the serve session: trains every spec toward its round target
@@ -197,50 +151,23 @@ pub fn serve_scenarios(
     if opts.socket.is_none() && opts.tcp.is_none() {
         return Err("serve needs at least one listener (--socket and/or --tcp)".into());
     }
-    for spec in &specs {
-        // Serve sessions never sample trend points, and their checkpoints
-        // carry an empty trend — sharing a cache key with a trend-sampling
-        // run would let a resumed report silently miss its early points.
-        if spec.cfg.trend_every != 0 {
-            return Err(format!(
-                "serve requires trend_every = 0 (scenario `{}` has {})",
-                spec.name, spec.cfg.trend_every
-            ));
-        }
-    }
 
     // Build every scenario's world and simulation, restoring checkpoints.
+    // The trainer below hands its one lease around, so no run leases its
+    // own.
     let mut hosted: Vec<Hosted> = Vec::with_capacity(specs.len());
     for spec in specs {
         let key = scenario_key(&spec.cfg);
-        let (_full, split, targets) = build_world(&spec.cfg);
-        let train = Arc::new(split.train.clone());
-        let mut sim = build_simulation(&spec.cfg, Arc::clone(&train), &targets);
-        let mut start = 0;
+        let mut run = ScenarioRun::new(spec.cfg, None);
         if let Some(cache) = opts.cache {
-            if let Some(ckpt) = cache.load_checkpoint(&key) {
-                if ckpt.sim.round <= spec.cfg.rounds {
-                    match sim.restore_checkpoint(&ckpt.sim) {
-                        Ok(()) => start = ckpt.sim.round,
-                        Err(e) => eprintln!("ignoring checkpoint for {key}: {e}"),
-                    }
-                }
-            }
+            run.resume(cache, &key);
         }
-        let handle = Arc::new(ScenarioHandle::new(
-            spec.name.clone(),
-            make_snapshot(spec.cfg.rounds, start, &sim, &train),
-        ));
+        let handle = Arc::new(ScenarioHandle::new(spec.name, snapshot(&run)));
         hosted.push(Hosted {
-            spec,
             key,
-            split,
-            train,
-            targets,
-            sim,
+            start: run.rounds_done(),
+            run,
             handle,
-            start,
-            done: start,
         });
     }
 
@@ -277,25 +204,32 @@ pub fn serve_scenarios(
     'train: loop {
         let mut advanced = false;
         for cell in &mut hosted {
-            if cell.done >= cell.spec.cfg.rounds {
+            let target = cell.run.cfg.rounds;
+            if cell.run.rounds_done() >= target {
                 continue;
             }
             if shutdown::requested() {
                 break 'train;
             }
-            cell.sim.set_core_lease(trainer_lease.take());
-            cell.sim.run_round();
-            trainer_lease = cell.sim.take_core_lease();
-            cell.done += 1;
-            cell.handle.publish(cell.snapshot());
+            cell.run.sim.set_core_lease(trainer_lease.take());
+            cell.run.round();
+            trainer_lease = cell.run.sim.take_core_lease();
+            cell.handle.publish(snapshot(&cell.run));
+            let done = cell.run.rounds_done();
             if opts.checkpoint_every > 0
-                && cell.done % opts.checkpoint_every == 0
-                && cell.done < cell.spec.cfg.rounds
+                && done.is_multiple_of(opts.checkpoint_every)
+                && done < target
             {
-                cell.store_checkpoint(opts);
+                cell.checkpoint(opts);
             }
-            if opts.probe_every > 0 && cell.done % opts.probe_every == 0 {
-                cell.probe();
+            if opts.probe_every > 0 && done.is_multiple_of(opts.probe_every) {
+                // Timing-free: identical state yields identical probes.
+                let eval = cell.run.evaluate(&stride_sample(cell.run.train.n_users()));
+                cell.handle.set_probe(ProbeStatus {
+                    round: done,
+                    er_percent: eval.er_percent,
+                    hr_percent: eval.hr_percent,
+                });
             }
             advanced = true;
         }
@@ -306,11 +240,13 @@ pub fn serve_scenarios(
     // The final state is always worth a checkpoint: interrupted runs resume
     // from it, completed runs reload it instantly on the next serve.
     for cell in &hosted {
-        if cell.done > cell.start || cell.start == 0 {
-            cell.store_checkpoint(opts);
+        if cell.run.rounds_done() > cell.start || cell.start == 0 {
+            cell.checkpoint(opts);
         }
     }
-    let interrupted = hosted.iter().any(|c| c.done < c.spec.cfg.rounds);
+    let interrupted = hosted
+        .iter()
+        .any(|c| c.run.rounds_done() < c.run.cfg.rounds);
     drop(trainer_lease); // return the trainer's share to the daemon
 
     // Serve until asked to stop (immediately, if the interrupt already
@@ -326,9 +262,9 @@ pub fn serve_scenarios(
         scenarios: hosted
             .iter()
             .map(|c| ScenarioServeSummary {
-                name: c.spec.name.clone(),
-                rounds_done: c.done,
-                target_rounds: c.spec.cfg.rounds,
+                name: c.handle.name().to_string(),
+                rounds_done: c.run.rounds_done(),
+                target_rounds: c.run.cfg.rounds,
                 resumed_from: (c.start > 0).then_some(c.start),
                 queries_served: c.handle.queries_served(),
             })
@@ -568,6 +504,64 @@ mod tests {
         assert!(cache.load_checkpoint(&scenario_key(&cfg_a)).is_some());
         assert!(cache.load_checkpoint(&scenario_key(&cfg_b)).is_some());
         assert_eq!(cache.stats().unwrap().checkpoints, 4);
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn served_checkpoints_carry_the_run_trend() {
+        let _guard = shutdown::test_lock();
+        shutdown::reset();
+        let mut cfg = tiny_cfg(6, 23);
+        cfg.trend_every = 2;
+        let cache = temp_cache("trend");
+        let socket = socket_path("trend");
+        let budget = CoreBudget::new(2);
+
+        let session = std::thread::scope(|scope| {
+            let _stop = ShutdownOnPanic;
+            let worker = scope.spawn(|| {
+                serve_scenarios(
+                    vec![ServeScenarioSpec {
+                        name: "trend".into(),
+                        cfg: cfg.clone(),
+                    }],
+                    &ServeOptions {
+                        socket: Some(&socket),
+                        cache: Some(&cache),
+                        checkpoint_every: 4,
+                        keep_checkpoints: 1,
+                        ..ServeOptions::default()
+                    },
+                    &budget,
+                )
+                .unwrap()
+            });
+            let mut stream = connect_when_listening(&socket);
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            loop {
+                let status: StatusResponse =
+                    serde_json::from_str(&query(&mut stream, &mut reader, "{}")).unwrap();
+                if status.training_done {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            drop(stream);
+            shutdown::trigger();
+            let session = worker.join().unwrap();
+            shutdown::reset();
+            session
+        });
+        assert!(!session.interrupted);
+
+        // The final checkpoint holds every trend point the plain run samples.
+        let served = cache.load_checkpoint(&scenario_key(&cfg)).unwrap().trend;
+        let plain = crate::scenario::run(&cfg).trend;
+        assert_eq!(served.len(), 3);
+        assert_eq!(served.len(), plain.len());
+        for (a, b) in served.iter().zip(&plain) {
+            assert_eq!((a.round, a.er, a.hr), (b.round, b.er, b.hr));
+        }
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 

@@ -39,7 +39,7 @@ use crate::cache::{scenario_key, SuiteCache};
 use crate::presets::{paper_scenario, PaperDataset};
 use crate::progress::{CellEvent, ProgressSink, SuiteAborted};
 use crate::report::{pct, Report, Table};
-use crate::scenario::{self, ScenarioConfig, ScenarioOutcome};
+use crate::scenario::{self, ScenarioConfig, ScenarioOutcome, ScenarioRun};
 
 /// A named, serializable patch over a [`ScenarioConfig`] — the "everything
 /// else" axis of a sweep (evaluation cutoff, learning-rate schedules, loss,
@@ -48,7 +48,6 @@ use crate::scenario::{self, ScenarioConfig, ScenarioOutcome};
 pub struct ConfigPatch {
     /// Row label in reports (empty for the identity patch).
     pub label: String,
-    pub rounds: Option<usize>,
     pub eval_k: Option<usize>,
     pub n_targets: Option<usize>,
     /// Overrides the mined popular-set size `N` — written into the cell's
@@ -62,25 +61,12 @@ pub struct ConfigPatch {
     pub loss: Option<LossKind>,
     pub client_learning_rate: Option<f32>,
     pub client_lr_cycle: Option<(f32, f32)>,
-    pub clients_per_round: Option<ClientsPerRound>,
-    pub trend_every: Option<usize>,
-    /// Overrides the poison-upload scale — written into the cell's attack
-    /// selection params (`scale`), and only when the attack's schema
-    /// declares the key (the no-attack baseline skips it instead of
-    /// duplicating cache cells). Knobs are never silently inert: PIECK-UEA
-    /// declares `scale` as an explicit-only parameter, so patching this
-    /// field *applies* to UEA cells (pre-params-parity it was ignored there
-    /// while still re-keying the cell).
-    pub poison_scale: Option<f32>,
-    pub norm_bound_threshold: Option<f32>,
-    /// `Ours`-defense ablation switches and weights (Table VI right),
-    /// written into the cell's `DefenseSel` params — and only when the
-    /// cell's defense declares the key, so defense-axis overrides to other
-    /// rules ignore them.
+    /// `Ours`-defense ablation switches (Table VI right), written into the
+    /// cell's `DefenseSel` params — and only when the cell's defense
+    /// declares the key, so defense-axis overrides to other rules ignore
+    /// them.
     pub use_re1: Option<bool>,
     pub use_re2: Option<bool>,
-    pub beta: Option<f32>,
-    pub gamma: Option<f32>,
 }
 
 impl ConfigPatch {
@@ -94,9 +80,6 @@ impl ConfigPatch {
 
     /// Applies every set field onto `cfg`.
     pub fn apply(&self, cfg: &mut ScenarioConfig) {
-        if let Some(v) = self.rounds {
-            cfg.rounds = v;
-        }
         if let Some(v) = self.eval_k {
             cfg.eval_k = v;
         }
@@ -118,29 +101,15 @@ impl ConfigPatch {
         if let Some(v) = self.client_lr_cycle {
             cfg.federation.client_lr_cycle = Some(v);
         }
-        if let Some(v) = self.clients_per_round {
-            cfg.federation.clients_per_round = v;
-        }
-        if let Some(v) = self.trend_every {
-            cfg.trend_every = v;
-        }
-        if let Some(v) = self.norm_bound_threshold {
-            cfg.norm_bound_threshold = v;
-        }
         // Attack hyper-parameters route through the selection's canonical
         // params payload, mirroring the defense knobs below: a key is
         // applied only when the cell's resolved attack declares it, so an
-        // inert knob flip (poison scale on the no-attack baseline, mined N
-        // on a mining-free attack) cannot re-key — and thereby duplicate —
-        // cache cells whose outcome it cannot change.
+        // inert knob flip (mined N on a mining-free attack) cannot re-key —
+        // and thereby duplicate — cache cells whose outcome it cannot
+        // change.
         if let Some(v) = self.mined_top_n {
             if cfg.attack.accepts("top_n") {
                 cfg.attack.set_param("top_n", v);
-            }
-        }
-        if let Some(v) = self.poison_scale {
-            if cfg.attack.accepts("scale") {
-                cfg.attack.set_param("scale", v);
             }
         }
         // Defense hyper-parameters route through the selection's canonical
@@ -157,16 +126,6 @@ impl ConfigPatch {
         if let Some(v) = self.use_re2 {
             if cfg.defense.accepts("re2") {
                 cfg.defense.set_param("re2", v);
-            }
-        }
-        if let Some(v) = self.beta {
-            if cfg.defense.accepts("beta") {
-                cfg.defense.set_param("beta", v);
-            }
-        }
-        if let Some(v) = self.gamma {
-            if cfg.defense.accepts("gamma") {
-                cfg.defense.set_param("gamma", v);
             }
         }
         // The mined-N override is shared: the paper's defense mines with
@@ -543,14 +502,9 @@ impl ExperimentSuite {
                         Some(outcome) => outcome,
                         None => {
                             // Only cells that will actually simulate hold a
-                            // lease — cache hits must not dilute the shares of
-                            // the cells doing real work.
-                            let lease = cell
-                                .config
-                                .federation
-                                .round_threads
-                                .is_auto()
-                                .then(|| budget.lease());
+                            // lease (`ScenarioRun` takes one under `Auto`) —
+                            // cache hits must not dilute the shares of the
+                            // cells doing real work.
                             let ctl = exec.cache.and_then(|cache| {
                                 (exec.checkpoint_every > 0).then_some(scenario::CheckpointCtl {
                                     cache,
@@ -561,7 +515,11 @@ impl ExperimentSuite {
                             });
                             let outcome = match ctl {
                                 Some(ctl) => {
-                                    match scenario::run_checkpointed(&cell.config, lease, &ctl) {
+                                    match scenario::run_checkpointed(
+                                        &cell.config,
+                                        Some(budget),
+                                        &ctl,
+                                    ) {
                                         Ok(outcome) => outcome,
                                         Err(scenario::Interrupted) => {
                                             // Final checkpoint is on disk;
@@ -573,7 +531,9 @@ impl ExperimentSuite {
                                         }
                                     }
                                 }
-                                None => scenario::run_leased(&cell.config, lease),
+                                None => {
+                                    ScenarioRun::new(cell.config.clone(), Some(budget)).finish()
+                                }
                             };
                             if let Some(cache) = exec.cache {
                                 if let Err(e) = cache.store(&key, &outcome) {
@@ -1053,8 +1013,8 @@ mod tests {
             Sweep::new("s", "S")
                 .over_attacks([AttackKind::PieckIpe])
                 .over_variants([ConfigPatch {
-                    label: "strong".into(),
-                    poison_scale: Some(2.5),
+                    label: "N=17".into(),
+                    mined_top_n: Some(17),
                     ..ConfigPatch::default()
                 }]),
         );
@@ -1075,7 +1035,7 @@ mod tests {
         assert_eq!(events.len(), 1);
         // The params the cell actually ran with — written by the variant
         // patch into the selection, not carried on the axis.
-        assert_eq!(events[0].attack_params, "scale=2.5");
+        assert_eq!(events[0].attack_params, "top_n=17");
         assert_eq!(events[0].attack, "PIECK-IPE");
     }
 

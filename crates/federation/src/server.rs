@@ -344,6 +344,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::sync::Arc;
+    use std::time::Duration;
 
     /// The single client-population construction path every test goes
     /// through: benign users live in the arena; boxed clients sit above.
@@ -670,6 +671,20 @@ mod tests {
             resumed.stats().total_selected
         );
         assert_eq!(uninterrupted.rounds_done(), resumed.rounds_done());
+    }
+
+    #[test]
+    fn resumed_runs_average_only_the_rounds_they_timed() {
+        let (mut first, _, _) = build_sim(RoundThreads::Fixed(1), 23);
+        first.run(4);
+        let json = serde_json::to_string(&first.capture_checkpoint()).unwrap();
+        let back: SimulationCheckpoint = serde_json::from_str(&json).unwrap();
+        let (mut resumed, _, _) = build_sim(RoundThreads::Fixed(1), 23);
+        resumed.restore_checkpoint(&back).unwrap();
+
+        let timed: Duration = (0..4).map(|_| resumed.run_round().elapsed).sum();
+        assert_eq!(resumed.stats().rounds, 8);
+        assert_eq!(resumed.stats().mean_round_time(), timed / 4);
     }
 
     #[test]

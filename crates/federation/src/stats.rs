@@ -34,8 +34,13 @@ pub struct TrainingStats {
     pub total_upload_bytes: usize,
     /// Largest per-round fan-out width observed across the run.
     pub max_round_threads: usize,
+    /// Wall-clock time of the rounds this process ran, and their count.
+    /// Both are serde-skipped, so a run restored from a checkpoint averages
+    /// only the rounds it timed itself.
     #[serde(skip, default)]
     pub total_elapsed: Duration,
+    #[serde(skip, default)]
+    pub timed_rounds: u32,
 }
 
 impl TrainingStats {
@@ -47,19 +52,14 @@ impl TrainingStats {
         self.total_upload_bytes += round.upload_bytes;
         self.max_round_threads = self.max_round_threads.max(round.n_threads);
         self.total_elapsed += round.elapsed;
+        self.timed_rounds = self.timed_rounds.saturating_add(1);
     }
 
-    /// Mean wall-clock time per round — the Fig. 6(b) measure.
+    /// Mean wall-clock time per timed round — the Fig. 6(b) measure.
     pub fn mean_round_time(&self) -> Duration {
-        if self.rounds == 0 {
-            Duration::ZERO
-        } else {
-            #[allow(clippy::cast_possible_truncation)]
-            {
-                // lint:allow(lossy-index-cast): round counts are experiment-scale, far below u32
-                self.total_elapsed / self.rounds as u32
-            }
-        }
+        self.total_elapsed
+            .checked_div(self.timed_rounds)
+            .unwrap_or(Duration::ZERO)
     }
 
     /// Empirical fraction of sampled clients that were malicious.

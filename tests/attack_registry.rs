@@ -308,9 +308,8 @@ fn run_level_attack_override_collapses_the_axis() {
     let knobs = Sweep::new("k", "K")
         .over_attacks([AttackKind::PieckIpe])
         .over_variants([ConfigPatch {
-            label: "N=17 s=3".into(),
+            label: "N=17".into(),
             mined_top_n: Some(17),
-            poison_scale: Some(3.0),
             ..ConfigPatch::default()
         }]);
     let ara = knobs.expand(&RunOptions {
@@ -318,12 +317,8 @@ fn run_level_attack_override_collapses_the_axis() {
         attack: Some(AttackSel::named("a-ra")),
         ..RunOptions::default()
     });
-    // a-ra declares `scale` but not `top_n`.
-    assert_eq!(
-        ara[0].config.attack.to_string(),
-        "a-ra:scale=3",
-        "top_n is skipped, scale applies"
-    );
+    // a-ra does not declare `top_n`.
+    assert_eq!(ara[0].config.attack.to_string(), "a-ra", "top_n is skipped");
     let ctx = ara[0].config.attack_ctx(0, 0, &[]);
     assert!(ara[0].config.attack.try_build_clients(&ctx).is_ok());
     let none = knobs.expand(&RunOptions {
@@ -336,13 +331,10 @@ fn run_level_attack_override_collapses_the_axis() {
         "the no-attack baseline accepts no knobs: {}",
         none[0].config.attack
     );
-    // Without the override both knobs land as pieck-ipe params.
+    // Without the override the knob lands as a pieck-ipe param.
     let ipe = knobs.expand(&RunOptions {
         rounds: Some(1),
         ..RunOptions::default()
     });
-    assert_eq!(
-        ipe[0].config.attack.to_string(),
-        "pieck-ipe:scale=3,top_n=17"
-    );
+    assert_eq!(ipe[0].config.attack.to_string(), "pieck-ipe:top_n=17");
 }

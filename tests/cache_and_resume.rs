@@ -14,7 +14,6 @@ use pieck_frs::experiments::{
     paper_scenario, ConfigPatch, ExperimentSuite, PaperDataset, ReportFormat, RunOptions,
     ScenarioConfig, Sweep,
 };
-use pieck_frs::federation::ClientsPerRound;
 use pieck_frs::model::{LossKind, ModelKind};
 use proptest::prelude::*;
 
@@ -50,11 +49,6 @@ fn every_config_patch_field_flip_changes_the_key() {
 
     let flips: Vec<ConfigPatch> = vec![
         ConfigPatch {
-            label: "rounds".into(),
-            rounds: Some(99),
-            ..ConfigPatch::default()
-        },
-        ConfigPatch {
             label: "eval_k".into(),
             eval_k: Some(5),
             ..ConfigPatch::default()
@@ -87,21 +81,6 @@ fn every_config_patch_field_flip_changes_the_key() {
         ConfigPatch {
             label: "client_lr_cycle".into(),
             client_lr_cycle: Some((0.01, 1.0)),
-            ..ConfigPatch::default()
-        },
-        ConfigPatch {
-            label: "clients_per_round".into(),
-            clients_per_round: Some(ClientsPerRound::Count(77)),
-            ..ConfigPatch::default()
-        },
-        ConfigPatch {
-            label: "trend_every".into(),
-            trend_every: Some(5),
-            ..ConfigPatch::default()
-        },
-        ConfigPatch {
-            label: "norm_bound_threshold".into(),
-            norm_bound_threshold: Some(0.07),
             ..ConfigPatch::default()
         },
     ];
@@ -139,16 +118,6 @@ fn every_config_patch_field_flip_changes_the_key() {
             use_re2: Some(false),
             ..ConfigPatch::default()
         },
-        ConfigPatch {
-            label: "beta".into(),
-            beta: Some(9.5),
-            ..ConfigPatch::default()
-        },
-        ConfigPatch {
-            label: "gamma".into(),
-            gamma: Some(9.5),
-            ..ConfigPatch::default()
-        },
     ];
     for patch in &defense_flips {
         let mut cfg = ours_base.clone();
@@ -181,18 +150,11 @@ fn every_config_patch_field_flip_changes_the_key() {
     };
     let ipe_key = scenario_key(&ipe_base);
     keys.push(ipe_key.clone());
-    let attack_flips: Vec<ConfigPatch> = vec![
-        ConfigPatch {
-            label: "mined_top_n".into(),
-            mined_top_n: Some(17),
-            ..ConfigPatch::default()
-        },
-        ConfigPatch {
-            label: "poison_scale".into(),
-            poison_scale: Some(3.5),
-            ..ConfigPatch::default()
-        },
-    ];
+    let attack_flips: Vec<ConfigPatch> = vec![ConfigPatch {
+        label: "mined_top_n".into(),
+        mined_top_n: Some(17),
+        ..ConfigPatch::default()
+    }];
     for patch in &attack_flips {
         let mut cfg = ipe_base.clone();
         patch.apply(&mut cfg);

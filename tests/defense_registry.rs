@@ -313,8 +313,8 @@ fn run_level_defense_override_collapses_the_axis() {
     );
 }
 
-/// `ConfigPatch`'s re1/re2/β/γ knobs now write into the selection's params
-/// payload (there is no `our_defense` side channel anymore).
+/// `ConfigPatch`'s re1/re2 knobs write into the selection's params payload
+/// (there is no `our_defense` side channel anymore).
 #[test]
 fn config_patch_defense_knobs_route_into_selection_params() {
     use pieck_frs::experiments::ConfigPatch;
@@ -323,12 +323,10 @@ fn config_patch_defense_knobs_route_into_selection_params() {
     let patch = ConfigPatch {
         label: "ablate".into(),
         use_re1: Some(false),
-        beta: Some(2.5),
         ..ConfigPatch::default()
     };
     patch.apply(&mut cfg);
     assert_eq!(cfg.defense.params().get_bool("re1").unwrap(), Some(false));
-    assert_eq!(cfg.defense.params().get_f32("beta").unwrap(), Some(2.5));
     assert_eq!(cfg.defense.params().get_bool("re2").unwrap(), None);
     // And the patched scenario still builds + runs through the registry.
     cfg.rounds = 4;
