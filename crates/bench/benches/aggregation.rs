@@ -23,7 +23,8 @@ fn aggregation(c: &mut Criterion) {
         );
     }
     // Bulyan at the `cell-mf-bulyan` round shape (256 uploads of ~200 of
-    // 1682 items, dim 16), where the shared distance matrix dominates.
+    // 1682 items, dim 16): the shared distance matrix, then the per-item
+    // trimmed mean over the item index and the row-lane sort.
     let cell = bench_cell_uploads(256, 1682, 16);
     let bulyan = DefenseSel::from(DefenseKind::Bulyan)
         .build(&DefenseBuildCtx::minimal(0.05, 0.05))

@@ -22,13 +22,14 @@
 //! over every upload's borrowed rows, see
 //! [`frs_linalg::DistanceMatrix::from_uploads`]), with
 //! [`frs_linalg::DistanceMatrix::krum_scores`] on top. MultiKrum and Bulyan
-//! then take the same `m` best `(score, index)` pairs. Every path is
-//! bitwise-identical to the original scalar implementation — the
-//! `kernel-parity` CI job and the golden tests in `tests/krum_parity.rs` pin
-//! that.
+//! then take the same `m` best `(score, index)` pairs, and Bulyan trims its
+//! selection through the coordinate-wise kernel Median and TrimmedMean use
+//! (`median.rs`). Every path is bitwise-identical to the original scalar
+//! implementation — the `kernel-parity` CI job and the golden tests in
+//! `tests/krum_parity.rs` and `tests/coordinate_parity.rs` pin that.
 
 use frs_federation::{sum_uploads, upload_distance_matrix, Aggregator};
-use frs_linalg::coordinate_trimmed_mean;
+use frs_linalg::CoordinateStat;
 use frs_model::GlobalGradients;
 
 use crate::median::reduce_uploads;
@@ -163,13 +164,11 @@ impl Aggregator for Bulyan {
         // is proportional to the item's uploader count (a global `f` would
         // always degenerate to a median for sparsely-uploaded items) —
         // rescaled by the kept count to keep sum-like magnitude.
-        reduce_uploads(selected, |grads| {
-            let trim = (((grads.len() as f64) * self.malicious_ratio).ceil() as usize)
-                .min(grads.len().saturating_sub(1) / 2);
-            let mut combined = coordinate_trimmed_mean(grads, trim);
-            let kept = grads.len().saturating_sub(2 * trim).max(1) as f32;
-            frs_linalg::scale(&mut combined, kept);
-            combined
+        reduce_uploads(selected, |c| {
+            let trim =
+                (((c as f64) * self.malicious_ratio).ceil() as usize).min(c.saturating_sub(1) / 2);
+            let kept = c.saturating_sub(2 * trim).max(1) as f32;
+            (CoordinateStat::TrimmedMean { trim }, kept)
         })
     }
 

@@ -7,14 +7,17 @@
 //! which Eq. (11) shows is barely true or false for cold target items under
 //! PIECK, and TrimmedMean's fixed trim budget is easily outnumbered.
 
-use frs_federation::{gather_item_gradients, gather_mlp_gradients, Aggregator};
-use frs_linalg::{coordinate_median, coordinate_trimmed_mean};
+use frs_federation::{gather_mlp_gradients, item_index, Aggregator};
+use frs_linalg::{CoordinateReducer, CoordinateStat};
 use frs_model::GlobalGradients;
 
-/// Applies a per-item coordinate reduction plus the same rule on the MLP,
+/// Applies a per-item coordinate statistic plus the same rule on the MLP,
 /// over uploads by reference (so Bulyan can reduce its Krum-selected subset
-/// without cloning a single upload). The closure returns the final — already
-/// rescaled — combined vector for one gradient group.
+/// without cloning a single upload). For a group of `c` rows, `rule(c)`
+/// gives the statistic and the factor that rescales it.
+///
+/// The items come from the uploads' [`item_index`]; each item's holder rows,
+/// and then the flattened MLP parts, go through one [`CoordinateReducer`].
 ///
 /// On rescaling: the undefended baseline aggregator is a *sum*, so a
 /// mean-like statistic must be scaled back to sum magnitude or the server's
@@ -23,18 +26,25 @@ use frs_model::GlobalGradients;
 /// meaningless). Median/TrimmedMean rescale by the uploader count; Bulyan by
 /// its post-trim kept count.
 pub(crate) fn reduce_uploads<'a>(
-    uploads: impl IntoIterator<Item = &'a GlobalGradients> + Clone,
-    reduce: impl Fn(&[&[f32]]) -> Vec<f32>,
+    uploads: impl IntoIterator<Item = &'a GlobalGradients>,
+    rule: impl Fn(usize) -> (CoordinateStat, f32),
 ) -> GlobalGradients {
+    let uploads: Vec<&GlobalGradients> = uploads.into_iter().collect();
+    let mut reducer = CoordinateReducer::default();
+    let mut rows: Vec<&[f32]> = Vec::new();
     let mut out = GlobalGradients::new();
-    for (item, grads) in gather_item_gradients(uploads.clone()) {
-        out.add_item_grad(item, &reduce(&grads));
+    for (item, holders) in item_index(uploads.iter().copied()).iter() {
+        rows.clear();
+        rows.extend(holders.iter().map(|h| uploads[h.upload()].row(h.pos())));
+        let (stat, scale) = rule(rows.len());
+        out.add_item_grad(item, reducer.reduce(&rows, stat, scale));
     }
     let mlp_uploads = gather_mlp_gradients(uploads);
     if let Some(first) = mlp_uploads.first() {
         let flats: Vec<Vec<f32>> = mlp_uploads.iter().map(|m| m.flatten()).collect();
-        let refs: Vec<&[f32]> = flats.iter().map(|f| f.as_slice()).collect();
-        out.mlp = Some(first.unflatten_like(&reduce(&refs)));
+        let refs: Vec<&[f32]> = flats.iter().map(Vec::as_slice).collect();
+        let (stat, scale) = rule(refs.len());
+        out.mlp = Some(first.unflatten_like(reducer.reduce(&refs, stat, scale)));
     }
     out
 }
@@ -45,11 +55,7 @@ pub struct Median;
 
 impl Aggregator for Median {
     fn aggregate(&self, uploads: &[GlobalGradients]) -> GlobalGradients {
-        reduce_uploads(uploads, |grads| {
-            let mut combined = coordinate_median(grads);
-            frs_linalg::scale(&mut combined, grads.len() as f32);
-            combined
-        })
+        reduce_uploads(uploads, |c| (CoordinateStat::Median, c as f32))
     }
 
     fn name(&self) -> &'static str {
@@ -79,11 +85,9 @@ impl TrimmedMean {
 
 impl Aggregator for TrimmedMean {
     fn aggregate(&self, uploads: &[GlobalGradients]) -> GlobalGradients {
-        reduce_uploads(uploads, |grads| {
-            let trim = ((grads.len() as f64) * self.trim_ratio).ceil() as usize;
-            let mut combined = coordinate_trimmed_mean(grads, trim);
-            frs_linalg::scale(&mut combined, grads.len() as f32);
-            combined
+        reduce_uploads(uploads, |c| {
+            let trim = ((c as f64) * self.trim_ratio).ceil() as usize;
+            (CoordinateStat::TrimmedMean { trim }, c as f32)
         })
     }
 

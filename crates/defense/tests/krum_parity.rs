@@ -3,28 +3,82 @@
 //!
 //! `reference_*` below is a verbatim copy of the pre-refactor aggregation
 //! code (naive pairwise `upload_squared_distance`, full per-row sorts, clone
-//! +sort-truncate selection). The live defenses now run through
+//! +sort-truncate selection, and Bulyan's `BTreeMap` per-item gather with a
+//! per-coordinate sorting trimmed mean). The live defenses now run through
 //! `upload_distance_matrix` / `DistanceMatrix::krum_scores` / MultiKrum's
-//! `best_m` selection, which Bulyan shares — and must reproduce the
-//! reference output to the bit, or experiment reports would silently
-//! change. Part of the CI
-//! `kernel-parity` job; run locally with
+//! `best_m` selection, which Bulyan shares, and Bulyan trims through the
+//! item index and the row-lane sort — and must reproduce the reference
+//! output to the bit, or experiment reports would silently change. Part of
+//! the CI `kernel-parity` job; run locally with
 //!
 //! ```text
 //! cargo test --release -p frs-defense --test krum_parity
 //! ```
 
+use std::collections::BTreeMap;
+
 use frs_defense::{Bulyan, Krum, MultiKrum};
-use frs_federation::{
-    gather_item_gradients, gather_mlp_gradients, sum_uploads, upload_squared_distance, Aggregator,
-};
-use frs_linalg::coordinate_trimmed_mean;
+use frs_federation::{gather_mlp_gradients, sum_uploads, upload_squared_distance, Aggregator};
 use frs_model::{GlobalGradients, MlpGradients};
 
 // ---------------------------------------------------------------------------
 // Verbatim pre-refactor reference implementation (do not "optimize" this —
 // its entire value is staying exactly what the defenses used to compute).
 // ---------------------------------------------------------------------------
+
+/// The scalar per-item gather (`frs_federation::aggregate`) Bulyan's trimmed
+/// mean reduced before the item index, verbatim.
+fn gather_item_gradients<'a>(
+    uploads: impl IntoIterator<Item = &'a GlobalGradients>,
+) -> BTreeMap<u32, Vec<&'a [f32]>> {
+    let mut by_item: BTreeMap<u32, Vec<&'a [f32]>> = BTreeMap::new();
+    for upload in uploads {
+        for (item, grad) in upload.iter() {
+            by_item.entry(item).or_default().push(grad);
+        }
+    }
+    by_item
+}
+
+/// The scalar coordinate-wise trimmed mean (`frs_linalg::stats`) before the
+/// row-lane sort, verbatim, with the helpers it called.
+fn coordinate_trimmed_mean(vectors: &[&[f32]], trim: usize) -> Vec<f32> {
+    coordinate_reduce(vectors, |buf| trimmed_mean_inplace(buf, trim))
+}
+
+fn mean(xs: &[f32]) -> f32 {
+    if xs.is_empty() {
+        return 0.0;
+    }
+    xs.iter().sum::<f32>() / xs.len() as f32
+}
+
+fn trimmed_mean_inplace(xs: &mut [f32], trim: usize) -> f32 {
+    let n = xs.len();
+    if n == 0 {
+        return 0.0;
+    }
+    let trim = trim.min((n - 1) / 2);
+    xs.sort_unstable_by(|a, b| a.total_cmp(b));
+    mean(&xs[trim..n - trim])
+}
+
+fn coordinate_reduce(vectors: &[&[f32]], mut reduce: impl FnMut(&mut [f32]) -> f32) -> Vec<f32> {
+    let Some(first) = vectors.first() else {
+        return Vec::new();
+    };
+    let dim = first.len();
+    debug_assert!(vectors.iter().all(|v| v.len() == dim));
+    let mut scratch = vec![0.0f32; vectors.len()];
+    let mut out = Vec::with_capacity(dim);
+    for d in 0..dim {
+        for (s, v) in scratch.iter_mut().zip(vectors) {
+            *s = v[d];
+        }
+        out.push(reduce(&mut scratch));
+    }
+    out
+}
 
 #[allow(clippy::needless_range_loop)] // dist is a symmetric matrix indexed both ways
 fn reference_krum_scores(uploads: &[GlobalGradients], f: usize) -> Option<Vec<f32>> {

@@ -59,7 +59,7 @@ pub fn install_handlers() {
         #[cfg(unix)]
         #[allow(
             unsafe_code,
-            reason = "the workspace's one FFI call: there is no libc crate to wrap signal(2)"
+            reason = "there is no libc crate to wrap signal(2); see the workspace manifest"
         )]
         unsafe {
             // Raw `signal(2)` instead of a libc crate: the sanctioned

@@ -10,15 +10,14 @@
 //! in deterministic (client-id) order, and returns the single combined
 //! gradient set the update applies. Defenses differ in granularity: some
 //! filter whole uploads (Krum, NormBound), some reduce coordinate-wise per
-//! item ([`gather_item_gradients`] is the helper for those).
+//! item (they walk the round's [`item_index`] and reduce each item's holder
+//! rows with [`frs_linalg::CoordinateReducer`]).
 //!
 //! Every helper here reads uploads through `GlobalGradients`' accessors;
 //! sums over many uploads go through [`GlobalGradients::weighted_sum`], one
 //! pass for the whole round.
 
-use std::collections::BTreeMap;
-
-use frs_linalg::{DistanceMatrix, UploadView};
+use frs_linalg::{DistanceMatrix, ItemIndex, UploadView};
 use frs_model::{GlobalGradients, MlpGradients};
 
 /// Pluggable aggregation rule over one round's uploads.
@@ -172,20 +171,12 @@ pub fn sum_uploads(uploads: &[GlobalGradients]) -> GlobalGradients {
     GlobalGradients::weighted_sum(uploads.iter().map(|u| (1.0, u)))
 }
 
-/// Groups uploads per item: `item → [gradient of upload 1, …]`, preserving
-/// the order `uploads` yields them in (the server's client-id order, or a
-/// defense's selection). The building block for coordinate-wise defenses
-/// (Median, TrimmedMean, Bulyan).
-pub fn gather_item_gradients<'a>(
-    uploads: impl IntoIterator<Item = &'a GlobalGradients>,
-) -> BTreeMap<u32, Vec<&'a [f32]>> {
-    let mut by_item: BTreeMap<u32, Vec<&'a [f32]>> = BTreeMap::new();
-    for upload in uploads {
-        for (item, grad) in upload.iter() {
-            by_item.entry(item).or_default().push(grad);
-        }
-    }
-    by_item
+/// Groups uploads per item: every distinct item in ascending id, with its
+/// holders (index into `uploads`, row position) in the order `uploads` yields
+/// them (the server's client-id order, or a defense's selection). The
+/// building block for coordinate-wise defenses (Median, TrimmedMean, Bulyan).
+pub fn item_index<'a>(uploads: impl IntoIterator<Item = &'a GlobalGradients>) -> ItemIndex {
+    ItemIndex::new(uploads.into_iter().map(GlobalGradients::ids))
 }
 
 /// Collects the MLP gradient parts of uploads, in order.
@@ -288,10 +279,14 @@ mod tests {
         let u1 = upload(&[(1, vec![1.0]), (2, vec![2.0])]);
         let u2 = upload(&[(2, vec![3.0])]);
         let uploads = vec![u1, u2];
-        let by_item = gather_item_gradients(&uploads);
-        assert_eq!(by_item[&1].len(), 1);
-        assert_eq!(by_item[&2].len(), 2);
-        assert!(!by_item.contains_key(&0));
+        let by_item: Vec<(u32, Vec<f32>)> = item_index(&uploads)
+            .iter()
+            .map(|(item, holders)| {
+                let firsts = holders.iter().map(|h| uploads[h.upload()].row(h.pos())[0]);
+                (item, firsts.collect())
+            })
+            .collect();
+        assert_eq!(by_item, vec![(1, vec![1.0]), (2, vec![2.0, 3.0])]);
     }
 
     #[test]

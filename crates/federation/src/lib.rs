@@ -40,7 +40,7 @@ pub mod stats;
 pub mod wire;
 
 pub use aggregate::{
-    gather_item_gradients, gather_mlp_gradients, sum_uploads, upload_distance_matrix, upload_norm,
+    gather_mlp_gradients, item_index, sum_uploads, upload_distance_matrix, upload_norm,
     upload_squared_distance, upload_view, Aggregator, ShardedAggregator, SumAggregator,
 };
 pub use budget::{CoreBudget, CoreLease};

@@ -28,9 +28,7 @@
 //! (`cargo test --release -p frs-linalg --test kernel_parity`, and
 //! `-p frs-federation --test distance_parity` for the upload matrix).
 
-use std::cmp::Reverse;
-use std::collections::binary_heap::PeekMut;
-use std::collections::BinaryHeap;
+use crate::items::{Holder, ItemIndex};
 
 /// Symmetric matrix of pairwise distances, stored dense and row-major
 /// (`n × n`, diagonal zero).
@@ -97,74 +95,10 @@ impl<'a> UploadView<'a> {
     }
 }
 
-/// One upload holding the current item: `(upload, position)`, the row's
-/// index in that upload's view.
-type Holder = (usize, usize);
-
-/// k-way merge over the uploads' ascending id lists: visits every distinct
-/// item once, in ascending id, with its holders in ascending upload order.
-/// O(total items · log n): the heap holds one `id << 32 | upload` key for each
-/// upload with items left, and `cursor` that upload's position.
-struct ItemMerge<'v, 'a> {
-    uploads: &'v [UploadView<'a>],
-    heap: BinaryHeap<Reverse<u64>>,
-    cursor: Vec<usize>,
-    /// The current item's holders.
-    holders: Vec<Holder>,
-    /// Upload-indexed: all ones for each current holder, zero elsewhere.
-    held: Vec<u32>,
-}
-
-fn merge_key(id: u32, upload: usize) -> u64 {
-    (u64::from(id) << 32) | upload as u64
-}
-
-impl<'v, 'a> ItemMerge<'v, 'a> {
-    fn new(uploads: &'v [UploadView<'a>]) -> Self {
-        assert!(
-            u32::try_from(uploads.len()).is_ok(),
-            "more uploads than a merge key can index"
-        );
-        let heap = uploads
-            .iter()
-            .enumerate()
-            .filter_map(|(u, view)| view.ids.first().map(|&id| Reverse(merge_key(id, u))))
-            .collect();
-        ItemMerge {
-            uploads,
-            heap,
-            cursor: vec![0; uploads.len()],
-            holders: Vec::new(),
-            held: vec![0; uploads.len()],
-        }
-    }
-
-    /// The next item's holders, ascending by upload, and the `held` mask
-    /// marking them; `None` once every item has been visited.
-    fn next_item(&mut self) -> Option<(&[Holder], &[u32])> {
-        for &(u, _) in &self.holders {
-            self.held[u] = 0;
-        }
-        self.holders.clear();
-        let &Reverse(first) = self.heap.peek()?;
-        while let Some(mut top) = self.heap.peek_mut() {
-            let Reverse(key) = *top;
-            if key >> 32 != first >> 32 {
-                break;
-            }
-            let u = (key & u64::from(u32::MAX)) as usize;
-            let pos = self.cursor[u];
-            self.holders.push((u, pos));
-            self.held[u] = u32::MAX;
-            self.cursor[u] = pos + 1;
-            match self.uploads[u].ids.get(pos + 1) {
-                Some(&next) => *top = Reverse(merge_key(next, u)),
-                None => {
-                    PeekMut::pop(top);
-                }
-            }
-        }
-        Some((&self.holders, &self.held))
+/// Sets `held[u]` to `mark` for each holder's upload `u`.
+fn mark_holders(held: &mut [u32], holders: &[Holder], mark: u32) {
+    for h in holders {
+        held[h.upload()] = mark;
     }
 }
 
@@ -207,7 +141,8 @@ impl DistanceMatrix {
     /// this order, plus `-0.0`s, which change no bits. Only the interleaving
     /// *across* cells changes, and cells are independent.
     ///
-    /// - **Pass A** walks the items in ascending id. For an item held by
+    /// - **Pass A** walks the items in ascending id, from one [`ItemIndex`]
+    ///   of the uploads that both passes read. For an item held by
     ///   `h_1 < … < h_c`, row `h_k` of the upper triangle gets one term per
     ///   partner `j > h_k`: the self-dot, or, where `j` holds the item too,
     ///   `-0.0` and then the squared distance. The holders' rows are laid out
@@ -222,8 +157,9 @@ impl DistanceMatrix {
     /// - The dense term is added per pair with [`squared_distance_blocked`],
     ///   and the lower triangle is mirrored into the upper one.
     ///
-    /// Scratch beside the `n × n` result is O(n · dim): one item's block, its
-    /// lanes, and per-upload cursors and marks. No row is copied round-wide.
+    /// Scratch beside the `n × n` result is the index, O(total rows), plus
+    /// O(n · dim): one item's block, its lanes, and a mark per upload. No
+    /// row is copied round-wide.
     ///
     /// # Panics
     ///
@@ -238,11 +174,12 @@ impl DistanceMatrix {
         let mut lanes = Vec::new();
 
         // Pass A: the row upload's items, into the upper triangle.
-        let mut merge = ItemMerge::new(uploads);
-        while let Some((holders, held)) = merge.next_item() {
+        let index = ItemIndex::new(uploads.iter().map(|view| view.ids));
+        let mut held = vec![0u32; n];
+        for (_, holders) in index.iter() {
             let c = holders.len();
             rows.clear();
-            rows.extend(holders.iter().map(|&(u, pos)| uploads[u].row(pos)));
+            rows.extend(holders.iter().map(|h| uploads[h.upload()].row(h.pos())));
             let dim = rows[0].len();
             assert!(
                 rows.iter().all(|row| row.len() == dim),
@@ -252,7 +189,9 @@ impl DistanceMatrix {
             for d in 0..dim {
                 block.extend(rows.iter().map(|row| row[d]));
             }
-            for (k, &(i, pos)) in holders.iter().enumerate() {
+            mark_holders(&mut held, holders, u32::MAX);
+            for (k, h) in holders.iter().enumerate() {
+                let i = h.upload();
                 // Lane m is `squared_distance_blocked(g_i, g_j)` for the m-th
                 // later holder `j`: the same `-0.0` start, coordinate order
                 // and operand order.
@@ -266,12 +205,17 @@ impl DistanceMatrix {
                     }
                 }
                 let row = &mut data[i * n..(i + 1) * n];
-                add_unless_held(&mut row[i + 1..], &held[i + 1..], uploads[i].self_dots[pos]);
+                add_unless_held(
+                    &mut row[i + 1..],
+                    &held[i + 1..],
+                    uploads[i].self_dots[h.pos()],
+                );
                 // The later holders got `-0.0` above; now their distance.
-                for (&(j, _), &dist) in holders[k + 1..].iter().zip(&lanes) {
-                    row[j] += dist;
+                for (later, &dist) in holders[k + 1..].iter().zip(&lanes) {
+                    row[later.upload()] += dist;
                 }
             }
+            mark_holders(&mut held, holders, 0);
         }
 
         // Column j of the upper triangle becomes row j of the lower one,
@@ -283,15 +227,17 @@ impl DistanceMatrix {
         }
 
         // Pass B: the column upload's items, into the lower triangle.
-        let mut merge = ItemMerge::new(uploads);
-        while let Some((holders, held)) = merge.next_item() {
-            for &(j, pos) in holders {
+        for (_, holders) in index.iter() {
+            mark_holders(&mut held, holders, u32::MAX);
+            for h in holders {
+                let j = h.upload();
                 add_unless_held(
                     &mut data[j * n..j * n + j],
                     &held[..j],
-                    uploads[j].self_dots[pos],
+                    uploads[j].self_dots[h.pos()],
                 );
             }
+            mark_holders(&mut held, holders, 0);
         }
 
         // Dense term, then mirror into the upper triangle.

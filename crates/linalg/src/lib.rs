@@ -6,8 +6,9 @@
 //! KL divergence with analytic gradients ([`mod@softmax`]), robust statistics used
 //! by the server-side defenses ([`stats`]), ranking / top-k selection used
 //! by recommendation lists and the popular-item miner ([`rank`]), and the
-//! shared pairwise-distance kernel the robust aggregators consume
-//! ([`distance`]).
+//! item-major kernels the robust aggregators consume: the item index over a
+//! round's sparse uploads ([`items`]) and the shared pairwise-distance
+//! matrix ([`distance`]).
 //!
 //! The crate is deliberately dependency-light (only `rand` for initializers)
 //! and every operation is deterministic given its inputs, which keeps the whole
@@ -15,6 +16,7 @@
 
 pub mod activation;
 pub mod distance;
+pub mod items;
 pub mod matrix;
 pub mod rank;
 pub mod rng;
@@ -26,6 +28,7 @@ pub use activation::{
     leaky_relu, leaky_relu_grad, log_sigmoid, relu, relu_grad, relu_inplace, sigmoid,
 };
 pub use distance::{dot_blocked, squared_distance_blocked, DistanceMatrix, UploadView};
+pub use items::{Holder, ItemIndex};
 pub use matrix::Matrix;
 pub use rank::{
     argsort_desc, rank_of, sum_k_smallest, top_k_desc, top_k_desc_filtered,
@@ -33,10 +36,7 @@ pub use rank::{
 };
 pub use rng::SeedStream;
 pub use softmax::{kl_divergence, kl_grad_wrt_p, kl_grad_wrt_q, log_softmax, softmax};
-pub use stats::{
-    coordinate_median, coordinate_trimmed_mean, mean, median_inplace, trimmed_mean_inplace,
-    variance,
-};
+pub use stats::{mean, variance, CoordinateReducer, CoordinateStat};
 pub use vector::{
     add_assign, axpy, clip_l2_norm, cosine, cosine_grad_wrt_b, dot, l2_distance, l2_norm,
     mean_vector, scale, squared_l2_distance, sub,

@@ -12,6 +12,13 @@ fn vec_strategy(len: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(-10.0f32..10.0, len)
 }
 
+/// `stat` of one column of values, unscaled.
+fn column_stat(xs: &[f32], stat: CoordinateStat) -> f32 {
+    let rows: Vec<[f32; 1]> = xs.iter().map(|&x| [x]).collect();
+    let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
+    CoordinateReducer::default().reduce(&refs, stat, 1.0)[0]
+}
+
 proptest! {
     #[test]
     fn cosine_bounded(a in vec_strategy(8), b in vec_strategy(8)) {
@@ -66,21 +73,21 @@ proptest! {
     }
 
     #[test]
-    fn median_within_input_range(mut xs in prop::collection::vec(-100.0f32..100.0, 1..40)) {
+    fn median_within_input_range(xs in prop::collection::vec(-100.0f32..100.0, 1..40)) {
         let lo = xs.iter().copied().fold(f32::INFINITY, f32::min);
         let hi = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let m = median_inplace(&mut xs);
+        let m = column_stat(&xs, CoordinateStat::Median);
         prop_assert!(m >= lo - 1e-6 && m <= hi + 1e-6);
     }
 
     #[test]
     fn trimmed_mean_within_surviving_range(
-        mut xs in prop::collection::vec(-100.0f32..100.0, 1..40),
+        xs in prop::collection::vec(-100.0f32..100.0, 1..40),
         trim in 0usize..10,
     ) {
         let lo = xs.iter().copied().fold(f32::INFINITY, f32::min);
         let hi = xs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let m = trimmed_mean_inplace(&mut xs, trim);
+        let m = column_stat(&xs, CoordinateStat::TrimmedMean { trim });
         prop_assert!(m >= lo - 1e-4 && m <= hi + 1e-4);
     }
 
@@ -89,7 +96,8 @@ proptest! {
         vs in prop::collection::vec(vec_strategy(4), 1..12)
     ) {
         let refs: Vec<&[f32]> = vs.iter().map(|v| v.as_slice()).collect();
-        let med = coordinate_median(&refs);
+        let mut reducer = CoordinateReducer::default();
+        let med = reducer.reduce(&refs, CoordinateStat::Median, 1.0);
         for d in 0..4 {
             let lo = vs.iter().map(|v| v[d]).fold(f32::INFINITY, f32::min);
             let hi = vs.iter().map(|v| v[d]).fold(f32::NEG_INFINITY, f32::max);

@@ -11,8 +11,8 @@
 //! ship them, `(items, items_emb_grad)`: one strictly ascending id vector and
 //! one row-major block of `dim` floats per id, in id order. This module is
 //! the only code that knows that layout. Readers use [`GlobalGradients::get`],
-//! [`GlobalGradients::iter`] and the borrowed [`GlobalGradients::ids`] /
-//! [`GlobalGradients::rows`] slices; writers use
+//! [`GlobalGradients::iter`], [`GlobalGradients::row`] and the borrowed
+//! [`GlobalGradients::ids`] / [`GlobalGradients::rows`] slices; writers use
 //! [`GlobalGradients::add_item_grad`], [`GlobalGradients::rows_mut`],
 //! [`GlobalGradients::axpy`], [`GlobalGradients::scale`] and
 //! [`GlobalGradients::weighted_sum`].
@@ -202,7 +202,8 @@ impl GlobalGradients {
         Some(self.row(pos))
     }
 
-    fn row(&self, pos: usize) -> &[f32] {
+    /// The row at position `pos` in [`Self::ids`] order.
+    pub fn row(&self, pos: usize) -> &[f32] {
         &self.rows[pos * self.dim..(pos + 1) * self.dim]
     }
 

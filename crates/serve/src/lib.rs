@@ -403,6 +403,37 @@ mod tests {
     }
 
     #[test]
+    fn a_quiet_worker_wakes_when_a_request_arrives() {
+        let router = two_scenario_router();
+        let budget = CoreBudget::new(2);
+        let poll = Duration::from_secs(1);
+        let handle = spawn_tcp_with(
+            "127.0.0.1:0",
+            router,
+            budget.lease(),
+            ServerConfig {
+                poll,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let mut stream = TcpStream::connect(handle.local_addr().unwrap()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut line = String::new();
+        for _ in 0..3 {
+            // Let the worker finish its sweep and block, then wake it.
+            std::thread::sleep(Duration::from_millis(50));
+            let sent = std::time::Instant::now();
+            stream.write_all(b"{}\n").unwrap();
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            let waited = sent.elapsed();
+            assert!(waited < poll / 4, "answered after {waited:?}");
+        }
+        handle.shutdown();
+    }
+
+    #[test]
     fn daemon_answers_concurrent_clients_across_epoch_swaps() {
         let scenario = Arc::new(ScenarioHandle::new("only", snapshot(0, false)));
         let router = Arc::new(Router::new(vec![Arc::clone(&scenario)]).unwrap());

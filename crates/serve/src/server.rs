@@ -9,6 +9,9 @@
 //! listener as clients arrive), so a worker pool smaller than the
 //! connection count still serves everyone: pipelined requests on one
 //! connection are answered in order while other connections make progress.
+//! A worker whose sweep finds nothing to do blocks in `poll(2)` until its
+//! listener or one of its connections is readable, so a request is picked
+//! up as it arrives rather than at the next tick of a sleep.
 //!
 //! The read path is bounded: request lines longer than
 //! [`ServerConfig::max_line`] earn a protocol error and the connection
@@ -24,6 +27,7 @@
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -48,7 +52,9 @@ pub struct ServerConfig {
     pub idle_timeout: Duration,
     /// Disconnect a client whose response write stalls this long.
     pub write_timeout: Duration,
-    /// Worker sleep between sweeps when every connection is quiet.
+    /// Longest a worker blocks between sweeps when every connection is
+    /// quiet; a readable socket wakes it sooner. Also the retry interval of
+    /// a stalled response write.
     pub poll: Duration,
 }
 
@@ -140,6 +146,13 @@ impl Listener {
             Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
         }
     }
+
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            Listener::Unix(l) => l.as_raw_fd(),
+            Listener::Tcp(l) => l.as_raw_fd(),
+        }
+    }
 }
 
 /// An accepted connection, transport-erased.
@@ -172,6 +185,13 @@ impl Stream {
         match self {
             Stream::Unix(s) => s.write(buf),
             Stream::Tcp(s) => s.write(buf),
+        }
+    }
+
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            Stream::Unix(s) => s.as_raw_fd(),
+            Stream::Tcp(s) => s.as_raw_fd(),
         }
     }
 }
@@ -500,8 +520,8 @@ fn spawn_pool(
 }
 
 /// One pool worker: accept whatever is pending, pump every owned
-/// connection, sleep only when fully quiet. On stop, answer the complete
-/// lines already buffered (the drain guarantee) and exit.
+/// connection, wait for readiness only when fully quiet. On stop, answer
+/// the complete lines already buffered (the drain guarantee) and exit.
 fn worker_loop(listener: &Listener, router: &Router, cfg: &ServerConfig, stop: &AtomicBool) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut chunk = [0u8; 4096];
@@ -534,7 +554,43 @@ fn worker_loop(listener: &Listener, router: &Router, cfg: &ServerConfig, stop: &
             Pump::Closed => false,
         });
         if !progressed {
-            std::thread::sleep(cfg.poll);
+            wait_readable(listener, &conns, cfg.poll);
         }
+    }
+}
+
+/// `struct pollfd` of `poll(2)`.
+#[repr(C)]
+struct PollFd {
+    fd: RawFd,
+    events: i16,
+    revents: i16,
+}
+
+/// Blocks until the listener or one of `conns` is readable or hung up, or
+/// until `timeout` (rounded up to whole milliseconds) passes. A failed or
+/// interrupted wait returns early; the caller sweeps again either way.
+fn wait_readable(listener: &Listener, conns: &[Conn], timeout: Duration) {
+    const POLLIN: i16 = 0x1;
+    let mut fds: Vec<PollFd> = std::iter::once(listener.as_raw_fd())
+        .chain(conns.iter().map(|conn| conn.stream.as_raw_fd()))
+        .map(|fd| PollFd {
+            fd,
+            events: POLLIN,
+            revents: 0,
+        })
+        .collect();
+    let millis = i32::try_from(timeout.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX);
+    // SAFETY: `fds` is a live, writable array of `fds.len()` `#[repr(C)]`
+    // `pollfd`s for the whole call; `poll` writes only their `revents`.
+    #[allow(
+        unsafe_code,
+        reason = "there is no libc crate to wrap poll(2); see the workspace manifest"
+    )]
+    unsafe {
+        extern "C" {
+            fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: i32) -> i32;
+        }
+        poll(fds.as_mut_ptr(), fds.len() as std::ffi::c_ulong, millis);
     }
 }

@@ -109,6 +109,10 @@ pub struct SnapshotCell {
     slot: Mutex<Arc<Snapshot>>,
     /// Publishes since construction — the status endpoint's epoch counter.
     epoch: AtomicU64,
+    /// Replaced snapshots a query still held when they were replaced. Only
+    /// [`Self::publish`] locks it, and it frees each once its readers have
+    /// let go.
+    retired: Mutex<Vec<Arc<Snapshot>>>,
 }
 
 impl SnapshotCell {
@@ -118,6 +122,7 @@ impl SnapshotCell {
         Self {
             slot: Mutex::new(Arc::new(initial)),
             epoch: AtomicU64::new(0),
+            retired: Mutex::new(Vec::new()),
         }
     }
 
@@ -126,9 +131,27 @@ impl SnapshotCell {
     /// The slot only ever holds a fully-built `Arc`, so a poisoned lock
     /// (a panic elsewhere while holding it) cannot expose a torn value —
     /// recover the guard instead of cascading the panic into the daemon.
+    ///
+    /// The publisher frees every replaced snapshot itself, after the slot
+    /// lock is released: at once when no query holds it, otherwise at the
+    /// first publish after its last reader let go. Freeing one releases a
+    /// reference on every user-row chunk (15,625 at a million users) and
+    /// frees the chunks training has copied since, up to one per client.
+    /// When a query handler dropped the last reference instead, it freed
+    /// those chunks into the allocator arena the trainer was allocating
+    /// from: the trainer's next round blocked on the arena's lock about 30
+    /// times and ran a third slower.
     pub fn publish(&self, snapshot: Snapshot) {
-        *self.slot.lock().unwrap_or_else(PoisonError::into_inner) = Arc::new(snapshot);
+        let previous = std::mem::replace(
+            &mut *self.slot.lock().unwrap_or_else(PoisonError::into_inner),
+            Arc::new(snapshot),
+        );
         self.epoch.fetch_add(1, Ordering::SeqCst);
+        let mut retired = self.retired.lock().unwrap_or_else(PoisonError::into_inner);
+        retired.push(previous);
+        // No query can take a new reference to a replaced snapshot, so a
+        // count of one is final: this thread holds the last reference.
+        retired.retain(|snapshot| Arc::strong_count(snapshot) > 1);
     }
 
     /// How many snapshots have been published since the cell was primed
@@ -208,6 +231,29 @@ mod tests {
         assert_eq!(held.round(), 0, "held reader keeps its epoch");
         assert_eq!(cell.latest().round(), 1);
         assert_eq!(cell.epoch(), 1, "publish bumps the epoch counter");
+    }
+
+    #[test]
+    fn the_publisher_frees_replaced_snapshots() {
+        let cell = SnapshotCell::new(tiny_snapshot(0));
+        let unheld = Arc::downgrade(&cell.latest());
+        cell.publish(tiny_snapshot(1));
+        assert!(
+            unheld.upgrade().is_none(),
+            "no reader: freed by the publish"
+        );
+
+        let held = cell.latest();
+        let weak = Arc::downgrade(&held);
+        cell.publish(tiny_snapshot(2));
+        drop(held);
+        assert!(
+            weak.upgrade().is_some(),
+            "the last reader's drop leaves the snapshot to the publisher"
+        );
+        cell.publish(tiny_snapshot(3));
+        assert!(weak.upgrade().is_none(), "freed by the next publish");
+        assert_eq!(cell.latest().round(), 3);
     }
 
     /// A published snapshot shares its user rows with the simulation's
