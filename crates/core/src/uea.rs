@@ -9,7 +9,10 @@
 //! where each mined popular embedding `v_k` stands in for a user and is
 //! treated as a *constant* (excluded from backpropagation). The poisonous
 //! gradient for a target is the gradient of this loss w.r.t. the target's
-//! embedding — through the dot product (MF) or through the frozen MLP (DL).
+//! embedding. The attack never asks which family it poisons:
+//! [`GlobalModel::logit_with_embeddings`] and
+//! [`GlobalModel::item_grad_with_embeddings`] score the pair and take the
+//! item-side gradient through the dot product (MF) or the frozen MLP (DL).
 //!
 //! The paper's cost analysis notes UEA runs "multiple rounds in batches
 //! (default batch size 5 and round size 3)": [`UeaConfig::local_steps`] and
@@ -52,7 +55,7 @@ pub fn uea_loss(model: &GlobalModel, popular: &[u32], target_emb: &[f32]) -> f32
     let mut sum = 0.0f32;
     for &k in popular {
         let pseudo_user = model.item_embedding(k);
-        let logit = logit_with_target(model, pseudo_user, target_emb);
+        let logit = model.logit_with_embeddings(pseudo_user, target_emb);
         sum += -frs_linalg::log_sigmoid(logit);
     }
     sum / popular.len() as f32
@@ -69,9 +72,9 @@ pub fn uea_gradient(model: &GlobalModel, batch: &[u32], target_emb: &[f32]) -> V
     let scale = 1.0 / batch.len() as f32;
     for &k in batch {
         let pseudo_user = model.item_embedding(k);
-        let logit = logit_with_target(model, pseudo_user, target_emb);
+        let logit = model.logit_with_embeddings(pseudo_user, target_emb);
         let delta = (sigmoid(logit) - 1.0) * scale;
-        let g = item_grad_with_target(model, pseudo_user, target_emb);
+        let g = model.item_grad_with_embeddings(pseudo_user, target_emb);
         vector::axpy(delta, &g, &mut grad);
     }
     grad
@@ -107,27 +110,10 @@ pub fn uea_poison_gradient(
     poison
 }
 
-/// Interaction logit where the item side uses an explicit embedding (the
-/// attacker's working copy) instead of the model's stored row.
-fn logit_with_target(model: &GlobalModel, pseudo_user: &[f32], target_emb: &[f32]) -> f32 {
-    match model {
-        GlobalModel::Mf(_) => vector::dot(pseudo_user, target_emb),
-        GlobalModel::Ncf(m) => m.logit_with_embeddings(pseudo_user, target_emb),
-    }
-}
-
-/// `∂logit/∂(target embedding)` with the pseudo-user and MLP frozen.
-fn item_grad_with_target(model: &GlobalModel, pseudo_user: &[f32], target_emb: &[f32]) -> Vec<f32> {
-    match model {
-        GlobalModel::Mf(_) => pseudo_user.to_vec(),
-        GlobalModel::Ncf(m) => m.item_grad_with_embeddings(pseudo_user, target_emb),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use frs_model::{GlobalModel, ModelConfig};
+    use frs_model::{GlobalModel, ModelConfig, ModelKind};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -155,9 +141,9 @@ mod tests {
                 *slot = (uea_loss(&model, &popular, &tp) - uea_loss(&model, &popular, &tm))
                     / (2.0 * eps);
             }
-            match model {
+            match model.kind() {
                 // MF is smooth: coordinates must agree pointwise.
-                GlobalModel::Mf(_) => {
+                ModelKind::Mf => {
                     for i in 0..6 {
                         assert!(
                             (g[i] - fd[i]).abs() < 2e-2,
@@ -172,7 +158,7 @@ mod tests {
                 // analytic gradient at isolated coordinates (see the model
                 // crate's gradient properties). Directional agreement over
                 // the whole vector is the robust property.
-                GlobalModel::Ncf(_) => {
+                ModelKind::Ncf => {
                     let cos = frs_linalg::cosine(&g, &fd);
                     assert!(cos > 0.95, "cos(analytic, fd) = {cos}");
                     let (gn, fn_) = (vector::l2_norm(&g), vector::l2_norm(&fd));

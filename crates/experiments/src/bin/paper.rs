@@ -1,13 +1,10 @@
 //! `paper` — the one CLI reproducing every table and figure of the PIECK
 //! paper.
 //!
-//! ```text
-//! paper <command> [operands] [--scale f] [--rounds n] [--seed s] [--full]
-//!                 [--threads n] [--round-threads auto|n] [--json dir]
-//!                 [--csv dir] [--quiet] [--cache-dir dir] [--no-cache]
-//!                 [--progress file] [--resume] [--checkpoint-every n]
-//!                 [--dry-run]
+//! [`frs_experiments::cli::usage`] is its usage text, every flag and every
+//! command; `paper` with no arguments prints it. For example:
 //!
+//! ```text
 //! paper list                 # available commands
 //! paper table4 --scale 0.25  # Table IV at quarter scale
 //! paper table3 ml100k ml1m   # Table III on two datasets
@@ -48,27 +45,7 @@ use frs_experiments::{CommonArgs, JsonlSink, Report, ReportFormat, SuiteCache};
 use frs_federation::{Catalog, CoreBudget, Selection};
 
 fn print_usage() {
-    eprintln!("usage: paper <command> [operands] [--scale f] [--rounds n] [--seed s] [--full]");
-    eprintln!("                       [--threads n] [--round-threads auto|n]");
-    eprintln!("                       [--attack name[:k=v,...]] [--defense name[:k=v,...]]");
-    eprintln!("                       [--dataset name|file:PATH]");
-    eprintln!("                       [--json dir] [--csv dir] [--quiet] [--cache-dir dir]");
-    eprintln!("                       [--no-cache] [--progress file] [--resume]");
-    eprintln!("                       [--checkpoint-every n] [--dry-run]");
-    eprintln!();
-    eprintln!("commands:");
-    eprintln!("  list             list every reproduction command");
-    eprintln!("  all              run every table and figure");
-    eprintln!("  attacks list     list the attack catalog (name, label, params)");
-    eprintln!("  defenses list    list the defense catalog (name, label, side, params)");
-    eprintln!("  cache <stats|gc|clear>   inspect / clean a --cache-dir");
-    eprintln!("  serve [mf|ncf]   top-K query daemon (--socket/--tcp, --scenario [name=]mf|ncf");
-    eprintln!("                   repeatable; trains while serving)");
-    eprintln!("  loadtest         saturate a serve daemon (--tcp/--socket, --connections,");
-    eprintln!("                   --pipeline, --requests, --rate, --dist, --gate-json)");
-    for cmd in PaperCommand::all() {
-        eprintln!("  {:<16} {}", cmd.name(), cmd.description());
-    }
+    eprint!("{}", frs_experiments::cli::usage());
 }
 
 /// Exits 2 with the error when `sel` does not build against `ctx`.

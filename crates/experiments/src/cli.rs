@@ -12,8 +12,48 @@ use frs_attacks::AttackSel;
 use frs_defense::DefenseSel;
 use frs_federation::{ClientsPerRound, RoundThreads};
 
+use crate::paper::PaperCommand;
 use crate::presets::PaperDataset;
 use crate::suite::RunOptions;
+
+/// The fixed part of [`usage`]: every flag [`CommonArgs::parse_from`]
+/// accepts (the daemon ones under the command that reads them), then the
+/// commands that are not [`PaperCommand`]s.
+const USAGE_HEAD: &str = "\
+usage: paper <command> [operands] [--scale f] [--rounds n] [--seed s] [--full]
+                       [--threads n] [--round-threads auto|n]
+                       [--attack name[:k=v,...]] [--defense name[:k=v,...]]
+                       [--dataset ml100k|ml1m|az|file:PATH]
+                       [--clients-per-round n|frac|pct%]
+                       [--json dir] [--csv dir] [--quiet] [--cache-dir dir]
+                       [--no-cache] [--progress file] [--resume]
+                       [--checkpoint-every n] [--dry-run]
+  serve:               [--socket path] [--tcp addr] [--scenario [name=]mf|ncf]
+                       [--keep-checkpoints k] [--probe-every n]
+  loadtest:            [--tcp addr] [--socket path] [--connections n]
+                       [--pipeline n] [--requests n] [--rate r]
+                       [--dist uniform|zipf[:exp]] [--gate-json file]
+
+commands:
+  list             list every reproduction command
+  all              run every table and figure
+  attacks list     list the attack catalog (name, label, params)
+  defenses list    list the defense catalog (name, label, side, params)
+  cache <stats|gc|clear>   inspect / clean a --cache-dir
+  serve [mf|ncf]   top-K query daemon (--socket/--tcp, --scenario repeatable;
+                   trains while serving)
+  loadtest         saturate a serve daemon
+";
+
+/// The `paper` usage text: every flag and every command. `paper` with no
+/// arguments, an unknown command and an argument error all print it.
+pub fn usage() -> String {
+    let commands: String = PaperCommand::all()
+        .iter()
+        .map(|cmd| format!("  {:<16} {}\n", cmd.name(), cmd.description()))
+        .collect();
+    format!("{USAGE_HEAD}{commands}")
+}
 
 /// Arguments every `paper` subcommand understands.
 #[derive(Debug, Clone)]
@@ -297,19 +337,7 @@ impl CommonArgs {
             Ok(args) => args,
             Err(msg) => {
                 eprintln!("argument error: {msg}");
-                eprintln!(
-                    "usage: paper <command> [--scale f] [--rounds n] [--seed s] [--full] \
-                     [--threads n] [--round-threads auto|n] [--attack name[:k=v,...]] \
-                     [--defense name[:k=v,...]] \
-                     [--dataset ml100k|ml1m|az|file:PATH] \
-                     [--clients-per-round n|frac|pct%] [--json dir] [--csv dir] \
-                     [--quiet] [--cache-dir dir] [--no-cache] [--progress file] \
-                     [--resume] [--checkpoint-every n] [--dry-run] [--socket path] \
-                     [--tcp addr] [--scenario [name=]mf|ncf] [--keep-checkpoints k] \
-                     [--probe-every n] [--connections n] [--pipeline n] [--requests n] \
-                     [--rate r] [--dist uniform|zipf[:exp]] [--gate-json file] \
-                     [extra...]"
-                );
+                eprint!("{}", usage());
                 std::process::exit(2);
             }
         }
@@ -322,6 +350,78 @@ mod tests {
 
     fn parse(args: &[&str]) -> Result<CommonArgs, String> {
         CommonArgs::parse_from(args.iter().map(|s| s.to_string()))
+    }
+
+    /// Every `[--flag ...]` group of [`usage`]: the flag, and whether the
+    /// group names a value after it.
+    fn usage_flags() -> Vec<(String, bool)> {
+        let text = usage();
+        let mut flags = Vec::new();
+        let mut rest = text.as_str();
+        while let Some(start) = rest.find("[--") {
+            let group = &rest[start + 1..];
+            let mut depth = 1;
+            let end = group
+                .char_indices()
+                .find_map(|(i, c)| {
+                    match c {
+                        '[' => depth += 1,
+                        ']' => depth -= 1,
+                        _ => {}
+                    }
+                    (depth == 0).then_some(i)
+                })
+                .expect("usage brackets balance");
+            let inner = &group[..end];
+            let (flag, takes_value) = inner
+                .split_once(' ')
+                .map_or((inner, false), |(flag, _)| (flag, true));
+            flags.push((flag.to_string(), takes_value));
+            rest = &group[end..];
+        }
+        flags
+    }
+
+    /// A value `parse_from` accepts for `flag`.
+    fn sample_value(flag: &str) -> &'static str {
+        match flag {
+            "--scale" => "0.5",
+            "--rounds" | "--seed" | "--threads" | "--checkpoint-every" | "--keep-checkpoints"
+            | "--probe-every" | "--connections" | "--pipeline" | "--requests" => "3",
+            "--round-threads" => "auto",
+            "--attack" => "pieck-uea:top_n=20",
+            "--defense" => "ours:beta=0.9",
+            "--dataset" => "ml1m",
+            "--clients-per-round" => "50%",
+            "--json" | "--csv" | "--cache-dir" | "--progress" | "--socket" | "--gate-json" => "out",
+            "--tcp" => "127.0.0.1:0",
+            "--scenario" => "b=ncf",
+            "--rate" => "250.5",
+            "--dist" => "zipf:1.1",
+            other => panic!("no sample value for {other}: add one"),
+        }
+    }
+
+    #[test]
+    fn every_flag_in_the_usage_parses() {
+        let flags = usage_flags();
+        assert!(flags.len() >= 30, "usage lists too few flags: {flags:?}");
+        for (flag, takes_value) in flags {
+            // `--cache-dir` satisfies `--resume` and `--checkpoint-every`.
+            let mut args = vec!["table4", "--cache-dir", "c", flag.as_str()];
+            if takes_value {
+                args.push(sample_value(&flag));
+            }
+            let parsed = parse(&args).unwrap_or_else(|e| panic!("{flag}: {e}"));
+            assert_eq!(parsed.positional, ["table4"], "{flag} was not consumed");
+        }
+        for cmd in PaperCommand::all() {
+            assert!(
+                usage().contains(&format!("  {} ", cmd.name())),
+                "{}",
+                cmd.name()
+            );
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub use rank::{
 };
 pub use rng::SeedStream;
 pub use softmax::{kl_divergence, kl_grad_wrt_p, kl_grad_wrt_q, log_softmax, softmax};
-pub use stats::{mean, variance, CoordinateReducer, CoordinateStat};
+pub use stats::{CoordinateReducer, CoordinateStat};
 pub use vector::{
     add_assign, axpy, clip_l2_norm, cosine, cosine_grad_wrt_b, dot, l2_distance, l2_norm,
     mean_vector, scale, squared_l2_distance, sub,

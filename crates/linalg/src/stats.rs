@@ -1,4 +1,4 @@
-//! Scalar and coordinate-wise statistics.
+//! Coordinate-wise statistics.
 //!
 //! The robust-aggregation defenses (Median, TrimmedMean, Bulyan) reduce a set
 //! of uploaded gradient rows coordinate by coordinate. [`CoordinateReducer`]
@@ -27,25 +27,6 @@
 //!
 //! `coordinate_parity` (frs-defense) holds the defenses to the scalar sort
 //! and reduction, bit for bit.
-
-/// Arithmetic mean; 0.0 for an empty slice (an empty aggregate is a no-op
-/// update, which is the behaviour the federation layer wants).
-pub fn mean(xs: &[f32]) -> f32 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.iter().sum::<f32>() / xs.len() as f32
-}
-
-/// Population variance (mean of squared deviations); 0.0 for fewer than two
-/// samples.
-pub fn variance(xs: &[f32]) -> f32 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|&x| (x - m) * (x - m)).sum::<f32>() / xs.len() as f32
-}
 
 /// One coordinate-wise statistic of the robust rules \[40\].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -238,14 +219,6 @@ mod tests {
         let rows: Vec<[f32; 1]> = xs.iter().map(|&x| [x]).collect();
         let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
         CoordinateReducer::default().reduce(&refs, CoordinateStat::TrimmedMean { trim }, 1.0)[0]
-    }
-
-    #[test]
-    fn mean_and_variance_basic() {
-        assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-        assert_eq!(mean(&[]), 0.0);
-        assert!((variance(&[1.0, 2.0, 3.0]) - 2.0 / 3.0).abs() < 1e-6);
-        assert_eq!(variance(&[5.0]), 0.0);
     }
 
     #[test]

@@ -1,112 +1,115 @@
-//! The unified global-model facade.
+//! The global model: the item table both families share, plus the
+//! interaction MLP only DL-FRS has.
 //!
-//! [`GlobalModel`] is the one type the federation protocol, every attack, and
-//! every defense program against. It hides whether the interaction function
-//! is a fixed dot product (MF) or a learnable MLP (NCF) — which is precisely
-//! the property that makes PIECK *model-agnostic*: the attack only ever calls
-//! the item-embedding surface of this API.
+//! [`GlobalModel`] is the one type the federation protocol, every attack and
+//! every defense program against. Its MLP slot is the only difference
+//! between the paper's two families (Section III-A):
+//!
+//! - `None` is **MF-FRS**: `Ψ_MF(u, v) = u · v`, a *fixed* dot product, so
+//!   the item table is the whole shared model and interaction-function
+//!   attacks (A-RA/A-HUM) have nothing to poison (paper Table I).
+//! - `Some` is **DL-FRS**: a learnable NeuMF MLP over
+//!   `z₀ = u ⊕ v ⊕ (u ⊙ v)`, the concatenation augmented with the GMF
+//!   element-wise product path of the NCF paper \[16\]. The product features
+//!   make the learned score *multiplicative* in (user, item); without them a
+//!   narrow MLP degenerates to an additive `f(u) + g(v)` scorer, in which
+//!   promoting an item for anyone promotes it for everyone.
+//!
+//! PIECK is *model-agnostic* because it reads and poisons item embeddings
+//! only: [`GlobalModel::logit_with_embeddings`] and
+//! [`GlobalModel::item_grad_with_embeddings`] take an explicit item
+//! embedding (the attacker's working copy of a target) and a mined popular
+//! item's embedding in the user slot, whichever family is training.
 
-use frs_linalg::{sigmoid, Matrix};
+use frs_linalg::{sigmoid, vector, Matrix};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Map, Serialize, Value};
 
 use crate::config::{ModelConfig, ModelKind};
 use crate::gradients::GlobalGradients;
-use crate::lanes::ItemLanes;
-use crate::mf::MfModel;
-use crate::mlp::MlpCache;
-use crate::ncf::NcfModel;
+use crate::lanes::{fold_lanes, ItemLanes, LANES};
+use crate::mlp::{Mlp, MlpCache};
 
-/// Either base model behind one interface.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum GlobalModel {
-    Mf(MfModel),
-    Ncf(NcfModel),
-}
-
-/// Per-example forward cache (only NCF needs to remember anything).
-#[derive(Debug, Clone)]
-pub enum ForwardCache {
-    Mf,
-    Ncf(MlpCache),
+/// One embedding row per item, and the DL-FRS interaction MLP (`None` for
+/// MF-FRS's dot product).
+#[derive(Debug, Clone, PartialEq)]
+pub struct GlobalModel {
+    items: Matrix,
+    mlp: Option<Mlp>,
 }
 
 impl GlobalModel {
-    /// Builds the configured model with `n_items` item rows.
+    /// Builds the configured model with `n_items` item rows: the item table
+    /// (`U(−init_scale, init_scale)`) is drawn first, then the MLP, from the
+    /// same `rng`.
     pub fn new<R: Rng + ?Sized>(config: &ModelConfig, n_items: usize, rng: &mut R) -> Self {
         config.validate().expect("invalid model config");
-        match config.kind {
-            ModelKind::Mf => GlobalModel::Mf(MfModel::new(
-                n_items,
-                config.embedding_dim,
-                config.init_scale,
-                rng,
-            )),
-            ModelKind::Ncf => GlobalModel::Ncf(NcfModel::new(
-                n_items,
-                config.embedding_dim,
-                &config.mlp_shapes(),
-                config.init_scale,
-                rng,
-            )),
-        }
+        let dim = config.embedding_dim;
+        let items = Matrix::uniform(n_items, dim, config.init_scale, rng);
+        let mlp = match config.kind {
+            ModelKind::Mf => None,
+            ModelKind::Ncf => {
+                let shapes = config.mlp_shapes();
+                assert_eq!(
+                    shapes[0].0,
+                    3 * dim,
+                    "MLP input must be 3·dim (u ⊕ v ⊕ u⊙v)"
+                );
+                Some(Mlp::new(&shapes, rng))
+            }
+        };
+        Self { items, mlp }
     }
 
     /// Which family this is.
     pub fn kind(&self) -> ModelKind {
-        match self {
-            GlobalModel::Mf(_) => ModelKind::Mf,
-            GlobalModel::Ncf(_) => ModelKind::Ncf,
+        match self.mlp {
+            None => ModelKind::Mf,
+            Some(_) => ModelKind::Ncf,
         }
     }
 
     pub fn n_items(&self) -> usize {
-        match self {
-            GlobalModel::Mf(m) => m.n_items(),
-            GlobalModel::Ncf(m) => m.n_items(),
-        }
+        self.items.rows()
     }
 
     pub fn dim(&self) -> usize {
-        match self {
-            GlobalModel::Mf(m) => m.dim(),
-            GlobalModel::Ncf(m) => m.dim(),
-        }
+        self.items.cols()
     }
 
     /// Item `j`'s embedding row.
     #[inline]
     pub fn item_embedding(&self, item: u32) -> &[f32] {
-        match self {
-            GlobalModel::Mf(m) => m.item_embedding(item),
-            GlobalModel::Ncf(m) => m.item_embedding(item),
-        }
+        self.items.row(item as usize)
     }
 
     /// Mutable item embedding (tests and white-box tooling only; the
     /// federation always goes through [`Self::apply_gradients`]).
     pub fn item_embedding_mut(&mut self, item: u32) -> &mut [f32] {
-        match self {
-            GlobalModel::Mf(m) => m.item_embedding_mut(item),
-            GlobalModel::Ncf(m) => m.item_embedding_mut(item),
-        }
+        self.items.row_mut(item as usize)
     }
 
     /// The full item table — what the server ships to sampled clients and
     /// what the popular-item miner diffs between rounds.
     pub fn items(&self) -> &Matrix {
-        match self {
-            GlobalModel::Mf(m) => m.items(),
-            GlobalModel::Ncf(m) => m.items(),
-        }
+        &self.items
     }
 
     /// Raw interaction logit for (user embedding, item).
     #[inline]
     pub fn logit(&self, user_emb: &[f32], item: u32) -> f32 {
-        match self {
-            GlobalModel::Mf(m) => m.logit(user_emb, item),
-            GlobalModel::Ncf(m) => m.logit(user_emb, item),
+        self.logit_with_embeddings(user_emb, self.item_embedding(item))
+    }
+
+    /// Raw interaction logit for an explicit embedding pair: `u · v`, or the
+    /// MLP over `u ⊕ v ⊕ u⊙v`. PIECK-UEA puts a mined popular item's
+    /// embedding in the user slot and its working copy of a target in the
+    /// item slot.
+    #[inline]
+    pub fn logit_with_embeddings(&self, user_emb: &[f32], item_emb: &[f32]) -> f32 {
+        match &self.mlp {
+            None => vector::dot(user_emb, item_emb),
+            Some(mlp) => mlp.forward_logit_only(&neumf_input(user_emb, item_emb)),
         }
     }
 
@@ -117,13 +120,14 @@ impl GlobalModel {
         sigmoid(self.logit(user_emb, item))
     }
 
-    /// Forward returning a cache for training examples.
-    pub fn forward(&self, user_emb: &[f32], item: u32) -> (f32, ForwardCache) {
-        match self {
-            GlobalModel::Mf(m) => (m.logit(user_emb, item), ForwardCache::Mf),
-            GlobalModel::Ncf(m) => {
-                let (logit, cache) = m.forward(user_emb, item);
-                (logit, ForwardCache::Ncf(cache))
+    /// Forward returning the MLP cache backprop needs (`None` for MF).
+    pub fn forward(&self, user_emb: &[f32], item: u32) -> (f32, Option<MlpCache>) {
+        let item_emb = self.item_embedding(item);
+        match &self.mlp {
+            None => (vector::dot(user_emb, item_emb), None),
+            Some(mlp) => {
+                let (logit, cache) = mlp.forward(&neumf_input(user_emb, item_emb));
+                (logit, Some(cache))
             }
         }
     }
@@ -134,23 +138,29 @@ impl GlobalModel {
         &self,
         user_emb: &[f32],
         item: u32,
-        cache: &ForwardCache,
+        cache: &Option<MlpCache>,
         delta: f32,
         d_user: &mut [f32],
         grads: &mut GlobalGradients,
     ) {
-        match (self, cache) {
-            (GlobalModel::Mf(m), ForwardCache::Mf) => {
-                let d_item = m.backward(user_emb, item, delta, d_user);
-                grads.add_item_grad(item, &d_item);
+        let item_emb = self.item_embedding(item);
+        let d_item: Vec<f32> = match (&self.mlp, cache) {
+            (None, None) => {
+                vector::axpy(delta, item_emb, d_user);
+                user_emb.iter().map(|&ui| delta * ui).collect()
             }
-            (GlobalModel::Ncf(m), ForwardCache::Ncf(mlp_cache)) => {
-                let mlp_grads = grads.mlp.get_or_insert_with(|| m.mlp().zero_gradients());
-                let d_item = m.backward(user_emb, item, mlp_cache, delta, d_user, mlp_grads);
-                grads.add_item_grad(item, &d_item);
+            (Some(mlp), Some(cache)) => {
+                let mlp_grads = grads.mlp.get_or_insert_with(|| mlp.zero_gradients());
+                let d_input = mlp.backward(cache, delta, mlp_grads);
+                let (du, dv) = split_input_grad(&d_input, user_emb, item_emb);
+                for (acc, g) in d_user.iter_mut().zip(du) {
+                    *acc += g;
+                }
+                dv
             }
             _ => panic!("forward cache does not match model kind"),
-        }
+        };
+        grads.add_item_grad(item, &d_item);
     }
 
     /// Gradient of the logit w.r.t. the *item embedding only*, everything
@@ -158,9 +168,16 @@ impl GlobalModel {
     /// may be a real user, an approximated user, or (PIECK-UEA) a mined
     /// popular-item embedding standing in for a user.
     pub fn item_grad_of_logit(&self, user_emb: &[f32], item: u32) -> Vec<f32> {
-        match self {
-            GlobalModel::Mf(m) => m.item_grad_of_logit(user_emb, item),
-            GlobalModel::Ncf(m) => m.item_grad_of_logit(user_emb, item),
+        self.item_grad_with_embeddings(user_emb, self.item_embedding(item))
+    }
+
+    /// [`Self::item_grad_of_logit`] at an explicit item embedding: `u` for
+    /// MF, the product-rule item part of the frozen MLP's input gradient
+    /// for DL-FRS.
+    pub fn item_grad_with_embeddings(&self, user_emb: &[f32], item_emb: &[f32]) -> Vec<f32> {
+        match &self.mlp {
+            None => user_emb.to_vec(),
+            Some(mlp) => input_grads(mlp, user_emb, item_emb).1,
         }
     }
 
@@ -168,28 +185,20 @@ impl GlobalModel {
     /// interaction parameters constant. A-RA/A-HUM use this to optimize their
     /// synthetic "hard users".
     pub fn user_grad_of_logit(&self, user_emb: &[f32], item: u32) -> Vec<f32> {
-        match self {
-            GlobalModel::Mf(m) => m.item_embedding(item).to_vec(),
-            GlobalModel::Ncf(m) => m.user_grad_of_logit(user_emb, item),
+        let item_emb = self.item_embedding(item);
+        match &self.mlp {
+            None => item_emb.to_vec(),
+            Some(mlp) => input_grads(mlp, user_emb, item_emb).0,
         }
     }
 
     /// Server-side update: `θ ← θ − lr · g` for every uploaded gradient.
     pub fn apply_gradients(&mut self, grads: &GlobalGradients, lr: f32) {
-        match self {
-            GlobalModel::Mf(m) => {
-                for (item, g) in grads.iter() {
-                    m.apply_item_gradient(item, g, lr);
-                }
-            }
-            GlobalModel::Ncf(m) => {
-                for (item, g) in grads.iter() {
-                    m.apply_item_gradient(item, g, lr);
-                }
-                if let Some(mlp_grads) = &grads.mlp {
-                    m.apply_mlp_gradients(mlp_grads, lr);
-                }
-            }
+        for (item, g) in grads.iter() {
+            vector::axpy(-lr, g, self.items.row_mut(item as usize));
+        }
+        if let (Some(mlp), Some(mlp_grads)) = (&mut self.mlp, &grads.mlp) {
+            mlp.apply_gradients(mlp_grads, lr);
         }
     }
 
@@ -197,7 +206,7 @@ impl GlobalModel {
     /// ([`crate::lanes`]): build it once per evaluation (or per published
     /// snapshot) and pass it to every [`Self::scores_for_user_into`] call.
     pub fn item_lanes(&self) -> ItemLanes {
-        ItemLanes::new(self.items())
+        ItemLanes::new(&self.items)
     }
 
     /// Logits of every item for one user embedding, into a caller-owned
@@ -210,10 +219,134 @@ impl GlobalModel {
             lanes.n_items() == self.n_items() && lanes.dim() == self.dim(),
             "item lanes built for another model shape"
         );
-        match self {
-            GlobalModel::Mf(m) => m.scores_for_user_into(lanes, user_emb, out),
-            GlobalModel::Ncf(m) => m.scores_for_user_into(lanes, user_emb, out),
+        match &self.mlp {
+            None => dot_scores_into(lanes, user_emb, out),
+            Some(mlp) => mlp_scores_into(mlp, lanes, user_emb, out),
         }
+    }
+}
+
+/// The NeuMF input `z₀ = u ⊕ v ⊕ (u ⊙ v)`.
+fn neumf_input(user_emb: &[f32], item_emb: &[f32]) -> Vec<f32> {
+    debug_assert_eq!(user_emb.len(), item_emb.len());
+    let mut z = Vec::with_capacity(3 * item_emb.len());
+    z.extend_from_slice(user_emb);
+    z.extend_from_slice(item_emb);
+    z.extend(user_emb.iter().zip(item_emb).map(|(a, b)| a * b));
+    z
+}
+
+/// Splits `∂L/∂z₀` into user/item parts with the product rule:
+/// `∂L/∂u = dz[0..d] + dz[2d..3d] ⊙ v`, `∂L/∂v = dz[d..2d] + dz[2d..3d] ⊙ u`.
+fn split_input_grad(d_input: &[f32], user_emb: &[f32], item_emb: &[f32]) -> (Vec<f32>, Vec<f32>) {
+    let (du_part, rest) = d_input.split_at(item_emb.len());
+    let (dv_part, dprod) = rest.split_at(item_emb.len());
+    let product_rule = |part: &[f32], other: &[f32]| -> Vec<f32> {
+        part.iter()
+            .zip(dprod.iter().zip(other))
+            .map(|(&g, (&p, &x))| g + p * x)
+            .collect()
+    };
+    (
+        product_rule(du_part, item_emb),
+        product_rule(dv_part, user_emb),
+    )
+}
+
+/// `(∂logit/∂u, ∂logit/∂v)` through a frozen MLP.
+fn input_grads(mlp: &Mlp, user_emb: &[f32], item_emb: &[f32]) -> (Vec<f32>, Vec<f32>) {
+    let (_, cache) = mlp.forward(&neumf_input(user_emb, item_emb));
+    split_input_grad(&mlp.backward_input_only(&cache, 1.0), user_emb, item_emb)
+}
+
+/// MF logits of every item in `lanes`, `LANES` items at a time: eight
+/// `dot` folds (`-0.0 + u₀v₀ + u₁v₁ + …`) side by side, each
+/// bitwise-identical to the per-item [`GlobalModel::logit`].
+fn dot_scores_into(lanes: &ItemLanes, user_emb: &[f32], out: &mut Vec<f32>) {
+    lanes.score_into(out, |block| {
+        let mut acc = [-0.0; LANES];
+        fold_lanes(&mut acc, user_emb, block);
+        acc
+    });
+}
+
+/// NCF logits of every item in `lanes`, `LANES` items at a time: the MLP
+/// work that depends only on the user slot (the first-layer fold over `u`)
+/// runs once, and each block's `v ⊕ (u ⊙ v)` suffix goes through
+/// `BatchScorer::logits`. Each score is bitwise-identical to the per-item
+/// [`GlobalModel::logit`].
+fn mlp_scores_into(mlp: &Mlp, lanes: &ItemLanes, user_emb: &[f32], out: &mut Vec<f32>) {
+    let dim = lanes.dim();
+    debug_assert_eq!(user_emb.len(), dim);
+    let mut scorer = mlp.batch_scorer(user_emb);
+    let mut suffix = vec![[0.0; LANES]; 2 * dim];
+    lanes.score_into(out, |block| {
+        let (items, products) = suffix.split_at_mut(dim);
+        for (((item, product), v), &u) in items.iter_mut().zip(products).zip(block).zip(user_emb) {
+            *item = *v;
+            for (p, &x) in product.iter_mut().zip(v) {
+                *p = u * x;
+            }
+        }
+        scorer.logits(&suffix)
+    });
+}
+
+/// Checkpoints keep the shape the two-struct model's derive wrote:
+/// `{"Mf":{"items":…}}` and `{"Ncf":{"dim":…,"items":…,"mlp":…}}`.
+impl Serialize for GlobalModel {
+    fn to_value(&self) -> Value {
+        let mut body = Map::new();
+        body.insert("items".into(), self.items.to_value());
+        let tag = match &self.mlp {
+            None => "Mf",
+            Some(mlp) => {
+                body.insert("dim".into(), self.dim().to_value());
+                body.insert("mlp".into(), mlp.to_value());
+                "Ncf"
+            }
+        };
+        Value::Object(Map::from([(tag.to_string(), Value::Object(body))]))
+    }
+}
+
+/// Reads [`Serialize`]'s shape back. An unknown tag, a missing field, a
+/// `dim` that disagrees with the item table or an MLP whose input is not
+/// `3·dim` wide is an error.
+impl Deserialize for GlobalModel {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let err = |msg: String| Error::new(format!("GlobalModel: {msg}"));
+        let variant = v.as_object().filter(|map| map.len() == 1);
+        let Some((tag, body)) = variant.and_then(|map| map.iter().next()) else {
+            return Err(err(format!("expected one variant, got {}", v.kind())));
+        };
+        if tag != "Mf" && tag != "Ncf" {
+            return Err(err(format!("unknown variant `{tag}`")));
+        }
+        let body = body
+            .as_object()
+            .ok_or_else(|| err(format!("expected object for {tag}, got {}", body.kind())))?;
+        let field = |name: &str| {
+            body.get(name)
+                .ok_or_else(|| err(format!("missing field `{name}` for {tag}")))
+        };
+        let items = Matrix::from_value(field("items")?)?;
+        if tag == "Mf" {
+            return Ok(Self { items, mlp: None });
+        }
+        let dim = usize::from_value(field("dim")?)?;
+        let mlp = Mlp::from_value(field("mlp")?)?;
+        let input = mlp.shapes().first().map(|&(input, _)| input);
+        if dim != items.cols() || input != dim.checked_mul(3) {
+            return Err(err(format!(
+                "dim {dim} and MLP input {input:?} disagree with {} item columns",
+                items.cols()
+            )));
+        }
+        Ok(Self {
+            items,
+            mlp: Some(mlp),
+        })
     }
 }
 
@@ -239,6 +372,43 @@ mod tests {
             GlobalModel::new(&ModelConfig::mf(4), 8, &mut rng),
             GlobalModel::new(&ModelConfig::ncf(8), 8, &mut rng),
         ]
+    }
+
+    /// Five 3-wide MF items drawn from `U(−0.5, 0.5)`.
+    fn mf_model() -> GlobalModel {
+        let mut config = ModelConfig::mf(3);
+        config.init_scale = 0.5;
+        GlobalModel::new(&config, 5, &mut StdRng::seed_from_u64(1))
+    }
+
+    /// Six 4-wide NCF items drawn from `U(−0.3, 0.3)`, hidden widths 6 and 3.
+    fn ncf_model() -> GlobalModel {
+        let mut config = ModelConfig::ncf(4);
+        config.mlp_hidden = vec![6, 3];
+        config.init_scale = 0.3;
+        GlobalModel::new(&config, 6, &mut StdRng::seed_from_u64(3))
+    }
+
+    /// One example's item gradient through `forward` and `backward`, with
+    /// `∂L/∂u` accumulated into `d_user`.
+    fn backward_item_grad(
+        m: &GlobalModel,
+        u: &[f32],
+        item: u32,
+        delta: f32,
+        d_user: &mut [f32],
+    ) -> Vec<f32> {
+        let (_, cache) = m.forward(u, item);
+        let mut grads = GlobalGradients::new();
+        m.backward(u, item, &cache, delta, d_user, &mut grads);
+        grads.get(item).expect("item gradient recorded").to_vec()
+    }
+
+    /// Applies `v_item ← v_item − lr·grad` through the server update.
+    fn apply_item_gradient(m: &mut GlobalModel, item: u32, grad: &[f32], lr: f32) {
+        let mut grads = GlobalGradients::new();
+        grads.add_item_grad(item, grad);
+        m.apply_gradients(&grads, lr);
     }
 
     #[test]
@@ -356,5 +526,215 @@ mod tests {
                 ModelKind::Ncf => assert!(grads.mlp.is_some()),
             }
         }
+    }
+
+    #[test]
+    fn logit_is_dot_product() {
+        let m = mf_model();
+        let u = [1.0, 2.0, 3.0];
+        let expect = vector::dot(&u, m.item_embedding(2));
+        assert_eq!(m.logit(&u, 2), expect);
+        assert_eq!(m.logit_with_embeddings(&u, m.item_embedding(2)), expect);
+        assert_eq!(m.item_grad_with_embeddings(&u, &[9.0; 3]), u.to_vec());
+    }
+
+    #[test]
+    fn backward_returns_scaled_user() {
+        let m = mf_model();
+        let u = [1.0, -1.0, 0.5];
+        let mut d_user = vec![0.0; 3];
+        let d_item = backward_item_grad(&m, &u, 1, 2.0, &mut d_user);
+        assert_eq!(d_item, vec![2.0, -2.0, 1.0]);
+        // d_user = delta * v.
+        let v = m.item_embedding(1);
+        for i in 0..3 {
+            assert!((d_user[i] - 2.0 * v[i]).abs() < 1e-6);
+        }
+    }
+
+    #[test]
+    #[allow(clippy::needless_range_loop)]
+    fn backward_matches_finite_difference() {
+        let mut m = mf_model();
+        let u = [0.3, -0.8, 0.2];
+        let mut d_user = vec![0.0; 3];
+        let d_item = backward_item_grad(&m, &u, 0, 1.0, &mut d_user);
+        let eps = 1e-3;
+        for i in 0..3 {
+            let orig = m.item_embedding(0)[i];
+            m.item_embedding_mut(0)[i] = orig + eps;
+            let up = m.logit(&u, 0);
+            m.item_embedding_mut(0)[i] = orig - eps;
+            let dn = m.logit(&u, 0);
+            m.item_embedding_mut(0)[i] = orig;
+            assert!((d_item[i] - (up - dn) / (2.0 * eps)).abs() < 1e-3);
+        }
+    }
+
+    #[test]
+    fn apply_item_gradient_descends() {
+        let mut m = mf_model();
+        let u = [1.0, 1.0, 1.0];
+        let before = m.logit(&u, 3);
+        // Gradient of −logit w.r.t. v is −u; applying it should raise the score.
+        let grad: Vec<f32> = u.iter().map(|&x| -x).collect();
+        apply_item_gradient(&mut m, 3, &grad, 0.1);
+        assert!(m.logit(&u, 3) > before);
+    }
+
+    #[test]
+    fn logit_matches_forward() {
+        let m = ncf_model();
+        let u = [0.1, -0.2, 0.3, 0.05];
+        let (logit, _) = m.forward(&u, 2);
+        assert_eq!(m.logit(&u, 2), logit);
+        assert_eq!(m.logit_with_embeddings(&u, m.item_embedding(2)), logit);
+    }
+
+    #[test]
+    #[allow(clippy::needless_range_loop)]
+    fn backward_splits_user_item_gradients() {
+        let m = ncf_model();
+        let u = [0.4, -0.1, 0.2, 0.3];
+        let mut d_user = vec![0.0; 4];
+        let d_item = backward_item_grad(&m, &u, 1, 1.0, &mut d_user);
+        assert_eq!(d_item.len(), 4);
+
+        // Finite-difference check of d_item (product rule included).
+        let eps = 1e-2;
+        let mut m2 = m.clone();
+        for i in 0..4 {
+            let orig = m2.item_embedding(1)[i];
+            m2.item_embedding_mut(1)[i] = orig + eps;
+            let up = m2.logit(&u, 1);
+            m2.item_embedding_mut(1)[i] = orig - eps;
+            let dn = m2.logit(&u, 1);
+            m2.item_embedding_mut(1)[i] = orig;
+            let fd = (up - dn) / (2.0 * eps);
+            assert!(
+                (d_item[i] - fd).abs() < 1e-2,
+                "item grad {i}: {} vs {fd}",
+                d_item[i]
+            );
+        }
+
+        // Finite-difference check of d_user.
+        for i in 0..4 {
+            let mut up_u = u;
+            up_u[i] += eps;
+            let mut dn_u = u;
+            dn_u[i] -= eps;
+            let fd = (m.logit(&up_u, 1) - m.logit(&dn_u, 1)) / (2.0 * eps);
+            assert!(
+                (d_user[i] - fd).abs() < 1e-2,
+                "user grad {i}: {} vs {fd}",
+                d_user[i]
+            );
+        }
+    }
+
+    #[test]
+    fn item_grad_of_logit_matches_backward() {
+        let m = ncf_model();
+        let u = [0.2, 0.2, -0.3, 0.1];
+        let mut d_user = vec![0.0; 4];
+        let via_backward = backward_item_grad(&m, &u, 4, 1.0, &mut d_user);
+        let direct = m.item_grad_of_logit(&u, 4);
+        for (a, b) in via_backward.iter().zip(&direct) {
+            assert!((a - b).abs() < 1e-6);
+        }
+    }
+
+    #[test]
+    fn user_grad_matches_finite_difference() {
+        let m = ncf_model();
+        let u = [0.3, -0.25, 0.15, 0.2];
+        let g = m.user_grad_of_logit(&u, 3);
+        let eps = 1e-2;
+        for i in 0..4 {
+            let mut up = u;
+            up[i] += eps;
+            let mut dn = u;
+            dn[i] -= eps;
+            let fd = (m.logit(&up, 3) - m.logit(&dn, 3)) / (2.0 * eps);
+            assert!((g[i] - fd).abs() < 1e-2, "coord {i}");
+        }
+    }
+
+    #[test]
+    fn score_is_multiplicative_not_additive() {
+        // With product features, zeroing the user must change the *item
+        // sensitivity* of the score: ∂logit/∂v at u and at 2u differ beyond
+        // a constant — catch regressions to an additive scorer.
+        let m = ncf_model();
+        let u: Vec<f32> = vec![0.4, -0.3, 0.2, 0.5];
+        let u2: Vec<f32> = u.iter().map(|x| 2.0 * x).collect();
+        let g1 = m.item_grad_of_logit(&u, 0);
+        let g2 = m.item_grad_of_logit(&u2, 0);
+        let diff: f32 = g1.iter().zip(&g2).map(|(a, b)| (a - b).abs()).sum();
+        assert!(diff > 1e-4, "item gradient must depend on the user: {diff}");
+    }
+
+    #[test]
+    fn apply_gradients_moves_score() {
+        let mut m = ncf_model();
+        let u = [0.5, 0.5, 0.5, 0.5];
+        let before = m.logit(&u, 0);
+        let g = m.item_grad_of_logit(&u, 0);
+        let neg: Vec<f32> = g.iter().map(|&x| -x).collect();
+        apply_item_gradient(&mut m, 0, &neg, 0.5);
+        assert!(m.logit(&u, 0) >= before);
+    }
+
+    #[test]
+    fn decoder_errors_instead_of_panicking() {
+        let ncf = both_models().pop().unwrap().to_value();
+        let edit = |f: &dyn Fn(&mut Map)| {
+            let mut value = ncf.clone();
+            if let Value::Object(outer) = &mut value {
+                if let Some(Value::Object(body)) = outer.get_mut("Ncf") {
+                    f(body);
+                }
+            }
+            GlobalModel::from_value(&value)
+        };
+        let renamed = Value::Object(Map::from([(
+            "Lstm".to_string(),
+            ncf.as_object().unwrap()["Ncf"].clone(),
+        )]));
+        let cases = [
+            ("unknown tag", GlobalModel::from_value(&renamed)),
+            ("not an object", GlobalModel::from_value(&Value::Null)),
+            ("two tags", {
+                let mut two = ncf.as_object().unwrap().clone();
+                two.insert("Mf".into(), Value::Null);
+                GlobalModel::from_value(&Value::Object(two))
+            }),
+            ("missing items", edit(&|b| drop(b.remove("items")))),
+            ("missing dim", edit(&|b| drop(b.remove("dim")))),
+            ("missing mlp", edit(&|b| drop(b.remove("mlp")))),
+            (
+                "wrong dim",
+                edit(&|b| drop(b.insert("dim".into(), 5usize.to_value()))),
+            ),
+            (
+                "huge dim",
+                edit(&|b| drop(b.insert("dim".into(), usize::MAX.to_value()))),
+            ),
+            ("empty body", edit(&|b| b.clear())),
+            (
+                "body not an object",
+                GlobalModel::from_value(&Value::Object(Map::from([(
+                    "Mf".to_string(),
+                    3usize.to_value(),
+                )]))),
+            ),
+        ];
+        for (what, result) in cases {
+            assert!(result.is_err(), "{what} must be an error");
+        }
+        let narrow = GlobalModel::new(&ModelConfig::ncf(2), 8, &mut StdRng::seed_from_u64(1));
+        let swapped = edit(&|b| drop(b.insert("mlp".into(), narrow.mlp.to_value())));
+        assert!(swapped.is_err(), "an MLP for another dim must be an error");
     }
 }

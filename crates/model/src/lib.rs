@@ -1,18 +1,20 @@
 //! Recommender base models with hand-derived gradients.
 //!
-//! The paper evaluates two model families (Section III-A):
+//! The paper evaluates two model families (Section III-A), and one type
+//! holds both: [`GlobalModel`] is the item-embedding table plus an optional
+//! interaction MLP ([`global`]).
 //!
-//! - **MF-FRS** ([`mf`]): `Ψ_MF(u, v) = u ⊙ v`, a *fixed* dot-product
+//! - **MF-FRS** (no MLP): `Ψ_MF(u, v) = u ⊙ v`, a *fixed* dot-product
 //!   interaction function. The global model is just the item-embedding table.
-//! - **DL-FRS** ([`ncf`]): Neural Collaborative Filtering, where
-//!   `Ψ_DL(u, v) = sigmoid(hᵀ · φ_L(…φ_1(u ⊕ v)))` with learnable MLP weights
-//!   `W_l, b_l` and projection `h` shared through the federation. The MLP
-//!   forward/backward pass is hand-derived in [`mlp`] and verified against
-//!   finite differences in the test suite.
+//! - **DL-FRS** (an MLP): Neural Collaborative Filtering, where
+//!   `Ψ_DL(u, v) = sigmoid(hᵀ · φ_L(…φ_1(u ⊕ v ⊕ u⊙v)))` with learnable MLP
+//!   weights `W_l, b_l` and projection `h` shared through the federation. The
+//!   MLP forward/backward pass is hand-derived in [`mlp`] and verified
+//!   against finite differences in the test suite.
 //!
-//! Both are wrapped behind [`GlobalModel`], the single type the federation
-//! layer, the attacks, and the defenses program against — this is what makes
-//! PIECK "model-agnostic" expressible in code.
+//! The federation layer, the attacks and the defenses all program against
+//! [`GlobalModel`], and PIECK reads and poisons its item embeddings only —
+//! this is what makes PIECK "model-agnostic" expressible in code.
 //!
 //! Losses live in [`loss`]: pointwise BCE (Eq. 2, the default) and pairwise
 //! BPR (supplementary Table XI).
@@ -26,13 +28,11 @@ pub mod global;
 pub mod gradients;
 pub mod lanes;
 pub mod loss;
-pub mod mf;
 pub mod mlp;
-pub mod ncf;
 pub mod store;
 
 pub use config::{ModelConfig, ModelKind};
-pub use global::{ForwardCache, GlobalModel};
+pub use global::GlobalModel;
 pub use gradients::{GlobalGradients, MlpGradients};
 pub use lanes::ItemLanes;
 pub use loss::{bce_logit_delta, bce_loss, bpr_logit_deltas, bpr_loss, LossKind};

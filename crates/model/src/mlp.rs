@@ -1,11 +1,11 @@
 //! The NCF interaction MLP (Eq. 1) with hand-derived backprop.
 //!
 //! `logit(z₀) = hᵀ · a_L` where `a_l = ReLU(W_l a_{l-1} + b_l)` and
-//! `z₀ = u ⊕ v`. [`Mlp::forward`] records the per-layer pre-activations and
-//! activations in an [`MlpCache`]; [`Mlp::backward`] consumes that cache and a
-//! logit delta to produce parameter gradients (accumulated into
-//! [`MlpGradients`]) and the gradient with respect to the input `z₀`
-//! (split by the caller into `∂/∂u` and `∂/∂v`).
+//! `z₀ = u ⊕ v ⊕ (u ⊙ v)`. [`Mlp::forward`] records the per-layer
+//! pre-activations and activations in an [`MlpCache`]; [`Mlp::backward`]
+//! consumes that cache and a logit delta to produce parameter gradients
+//! (accumulated into [`MlpGradients`]) and the gradient with respect to the
+//! input `z₀` (split by the caller into `∂/∂u` and `∂/∂v`).
 
 use frs_linalg::{leaky_relu, leaky_relu_grad, vector, Matrix};
 use rand::Rng;
@@ -32,7 +32,7 @@ pub struct Mlp {
 /// Intermediate values from one forward pass, needed by backprop.
 #[derive(Debug, Clone)]
 pub struct MlpCache {
-    /// The input `z₀ = u ⊕ v`.
+    /// The input `z₀ = u ⊕ v ⊕ (u ⊙ v)`.
     input: Vec<f32>,
     /// Pre-activation `W_l a_{l-1} + b_l` per layer.
     pre_activations: Vec<Vec<f32>>,
@@ -65,7 +65,7 @@ impl Mlp {
         }
     }
 
-    /// Input dimension (must be `2d`).
+    /// Input dimension (`3d` for the NeuMF input).
     pub fn input_dim(&self) -> usize {
         self.weights[0].cols()
     }

@@ -275,6 +275,53 @@ mod tests {
         handle.shutdown();
     }
 
+    /// One write of 2,000 pipelined requests (~34 KB) spans several 4 KiB
+    /// reads: every answer comes back in request order and echoes its user.
+    fn exercise_deep_pipeline<S: TestStream + Send>(stream: S) {
+        const DEPTH: usize = 2_000;
+        let mut stream = stream;
+        let reader = BufReader::new(stream.read_half());
+        let batch: String = (0..DEPTH)
+            .map(|i| format!("{{\"user\":{},\"k\":1}}\n", i % 3))
+            .collect();
+        let users: Vec<usize> = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                stream.write_all(batch.as_bytes()).unwrap();
+                stream.flush().unwrap();
+            });
+            reader
+                .lines()
+                .take(DEPTH)
+                .map(|line| {
+                    let top: TopKResponse = serde_json::from_str(&line.unwrap()).unwrap();
+                    top.user
+                })
+                .collect()
+        });
+        let sent: Vec<usize> = (0..DEPTH).map(|i| i % 3).collect();
+        assert!(users == sent, "answers out of order or missing");
+    }
+
+    #[test]
+    fn deep_pipelines_are_answered_in_order_over_unix() {
+        let router = two_scenario_router();
+        let budget = CoreBudget::new(2);
+        let path = socket_path("deep-unix");
+        let handle = spawn(&path, router, budget.lease()).unwrap();
+        exercise_deep_pipeline(UnixStream::connect(&path).unwrap());
+        assert_eq!(handle.shutdown(), 2_000);
+    }
+
+    #[test]
+    fn deep_pipelines_are_answered_in_order_over_tcp() {
+        let router = two_scenario_router();
+        let budget = CoreBudget::new(2);
+        let handle = spawn_tcp("127.0.0.1:0", router, budget.lease()).unwrap();
+        let addr = handle.local_addr().unwrap();
+        exercise_deep_pipeline(TcpStream::connect(addr).unwrap());
+        assert_eq!(handle.shutdown(), 2_000);
+    }
+
     /// A 60 KB line of `[` nests one request 60,000 deep: the parser must
     /// refuse it with an error response instead of overflowing a worker's
     /// stack (which aborts the whole daemon), and the daemon answers a valid

@@ -263,19 +263,22 @@ impl Conn {
     }
 
     /// Answers every complete line currently buffered (responses batched
-    /// into one write). An `Err` means the connection is beyond saving.
+    /// into one write). A cursor walks the lines and one `drain` drops them
+    /// all afterwards, so a deep pipeline costs time linear in its bytes.
+    /// An `Err` means the connection is beyond saving.
     fn answer_buffered(&mut self, router: &Router, cfg: &ServerConfig) -> io::Result<()> {
         let mut out = Vec::new();
-        while let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = self.buf.drain(..=pos).collect();
+        let mut rest: &[u8] = &self.buf;
+        while let Some(pos) = rest.iter().position(|&b| b == b'\n') {
+            let (line, newline_on) = rest.split_at(pos);
+            rest = newline_on.get(1..).unwrap_or_default();
             if self.discarding {
                 // The tail of a line already rejected as oversized: the
                 // error went out when the bound tripped; just resync.
                 self.discarding = false;
                 continue;
             }
-            // lint:allow(panic-in-daemon): `drain(..=pos)` guarantees the line is non-empty and newline-terminated
-            let line = String::from_utf8_lossy(&line[..line.len() - 1]);
+            let line = String::from_utf8_lossy(line);
             let line = line.trim();
             if line.is_empty() {
                 continue;
@@ -288,6 +291,8 @@ impl Conn {
             out.extend_from_slice(response.as_bytes());
             out.push(b'\n');
         }
+        let answered = self.buf.len() - rest.len();
+        self.buf.drain(..answered);
         // Unterminated remainder past the bound: reject now (the newline
         // may never come), then discard until it does.
         if !self.discarding && self.buf.len() > cfg.max_line {

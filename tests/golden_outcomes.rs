@@ -36,13 +36,16 @@ use pieck_frs::model::ModelKind;
 ///   equal row `a`);
 /// - `d`: SHA-256 of `paper scale 1000 --rounds 3`'s JSON report;
 /// - `e`: SHA-256 of the final checkpoint a `serve_scenarios` session
-///   leaves once it has trained to completion.
+///   leaves once it has trained an MF scenario to completion;
+/// - `f`: row `e`'s session with an NCF model, so the sidecar's bytes
+///   include a serialized interaction MLP.
 const GOLDEN: &str = "\
 a er=403c11f7047dc11f hr=4014000000000000 ndcg=3f9348aa135721db targets=[112] upload=1557816 trend=[3:40218b3a62ce98b3:4027555555555555,6:40218b3a62ce98b3:4027555555555555,9:403dd31674c59d31:4024000000000000,12:403a50d79435e50d:4027555555555555,15:40388fb823ee08fb:4027555555555555,18:40388fb823ee08fb:402aaaaaaaaaaaab]
 b er=0000000000000000 hr=4034000000000000 ndcg=3fb44402e4437afd targets=[112] upload=2622648 trend=[]
 c er=403c11f7047dc11f hr=4014000000000000 ndcg=3f9348aa135721db targets=[112] upload=1557816 trend=[3:40218b3a62ce98b3:4027555555555555,6:40218b3a62ce98b3:4027555555555555,9:403dd31674c59d31:4024000000000000,12:403a50d79435e50d:4027555555555555,15:40388fb823ee08fb:4027555555555555,18:40388fb823ee08fb:402aaaaaaaaaaaab]
 d sha256=f8129d19f85bdebbfb1d0689861129ecd905a32b9e0894f43b672a51e7620cb4
 e sha256=78ca0bb2a06af56f194be5b126049893c4204a50c4fafb47a51aa2b678343a81
+f sha256=d46a027f76ed1b7c75f494cecfee56447d4d3527f9ebda3d28218ad55cb74970
 ";
 
 fn ipe_ours_mf() -> ScenarioConfig {
@@ -126,10 +129,10 @@ fn scale_report_digest() -> String {
     sha256_hex(report.render(ReportFormat::Json).as_bytes())
 }
 
-/// Row `e`: serves one scenario to completion, stops the session, and
-/// digests the checkpoint sidecar it leaves behind.
-fn serve_sidecar_digest() -> String {
-    let mut cfg = ScenarioConfig::baseline(DatasetSpec::tiny(), ModelKind::Mf, 5);
+/// Rows `e` and `f`: serves one scenario of `kind` to completion, stops the
+/// session, and digests the checkpoint sidecar it leaves behind.
+fn serve_sidecar_digest(kind: ModelKind) -> String {
+    let mut cfg = ScenarioConfig::baseline(DatasetSpec::tiny(), kind, 5);
     cfg.federation.clients_per_round = ClientsPerRound::Count(24);
     cfg.rounds = 6;
     cfg.attack = AttackKind::PieckUea.into();
@@ -185,7 +188,8 @@ fn every_driver_reproduces_its_pinned_outcome() {
         outcome_row("b", &scenario::run(&uea_median_ncf())),
         outcome_row("c", &checkpointed_resume(&a)),
         format!("d sha256={}", scale_report_digest()),
-        format!("e sha256={}", serve_sidecar_digest()),
+        format!("e sha256={}", serve_sidecar_digest(ModelKind::Mf)),
+        format!("f sha256={}", serve_sidecar_digest(ModelKind::Ncf)),
     ];
     let observed: String = rows.iter().map(|row| format!("{row}\n")).collect();
     assert!(

@@ -3,6 +3,7 @@
 
 use pieck_frs::experiments::scenario::{build_simulation, build_world};
 use pieck_frs::experiments::{paper_scenario, PaperDataset};
+use pieck_frs::metrics::DeltaNormTracker;
 use pieck_frs::model::ModelKind;
 use pieck_frs::pieck::mining::{mining_precision, PopularItemMiner};
 use std::sync::Arc;
@@ -27,6 +28,38 @@ fn mining_identifies_true_populars_across_seeds() {
         }
         let precision = mining_precision(miner.mined().unwrap(), &rank, n_top15);
         assert!(precision >= 0.8, "seed {seed}: precision {precision}");
+    }
+}
+
+/// Algorithm 1 agrees with the Δ-Norm reference (`DeltaNormTracker`, the
+/// Fig. 4 instrument) bit for bit: fed the same models two rounds apart,
+/// the frozen miner's accumulated Δ-Norms carry the tracker's bits and its
+/// popular set is the tracker's top-N, for both model families.
+#[test]
+fn miner_matches_the_delta_norm_reference() {
+    for kind in [ModelKind::Mf, ModelKind::Ncf] {
+        let cfg = paper_scenario(PaperDataset::Ml100k, kind, 0.12, 9);
+        let (_, split, _) = build_world(&cfg);
+        let train = Arc::new(split.train.clone());
+        let mut sim = build_simulation(&cfg, Arc::clone(&train), &[]);
+
+        let mut miner = PopularItemMiner::new(3, 25);
+        let mut tracker = DeltaNormTracker::new(train.n_items());
+        miner.observe(sim.model());
+        tracker.observe(sim.model().items());
+        while !miner.is_complete() {
+            sim.run(2);
+            miner.observe(sim.model());
+            tracker.observe(sim.model().items());
+        }
+        assert_eq!(tracker.observations(), 3, "{kind:?}");
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(miner.accumulated()),
+            bits(tracker.accumulated()),
+            "{kind:?}"
+        );
+        assert_eq!(miner.mined(), Some(&tracker.top_n(25)[..]), "{kind:?}");
     }
 }
 
