@@ -1,5 +1,7 @@
-//! Base-model primitives: forward logits, full backward, and the full-catalog
-//! scoring sweep (the item-lane kernel) used by every evaluation pass.
+//! Base-model primitives: forward logits, full backward, one client's local
+//! step (the kernel every benign client trains through), and the
+//! full-catalog scoring sweep (the item-lane kernel) used by every
+//! evaluation pass.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use frs_model::{bce_logit_delta, GlobalGradients, GlobalModel, ModelConfig, ModelKind};
@@ -13,6 +15,8 @@ fn model_ops(c: &mut Criterion) {
         GlobalModel::new(&ModelConfig::ncf(16), 2000, &mut rng),
     ];
     let user: Vec<f32> = (0..16).map(|_| rng.gen_range(-0.5..0.5)).collect();
+    // One client's local dataset: 100 positives, then 100 sampled negatives.
+    let local_items: Vec<u32> = (0..200).map(|_| rng.gen_range(0..2000)).collect();
 
     let mut group = c.benchmark_group("model_ops");
     for model in &models {
@@ -30,6 +34,23 @@ fn model_ops(c: &mut Criterion) {
                 let mut d_user = vec![0.0f32; 16];
                 let mut grads = GlobalGradients::new();
                 m.backward(&user, 7, &cache, delta, &mut d_user, &mut grads);
+                criterion::black_box(grads.n_items())
+            });
+        });
+        // One client's BCE step, both phases: score the list, turn the
+        // logits into deltas, backpropagate them.
+        group.bench_with_input(BenchmarkId::new("local_step", label), model, |b, m| {
+            b.iter(|| {
+                let scale = 1.0 / local_items.len() as f32;
+                let bce = |logits: &mut [f32]| {
+                    for (e, x) in logits.iter_mut().enumerate() {
+                        *x = bce_logit_delta(*x, if e < 100 { 1.0 } else { 0.0 }) * scale;
+                    }
+                };
+                let mut d_user = vec![0.0f32; 16];
+                let mut grads = GlobalGradients::new();
+                m.local_step(&user, &local_items)
+                    .backward(bce, &mut d_user, &mut grads);
                 criterion::black_box(grads.n_items())
             });
         });

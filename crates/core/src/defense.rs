@@ -22,7 +22,8 @@
 //! which is exactly why the defense needs no prior popularity knowledge
 //! either.
 
-use frs_linalg::{kl_grad_wrt_q, vector};
+use frs_linalg::vector::{self, CosineGrad};
+use frs_linalg::{kl_grad_at_softmax_q, softmax};
 use frs_model::{GlobalGradients, GlobalModel};
 use serde::{Deserialize, Serialize};
 
@@ -159,13 +160,27 @@ impl LocalRegularizer for PieckDefense {
                 .collect();
             if !unpopular.is_empty() {
                 let inv_count = 1.0 / unpopular.len() as f32;
+                // ‖v_k‖ once per call and ‖v_j‖ once per item, not per pair.
+                let popular_norms: Vec<f32> = popular
+                    .iter()
+                    .map(|&k| vector::l2_norm(model.item_embedding(k)))
+                    .collect();
+                let mut g = vec![0.0f32; model.dim()];
                 for &j in &unpopular {
                     let vj = model.item_embedding(j);
-                    let mut g = vec![0.0f32; vj.len()];
-                    for (rank, &k) in popular.iter().enumerate() {
+                    let norm_j = vector::l2_norm(vj);
+                    g.fill(0.0);
+                    for ((&k, &norm_k), &weight) in popular.iter().zip(&popular_norms).zip(&kappa) {
                         let vk = model.item_embedding(k);
-                        let dcos = vector::cosine_grad_wrt_b(vk, vj);
-                        vector::axpy(kappa[rank], &dcos, &mut g);
+                        // `axpy(κ′, ∂cos/∂v_j, g)`, coordinate by coordinate.
+                        // A zero gradient (a norm ≤ ε) would add `+0.0`, which
+                        // leaves `g` as it is: `g` starts at `+0.0`, and a sum
+                        // is `-0.0` only when both terms are.
+                        if let Some(dcos) = CosineGrad::new(vk, norm_k, vj, norm_j) {
+                            for (gi, (&a, &b)) in g.iter_mut().zip(vk.iter().zip(vj)) {
+                                *gi += weight * dcos.at(a, b);
+                            }
+                        }
                     }
                     // ∂(−β·Re1)/∂v_j = −β · (1/|∆D|) Σ_k κ′ ∂cos/∂v_j
                     vector::scale(&mut g, -self.config.beta * inv_count);
@@ -175,11 +190,12 @@ impl LocalRegularizer for PieckDefense {
         }
 
         if self.config.use_re2 && self.config.gamma > 0.0 {
-            // ∂(−γ·Re2)/∂u = −γ Σ_k κ′ ∂KL(v_k ‖ u)/∂u
+            // ∂(−γ·Re2)/∂u = −γ Σ_k κ′ ∂KL(v_k ‖ u)/∂u, softmax(u) once.
+            let user_softmax = softmax(user_embedding);
             let mut g = vec![0.0f32; user_embedding.len()];
-            for (rank, &k) in popular.iter().enumerate() {
-                let dkl = kl_grad_wrt_q(model.item_embedding(k), user_embedding);
-                vector::axpy(kappa[rank], &dkl, &mut g);
+            for (&k, &weight) in popular.iter().zip(&kappa) {
+                let dkl = kl_grad_at_softmax_q(model.item_embedding(k), &user_softmax);
+                vector::axpy(weight, &dkl, &mut g);
             }
             vector::axpy(-self.config.gamma, &g, d_user);
         }

@@ -184,27 +184,32 @@ impl BenignClient {
         sum / total as f32
     }
 
+    /// Pointwise BCE (Eq. 2) over the local dataset, positives then
+    /// negatives: one local-step kernel pass whose deltas are
+    /// `(σ(s) − x) / |D|`.
     fn train_bce(
         &self,
         model: &GlobalModel,
-        positives: &[u32],
-        negatives: &[u32],
+        local_items: &[u32],
+        n_positives: usize,
         grads: &mut GlobalGradients,
         d_user: &mut [f32],
     ) {
-        let n = (positives.len() + negatives.len()).max(1) as f32;
-        let scale = 1.0 / n;
-        for (&item, label) in positives
-            .iter()
-            .zip(std::iter::repeat(1.0f32))
-            .chain(negatives.iter().zip(std::iter::repeat(0.0f32)))
-        {
-            let (logit, cache) = model.forward(&self.user_embedding, item);
-            let delta = bce_logit_delta(logit, label) * scale;
-            model.backward(&self.user_embedding, item, &cache, delta, d_user, grads);
-        }
+        let scale = 1.0 / local_items.len().max(1) as f32;
+        let bce = |logits: &mut [f32]| {
+            for (e, x) in logits.iter_mut().enumerate() {
+                let label = if e < n_positives { 1.0 } else { 0.0 };
+                *x = bce_logit_delta(*x, label) * scale;
+            }
+        };
+        model
+            .local_step(&self.user_embedding, local_items)
+            .backward(bce, d_user, grads);
     }
 
+    /// Pairwise BPR: positive `i mod |P|` against negative `i`, so every
+    /// negative is consumed exactly once (the sampler drew `q·|P|`). One
+    /// local-step kernel pass over the list `pos₀, neg₀, pos₁, neg₁, …`.
     fn train_bpr(
         &self,
         model: &GlobalModel,
@@ -216,32 +221,22 @@ impl BenignClient {
         if positives.is_empty() || negatives.is_empty() {
             return;
         }
-        // Pair positive i with negatives i, i+|P|, … (the sampler produced
-        // q·|P| negatives, so every negative is consumed exactly once).
-        let n_pairs = negatives.len();
-        let scale = 1.0 / n_pairs as f32;
-        for (pair_idx, &neg) in negatives.iter().enumerate() {
-            let pos = positives[pair_idx % positives.len()];
-            let (pos_logit, pos_cache) = model.forward(&self.user_embedding, pos);
-            let (neg_logit, neg_cache) = model.forward(&self.user_embedding, neg);
-            let (d_pos, d_neg) = bpr_logit_deltas(pos_logit, neg_logit);
-            model.backward(
-                &self.user_embedding,
-                pos,
-                &pos_cache,
-                d_pos * scale,
-                d_user,
-                grads,
-            );
-            model.backward(
-                &self.user_embedding,
-                neg,
-                &neg_cache,
-                d_neg * scale,
-                d_user,
-                grads,
-            );
-        }
+        let scale = 1.0 / negatives.len() as f32;
+        let pairs: Vec<u32> = negatives
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &neg)| [positives[i % positives.len()], neg])
+            .collect();
+        let bpr = |logits: &mut [f32]| {
+            for pair in logits.chunks_exact_mut(2) {
+                let (d_pos, d_neg) = bpr_logit_deltas(pair[0], pair[1]);
+                pair[0] = d_pos * scale;
+                pair[1] = d_neg * scale;
+            }
+        };
+        model
+            .local_step(&self.user_embedding, &pairs)
+            .backward(bpr, d_user, grads);
     }
 }
 
@@ -257,22 +252,29 @@ impl Client for BenignClient {
 
         let mut rng = ctx.client_rng(self.user_id);
         let sampler = NegativeSampler::new(ctx.negative_ratio);
-        let positives = self.train.items_of(self.user_id).to_vec();
+        let positives = self.train.items_of(self.user_id);
         let negatives = sampler.sample(&self.train, self.user_id, &mut rng);
+        let mut local_items = Vec::with_capacity(positives.len() + negatives.len());
+        local_items.extend_from_slice(positives);
+        local_items.extend_from_slice(&negatives);
 
         let mut grads = GlobalGradients::new();
         let mut d_user = vec![0.0f32; self.user_embedding.len()];
         match ctx.loss {
-            LossKind::Bce => self.train_bce(model, &positives, &negatives, &mut grads, &mut d_user),
-            LossKind::Bpr => self.train_bpr(model, &positives, &negatives, &mut grads, &mut d_user),
+            LossKind::Bce => self.train_bce(
+                model,
+                &local_items,
+                positives.len(),
+                &mut grads,
+                &mut d_user,
+            ),
+            LossKind::Bpr => self.train_bpr(model, positives, &negatives, &mut grads, &mut d_user),
         }
 
         // Defense regularizers contribute extra gradients on top of the
         // original loss (Eq. 16: L_def = L − β·Re1 − γ·Re2 — the sign is the
         // regularizer's responsibility).
         if let Some(reg) = &mut self.regularizer {
-            let mut local_items = positives.clone();
-            local_items.extend_from_slice(&negatives);
             reg.apply(
                 ctx,
                 model,

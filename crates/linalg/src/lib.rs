@@ -35,7 +35,9 @@ pub use rank::{
     top_k_desc_filtered_into,
 };
 pub use rng::SeedStream;
-pub use softmax::{kl_divergence, kl_grad_wrt_p, kl_grad_wrt_q, log_softmax, softmax};
+pub use softmax::{
+    kl_divergence, kl_grad_at_softmax_q, kl_grad_wrt_p, kl_grad_wrt_q, log_softmax, softmax,
+};
 pub use stats::{CoordinateReducer, CoordinateStat};
 pub use vector::{
     add_assign, axpy, clip_l2_norm, cosine, cosine_grad_wrt_b, dot, l2_distance, l2_norm,

@@ -7,12 +7,12 @@
 //! miner touches every row every round.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 use crate::vector;
 
 /// Dense row-major `rows × cols` matrix of `f32`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -100,12 +100,20 @@ impl Matrix {
     /// `y = Aᵀ · x` where `x` has length `rows`; output has length `cols`.
     /// Used by MLP backprop to push deltas through a layer.
     pub fn matvec_transposed(&self, x: &[f32]) -> Vec<f32> {
-        debug_assert_eq!(x.len(), self.rows);
-        let mut out = vec![0.0f32; self.cols];
-        for (row, &xi) in self.rows_iter().zip(x) {
-            vector::axpy(xi, row, &mut out);
-        }
+        let mut out = Vec::new();
+        self.matvec_transposed_into(x, &mut out);
         out
+    }
+
+    /// [`Self::matvec_transposed`] into a caller-owned buffer: `out` becomes
+    /// `cols` zeros, then gains `x[r] · row r` for each row in order.
+    pub fn matvec_transposed_into(&self, x: &[f32], out: &mut Vec<f32>) {
+        debug_assert_eq!(x.len(), self.rows);
+        out.clear();
+        out.resize(self.cols, 0.0);
+        for (row, &xi) in self.rows_iter().zip(x) {
+            vector::axpy(xi, row, out);
+        }
     }
 
     /// Rank-1 accumulation `A += alpha · x · yᵀ` (outer product), the gradient
@@ -134,6 +142,31 @@ impl Matrix {
     /// Frobenius norm of the whole matrix.
     pub fn frobenius_norm(&self) -> f32 {
         vector::l2_norm(&self.data)
+    }
+}
+
+/// Reads the derived field layout back, and rejects a `data` that does not
+/// hold exactly `rows · cols` floats (a product that overflows included), so
+/// no row access of a decoded matrix can run past its data.
+impl Deserialize for Matrix {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| Error::new(format!("expected object for Matrix, got {}", v.kind())))?;
+        let field = |name: &str| {
+            obj.get(name)
+                .ok_or_else(|| Error::new(format!("missing field `{name}` for Matrix")))
+        };
+        let rows = usize::from_value(field("rows")?)?;
+        let cols = usize::from_value(field("cols")?)?;
+        let data = Vec::<f32>::from_value(field("data")?)?;
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(Error::new(format!(
+                "Matrix: {rows}×{cols} shape with {} floats of data",
+                data.len()
+            )));
+        }
+        Ok(Self { rows, cols, data })
     }
 }
 
@@ -198,6 +231,27 @@ mod tests {
         assert!(m.as_slice().iter().all(|v| v.abs() <= limit + 1e-6));
         // Not all zero.
         assert!(m.frobenius_norm() > 0.0);
+    }
+
+    #[test]
+    fn decoder_checks_the_shape() {
+        let m = Matrix::from_vec(2, 3, (0..6).map(|x| x as f32).collect());
+        assert_eq!(Matrix::from_value(&m.to_value()).unwrap(), m);
+        let decode = |rows: usize, cols: usize, data: Vec<f32>| {
+            let mut obj = serde::Map::new();
+            obj.insert("rows".into(), rows.to_value());
+            obj.insert("cols".into(), cols.to_value());
+            obj.insert("data".into(), data.to_value());
+            Matrix::from_value(&Value::Object(obj))
+        };
+        assert!(decode(3, 2, vec![0.5, 0.5]).is_err(), "short data");
+        assert!(decode(1, 2, vec![0.5; 3]).is_err(), "long data");
+        assert!(
+            decode(usize::MAX, 2, Vec::new()).is_err(),
+            "overflowing shape"
+        );
+        assert_eq!(decode(0, 4, Vec::new()).unwrap(), Matrix::zeros(0, 4));
+        assert!(Matrix::from_value(&Value::Null).is_err());
     }
 
     #[test]

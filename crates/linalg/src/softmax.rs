@@ -49,9 +49,15 @@ pub fn kl_divergence(p_logits: &[f32], q_logits: &[f32]) -> f32 {
 /// Gradient of [`kl_divergence`] with respect to `q_logits`:
 /// `∂KL/∂q = softmax(q) − softmax(p)`.
 pub fn kl_grad_wrt_q(p_logits: &[f32], q_logits: &[f32]) -> Vec<f32> {
-    debug_assert_eq!(p_logits.len(), q_logits.len());
+    kl_grad_at_softmax_q(p_logits, &softmax(q_logits))
+}
+
+/// [`kl_grad_wrt_q`] given `q = softmax(q_logits)` already computed, for a
+/// caller that takes the gradient at one `q` against many `p` (the Re2
+/// regularizer).
+pub fn kl_grad_at_softmax_q(p_logits: &[f32], q: &[f32]) -> Vec<f32> {
+    debug_assert_eq!(p_logits.len(), q.len());
     let p = softmax(p_logits);
-    let q = softmax(q_logits);
     q.iter().zip(p).map(|(&qi, pi)| qi - pi).collect()
 }
 

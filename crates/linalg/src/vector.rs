@@ -100,19 +100,43 @@ pub fn clip_l2_norm(a: &mut [f32], max_norm: f32) -> f32 {
 /// This drives the IPE alignment loss (Eq. 8) and the Re1 defense regularizer
 /// (Eq. 14). Returns a zero vector when either input is numerically zero.
 pub fn cosine_grad_wrt_b(a: &[f32], b: &[f32]) -> Vec<f32> {
-    debug_assert_eq!(a.len(), b.len());
-    let na = l2_norm(a);
-    let nb = l2_norm(b);
-    if na <= f32::EPSILON || nb <= f32::EPSILON {
-        return vec![0.0; b.len()];
+    match CosineGrad::new(a, l2_norm(a), b, l2_norm(b)) {
+        Some(grad) => a.iter().zip(b).map(|(&ai, &bi)| grad.at(ai, bi)).collect(),
+        None => vec![0.0; b.len()],
     }
-    let c = (dot(a, b) / (na * nb)).clamp(-1.0, 1.0);
-    let inv_ab = 1.0 / (na * nb);
-    let inv_bb = 1.0 / (nb * nb);
-    a.iter()
-        .zip(b)
-        .map(|(ai, bi)| ai * inv_ab - c * bi * inv_bb)
-        .collect()
+}
+
+/// The scalars of [`cosine_grad_wrt_b`] for one pair, given `na = ‖a‖` and
+/// `nb = ‖b‖`, so a caller that pairs one vector with many computes its
+/// norm once (the Re1 regularizer pairs every unpopular item with every
+/// popular one).
+#[derive(Debug, Clone, Copy)]
+pub struct CosineGrad {
+    cos: f32,
+    inv_ab: f32,
+    inv_bb: f32,
+}
+
+impl CosineGrad {
+    /// `None` when either norm is at most `f32::EPSILON`: the gradient is
+    /// then `+0.0` in every coordinate.
+    pub fn new(a: &[f32], na: f32, b: &[f32], nb: f32) -> Option<Self> {
+        debug_assert_eq!(a.len(), b.len());
+        if na <= f32::EPSILON || nb <= f32::EPSILON {
+            return None;
+        }
+        Some(Self {
+            cos: (dot(a, b) / (na * nb)).clamp(-1.0, 1.0),
+            inv_ab: 1.0 / (na * nb),
+            inv_bb: 1.0 / (nb * nb),
+        })
+    }
+
+    /// Coordinate `i` of the gradient, from `a[i]` and `b[i]`.
+    #[inline]
+    pub fn at(&self, ai: f32, bi: f32) -> f32 {
+        ai * self.inv_ab - self.cos * bi * self.inv_bb
+    }
 }
 
 /// Mean of a collection of equal-length vectors. Panics on an empty input —

@@ -61,6 +61,11 @@ impl GlobalModel {
         Self { items, mlp }
     }
 
+    /// The interaction MLP (`None` for MF-FRS).
+    pub(crate) fn mlp(&self) -> Option<&Mlp> {
+        self.mlp.as_ref()
+    }
+
     /// Which family this is.
     pub fn kind(&self) -> ModelKind {
         match self.mlp {
@@ -733,6 +738,64 @@ mod tests {
         for (what, result) in cases {
             assert!(result.is_err(), "{what} must be an error");
         }
+        // Shapes the kernels index: a short item table, and MLPs whose
+        // parts do not fit together.
+        let short_mf = Value::Object(Map::from([(
+            "Mf".to_string(),
+            Value::Object(Map::from([(
+                "items".to_string(),
+                Value::Object(Map::from([
+                    ("rows".to_string(), 3usize.to_value()),
+                    ("cols".to_string(), 2usize.to_value()),
+                    ("data".to_string(), vec![0.5f32, 0.5].to_value()),
+                ])),
+            )])),
+        )]));
+        assert!(
+            GlobalModel::from_value(&short_mf).is_err(),
+            "short item data"
+        );
+        let edit_mlp = |f: &dyn Fn(&mut Map)| {
+            edit(&|body| {
+                if let Some(Value::Object(mlp)) = body.get_mut("mlp") {
+                    f(mlp);
+                }
+            })
+        };
+        let list = |mlp: &mut Map, name: &str, f: &dyn Fn(&mut Vec<Value>)| {
+            if let Some(Value::Array(items)) = mlp.get_mut(name) {
+                f(items);
+            }
+        };
+        let mlp_cases = [
+            (
+                "layers that do not chain",
+                edit_mlp(&|m| list(m, "weights", &|w| w[1] = Matrix::zeros(2, 3).to_value())),
+            ),
+            (
+                "a bias of the wrong length",
+                edit_mlp(&|m| list(m, "biases", &|b| b[1] = vec![0.01f32; 3].to_value())),
+            ),
+            (
+                "fewer biases than layers",
+                edit_mlp(&|m| list(m, "biases", &|b| drop(b.pop()))),
+            ),
+            (
+                "a projection for another last layer",
+                edit_mlp(&|m| drop(m.insert("projection".into(), vec![0.5f32; 5].to_value()))),
+            ),
+            (
+                "no layers",
+                edit_mlp(&|m| {
+                    list(m, "weights", &|w| w.clear());
+                    list(m, "biases", &|b| b.clear());
+                }),
+            ),
+        ];
+        for (what, result) in mlp_cases {
+            assert!(result.is_err(), "{what} must be an error");
+        }
+        assert_eq!(edit(&|_| ()).unwrap(), both_models().pop().unwrap());
         let narrow = GlobalModel::new(&ModelConfig::ncf(2), 8, &mut StdRng::seed_from_u64(1));
         let swapped = edit(&|b| drop(b.insert("mlp".into(), narrow.mlp.to_value())));
         assert!(swapped.is_err(), "an MLP for another dim must be an error");

@@ -17,7 +17,9 @@
 //! this is what makes PIECK "model-agnostic" expressible in code.
 //!
 //! Losses live in [`loss`]: pointwise BCE (Eq. 2, the default) and pairwise
-//! BPR (supplementary Table XI).
+//! BPR (supplementary Table XI). A benign client trains through one kernel,
+//! [`local_step`]: it scores its examples eight at a time and backpropagates
+//! the loss's deltas in example order.
 // Item and user indices flow through u32 wire ids and usize slabs; a
 // silently truncating cast corrupts an embedding row, so truncation must
 // be explicit (`try_from`) or locally allowed with a range proof.
@@ -27,6 +29,7 @@ pub mod config;
 pub mod global;
 pub mod gradients;
 pub mod lanes;
+pub mod local_step;
 pub mod loss;
 pub mod mlp;
 pub mod store;
@@ -35,6 +38,7 @@ pub use config::{ModelConfig, ModelKind};
 pub use global::GlobalModel;
 pub use gradients::{GlobalGradients, MlpGradients};
 pub use lanes::ItemLanes;
+pub use local_step::LocalStep;
 pub use loss::{bce_logit_delta, bce_loss, bpr_logit_deltas, bpr_loss, LossKind};
 pub use mlp::Mlp;
 pub use store::EmbeddingStore;

@@ -9,7 +9,7 @@
 
 use frs_linalg::{leaky_relu, leaky_relu_grad, vector, Matrix};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 use crate::gradients::MlpGradients;
 use crate::lanes::{fold_lanes, Lane, LANES};
@@ -20,7 +20,7 @@ pub const LEAK: f32 = 0.01;
 
 /// Learnable interaction function: L dense + (leaky-)ReLU layers and a
 /// projection `h`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Mlp {
     /// `weights[l]` maps layer-`l` input to output: shape `(out, in)`.
     weights: Vec<Matrix>,
@@ -203,10 +203,11 @@ impl Mlp {
     }
 
     /// Prepares a [`BatchScorer`] for a batch of inputs sharing a common
-    /// `prefix` (for NCF score-all-items, the user embedding `u` of the
-    /// `u ⊕ v ⊕ u⊙v` input): each first-layer neuron's dot product over the
-    /// prefix coordinates is folded once here and continued per item, and all
-    /// activation scratch is allocated once and reused across the batch.
+    /// `prefix` (the user embedding `u` of the `u ⊕ v ⊕ u⊙v` input, for
+    /// NCF score-all-items and for a client's local step): each first-layer
+    /// neuron's dot product over the prefix coordinates is folded once here
+    /// and continued per item, and all activation scratch is allocated once
+    /// and reused across the batch.
     pub(crate) fn batch_scorer(&self, prefix: &[f32]) -> BatchScorer<'_> {
         assert!(
             prefix.len() <= self.input_dim(),
@@ -216,14 +217,71 @@ impl Mlp {
         let prefix_acc: Vec<f32> = (0..w0.rows())
             .map(|r| vector::dot(&w0.row(r)[..prefix.len()], prefix))
             .collect();
+        let hidden = self.hidden_units();
         BatchScorer {
             mlp: self,
             prefix_len: prefix.len(),
             prefix_acc,
-            buf_a: Vec::new(),
-            buf_b: Vec::new(),
+            pre: vec![[0.0; LANES]; hidden],
+            act: vec![[0.0; LANES]; hidden],
         }
     }
+
+    /// Hidden units over all layers: the length of one example's
+    /// pre-activation record in the local-step kernel.
+    pub(crate) fn hidden_units(&self) -> usize {
+        self.biases.iter().map(Vec::len).sum::<usize>()
+    }
+
+    /// [`Self::backward`] for one example whose forward pass the
+    /// local-step kernel ran: `input` is its `z₀` and `pre` its hidden
+    /// pre-activations, layer after layer. Parameter gradients accumulate
+    /// into `grads` exactly as `backward` adds them; the returned `∂L/∂z₀`
+    /// lives in `scratch`, and nothing is allocated once `scratch` has
+    /// grown.
+    pub(crate) fn backward_recorded<'s>(
+        &self,
+        input: &[f32],
+        pre: &[f32],
+        logit_delta: f32,
+        grads: &mut MlpGradients,
+        scratch: &'s mut BackwardScratch,
+    ) -> &'s [f32] {
+        debug_assert_eq!(pre.len(), self.hidden_units());
+        let BackwardScratch { act, delta, next } = scratch;
+        act.clear();
+        act.extend(pre.iter().map(|&x| leaky_relu(x, LEAK)));
+        let mut end = pre.len();
+        let last = end - self.projection.len();
+        vector::axpy(logit_delta, &act[last..], &mut grads.projection);
+        delta.clear();
+        delta.extend(self.projection.iter().map(|&h| logit_delta * h));
+        for l in (0..self.weights.len()).rev() {
+            let start = end - self.biases[l].len();
+            for (d, &p) in delta.iter_mut().zip(&pre[start..end]) {
+                *d *= leaky_relu_grad(p, LEAK);
+            }
+            let layer_input: &[f32] = if l == 0 {
+                input
+            } else {
+                &act[start - self.biases[l - 1].len()..start]
+            };
+            grads.weights[l].add_outer(1.0, delta, layer_input);
+            vector::add_assign(&mut grads.biases[l], delta);
+            self.weights[l].matvec_transposed_into(delta, next);
+            std::mem::swap(delta, next);
+            end = start;
+        }
+        delta
+    }
+}
+
+/// Per-client buffers for [`Mlp::backward_recorded`].
+#[derive(Debug, Default)]
+pub(crate) struct BackwardScratch {
+    act: Vec<f32>,
+    delta: Vec<f32>,
+    next: Vec<f32>,
 }
 
 /// Batched [`Mlp::forward_logit_only`] over inputs `prefix ⊕ suffix` with a
@@ -240,47 +298,129 @@ pub(crate) struct BatchScorer<'a> {
     mlp: &'a Mlp,
     prefix_len: usize,
     prefix_acc: Vec<f32>,
-    buf_a: Vec<Lane>,
-    buf_b: Vec<Lane>,
+    /// The last block's hidden pre-activations, layer after layer.
+    pre: Vec<Lane>,
+    /// Their leaky ReLUs, in the same layout.
+    act: Vec<Lane>,
 }
 
 impl BatchScorer<'_> {
     /// The logits of the `LANES` inputs `prefix ⊕ suffix_l`, where
-    /// `suffix[i][l]` is coordinate `i` of lane `l`'s suffix.
-    /// Allocation-free after the first call.
+    /// `suffix[i][l]` is coordinate `i` of lane `l`'s suffix. Each hidden
+    /// layer's pre-activations stay readable through
+    /// [`Self::pre_activations`] until the next call. Allocation-free.
     pub(crate) fn logits(&mut self, suffix: &[Lane]) -> Lane {
         let mlp = self.mlp;
         debug_assert_eq!(self.prefix_len + suffix.len(), mlp.input_dim());
         let w0 = &mlp.weights[0];
-        self.buf_a.clear();
-        for (r, (&acc0, &bias)) in self.prefix_acc.iter().zip(&mlp.biases[0]).enumerate() {
+        let first = self.pre.iter_mut().zip(&mut self.act);
+        for (r, ((pre, act), (&acc0, &bias))) in first
+            .zip(self.prefix_acc.iter().zip(&mlp.biases[0]))
+            .enumerate()
+        {
             let mut acc = [acc0; LANES];
             fold_lanes(&mut acc, &w0.row(r)[self.prefix_len..], suffix);
-            self.buf_a.push(activate(acc, bias));
+            (*pre, *act) = activate(acc, bias);
         }
+        // Layer `l`'s input is the activations at `start..end`; its outputs
+        // follow them.
+        let (mut start, mut end) = (0, mlp.biases[0].len());
         for (w, biases) in mlp.weights.iter().zip(&mlp.biases).skip(1) {
-            self.buf_b.clear();
-            for (r, &bias) in biases.iter().enumerate() {
+            let (done, outputs) = self.act.split_at_mut(end);
+            let input = &done[start..];
+            let units = self.pre[end..].iter_mut().zip(outputs);
+            for (r, ((pre, act), &bias)) in units.zip(biases).enumerate() {
                 let mut acc = [-0.0; LANES];
-                fold_lanes(&mut acc, w.row(r), &self.buf_a);
-                self.buf_b.push(activate(acc, bias));
+                fold_lanes(&mut acc, w.row(r), input);
+                (*pre, *act) = activate(acc, bias);
             }
-            std::mem::swap(&mut self.buf_a, &mut self.buf_b);
+            (start, end) = (end, end + biases.len());
         }
         let mut logits = [-0.0; LANES];
-        fold_lanes(&mut logits, &mlp.projection, &self.buf_a);
+        fold_lanes(&mut logits, &mlp.projection, &self.act[start..end]);
         logits
+    }
+
+    /// The last block's hidden pre-activations, layer after layer: unit `r`
+    /// of the whole stack is entry `r`, one value per lane.
+    pub(crate) fn pre_activations(&self) -> &[Lane] {
+        &self.pre
     }
 }
 
 /// A neuron's bias and leaky ReLU, per lane: the `add_assign` and
-/// `leaky_relu` steps of [`Mlp::forward_logit_only`].
+/// `leaky_relu` steps of [`Mlp::forward_logit_only`]. Returns the
+/// pre-activations and the activations.
 #[inline]
-fn activate(mut acc: Lane, bias: f32) -> Lane {
-    for a in &mut acc {
-        *a = leaky_relu(*a + bias, LEAK);
+fn activate(acc: Lane, bias: f32) -> (Lane, Lane) {
+    let pre = acc.map(|a| a + bias);
+    (pre, pre.map(|p| leaky_relu(p, LEAK)))
+}
+
+/// Reads the derived field layout back and checks the shapes the forward
+/// and backward passes index: at least one layer, layers that chain, one
+/// bias per layer with one entry per output, and a projection as long as
+/// the last layer's output. A mismatch is an error, never a later panic.
+impl Deserialize for Mlp {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let obj = v
+            .as_object()
+            .ok_or_else(|| Error::new(format!("expected object for Mlp, got {}", v.kind())))?;
+        let field = |name: &str| {
+            obj.get(name)
+                .ok_or_else(|| Error::new(format!("missing field `{name}` for Mlp")))
+        };
+        let mlp = Self {
+            weights: Deserialize::from_value(field("weights")?)?,
+            biases: Deserialize::from_value(field("biases")?)?,
+            projection: Deserialize::from_value(field("projection")?)?,
+        };
+        mlp.check_shapes()
+            .map_err(|msg| Error::new(format!("Mlp: {msg}")))?;
+        Ok(mlp)
     }
-    acc
+}
+
+impl Mlp {
+    fn check_shapes(&self) -> Result<(), String> {
+        let Some(last) = self.weights.last() else {
+            return Err("no layers".into());
+        };
+        for (l, pair) in self.weights.windows(2).enumerate() {
+            if pair[0].rows() != pair[1].cols() {
+                return Err(format!(
+                    "layer {l} has {} outputs but layer {} takes {} inputs",
+                    pair[0].rows(),
+                    l + 1,
+                    pair[1].cols()
+                ));
+            }
+        }
+        if self.biases.len() != self.weights.len() {
+            return Err(format!(
+                "{} biases for {} layers",
+                self.biases.len(),
+                self.weights.len()
+            ));
+        }
+        for (l, (w, b)) in self.weights.iter().zip(&self.biases).enumerate() {
+            if b.len() != w.rows() {
+                return Err(format!(
+                    "layer {l} has {} outputs but {} biases",
+                    w.rows(),
+                    b.len()
+                ));
+            }
+        }
+        if self.projection.len() != last.rows() {
+            return Err(format!(
+                "projection of {} for a last layer of {} outputs",
+                self.projection.len(),
+                last.rows()
+            ));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@ use pieck_frs::experiments::{
     ServeOptions, ServeScenarioSpec,
 };
 use pieck_frs::federation::{ClientsPerRound, CoreBudget};
-use pieck_frs::model::ModelKind;
+use pieck_frs::model::{LossKind, ModelKind};
 
 /// The pinned table, one row per run:
 /// - `a`: `scenario::run`, MF, PIECK-IPE × `ours`, a trend point every 3
@@ -38,7 +38,10 @@ use pieck_frs::model::ModelKind;
 /// - `e`: SHA-256 of the final checkpoint a `serve_scenarios` session
 ///   leaves once it has trained an MF scenario to completion;
 /// - `f`: row `e`'s session with an NCF model, so the sidecar's bytes
-///   include a serialized interaction MLP.
+///   include a serialized interaction MLP;
+/// - `g`: `scenario::run`, NCF, PIECK-UEA × `ours` under the BPR loss, a
+///   trend point every 4 rounds, so benign clients train pairwise and run
+///   the defense's Re1/Re2 through the interaction MLP.
 const GOLDEN: &str = "\
 a er=403c11f7047dc11f hr=4014000000000000 ndcg=3f9348aa135721db targets=[112] upload=1557816 trend=[3:40218b3a62ce98b3:4027555555555555,6:40218b3a62ce98b3:4027555555555555,9:403dd31674c59d31:4024000000000000,12:403a50d79435e50d:4027555555555555,15:40388fb823ee08fb:4027555555555555,18:40388fb823ee08fb:402aaaaaaaaaaaab]
 b er=0000000000000000 hr=4034000000000000 ndcg=3fb44402e4437afd targets=[112] upload=2622648 trend=[]
@@ -46,6 +49,7 @@ c er=403c11f7047dc11f hr=4014000000000000 ndcg=3f9348aa135721db targets=[112] up
 d sha256=f8129d19f85bdebbfb1d0689861129ecd905a32b9e0894f43b672a51e7620cb4
 e sha256=78ca0bb2a06af56f194be5b126049893c4204a50c4fafb47a51aa2b678343a81
 f sha256=d46a027f76ed1b7c75f494cecfee56447d4d3527f9ebda3d28218ad55cb74970
+g er=4059000000000000 hr=4035aaaaaaaaaaab ndcg=3fb595563df22cc4 targets=[112] upload=1964592 trend=[4:0000000000000000:402e000000000000,8:4059000000000000:402aaaaaaaaaaaab,12:4059000000000000:4035aaaaaaaaaaab]
 ";
 
 fn ipe_ours_mf() -> ScenarioConfig {
@@ -64,6 +68,17 @@ fn uea_median_ncf() -> ScenarioConfig {
     cfg.rounds = 12;
     cfg.attack = AttackKind::PieckUea.into();
     cfg.defense = DefenseSel::parse("median:shards=4").unwrap();
+    cfg
+}
+
+fn uea_ours_ncf_bpr() -> ScenarioConfig {
+    let mut cfg = ScenarioConfig::baseline(DatasetSpec::tiny(), ModelKind::Ncf, 42);
+    cfg.federation.clients_per_round = ClientsPerRound::Count(24);
+    cfg.federation.loss = LossKind::Bpr;
+    cfg.rounds = 12;
+    cfg.trend_every = 4;
+    cfg.attack = AttackKind::PieckUea.into();
+    cfg.defense = DefenseSel::named("ours");
     cfg
 }
 
@@ -190,6 +205,7 @@ fn every_driver_reproduces_its_pinned_outcome() {
         format!("d sha256={}", scale_report_digest()),
         format!("e sha256={}", serve_sidecar_digest(ModelKind::Mf)),
         format!("f sha256={}", serve_sidecar_digest(ModelKind::Ncf)),
+        outcome_row("g", &scenario::run(&uea_ours_ncf_bpr())),
     ];
     let observed: String = rows.iter().map(|row| format!("{row}\n")).collect();
     assert!(
