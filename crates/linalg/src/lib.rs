@@ -31,14 +31,13 @@ pub use distance::{dot_blocked, squared_distance_blocked, DistanceMatrix, Upload
 pub use items::{Holder, ItemIndex};
 pub use matrix::Matrix;
 pub use rank::{
-    argsort_desc, rank_of, sum_k_smallest, top_k_desc, top_k_desc_filtered,
-    top_k_desc_filtered_into,
+    argsort_desc, sum_k_smallest, top_k_desc, top_k_desc_filtered, top_k_desc_filtered_into,
 };
 pub use rng::SeedStream;
 pub use softmax::{
     kl_divergence, kl_grad_at_softmax_q, kl_grad_wrt_p, kl_grad_wrt_q, log_softmax, softmax,
 };
-pub use stats::{CoordinateReducer, CoordinateStat};
+pub use stats::{total_order_key, CoordinateReducer, CoordinateStat};
 pub use vector::{
     add_assign, axpy, clip_l2_norm, cosine, cosine_grad_wrt_b, dot, l2_distance, l2_norm,
     mean_vector, scale, squared_l2_distance, sub,

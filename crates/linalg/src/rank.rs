@@ -109,19 +109,6 @@ pub fn sum_k_smallest(values: &mut [f32], k: usize) -> f32 {
     values[..k].iter().sum()
 }
 
-/// Zero-based rank of `target` when all entries are sorted descending, i.e.
-/// the number of entries strictly greater than `scores[target]` (earlier
-/// indices win ties, matching [`argsort_desc`]). Used by HR@K: a hit means
-/// `rank_of(...) < K`.
-pub fn rank_of(scores: &[f32], target: usize) -> usize {
-    let t = scores[target];
-    scores
-        .iter()
-        .enumerate()
-        .filter(|&(i, &s)| s > t || (s == t && i < target))
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,15 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn rank_of_counts_strictly_greater() {
-        let scores = [0.5, 2.0, 1.0, 0.5];
-        assert_eq!(rank_of(&scores, 1), 0);
-        assert_eq!(rank_of(&scores, 2), 1);
-        assert_eq!(rank_of(&scores, 0), 2);
-        assert_eq!(rank_of(&scores, 3), 3); // tie resolved toward earlier index
-    }
-
-    #[test]
     fn top_k_filtered_into_reuses_buffer() {
         let scores = [0.3, 0.7, 0.7, -0.2, 1.5, 0.0, 0.9];
         let mut buf = vec![99usize; 32];
@@ -193,14 +171,5 @@ mod tests {
             assert_eq!(got.to_bits(), want.to_bits(), "k={k}");
         }
         assert_eq!(sum_k_smallest(&mut [], 3), 0.0);
-    }
-
-    #[test]
-    fn rank_consistent_with_argsort() {
-        let scores = [0.3, 0.7, -0.1, 0.7, 0.0];
-        let order = argsort_desc(&scores);
-        for (pos, &i) in order.iter().enumerate() {
-            assert_eq!(rank_of(&scores, i), pos, "item {i}");
-        }
     }
 }

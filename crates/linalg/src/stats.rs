@@ -113,7 +113,8 @@ impl CoordinateReducer {
 /// `f32::total_cmp`'s key for the bits `bits`: every bit but the sign flipped
 /// for a negative value, so integer order is the IEEE total order. The map is
 /// its own inverse.
-fn total_order_key(bits: i32) -> i32 {
+#[inline]
+pub fn total_order_key(bits: i32) -> i32 {
     bits ^ ((bits >> 31).cast_unsigned() >> 1).cast_signed()
 }
 

@@ -113,14 +113,6 @@ proptest! {
     }
 
     #[test]
-    fn rank_of_agrees_with_argsort_position(scores in vec_strategy(15)) {
-        let order = argsort_desc(&scores);
-        for (pos, &i) in order.iter().enumerate() {
-            prop_assert_eq!(rank_of(&scores, i), pos);
-        }
-    }
-
-    #[test]
     fn clip_l2_norm_enforces_bound(mut a in vec_strategy(6), max in 0.1f32..5.0) {
         clip_l2_norm(&mut a, max);
         prop_assert!(l2_norm(&a) <= max * (1.0 + 1e-4));

@@ -4,12 +4,20 @@
 //! top-K recommendation lists contain target item `v_j`, and `Ū'_j` those who
 //! already interacted with it (they are excluded from the denominator and can
 //! never be "newly exposed"). The attack metric is the mean over all targets.
+//!
+//! A user's top-K list is the first K uninteracted items in the full-sort
+//! order (`total_cmp` descending, ties to the lower id), so `v_j` is on it
+//! iff fewer than K uninteracted items rank ahead of it. Each user runs one
+//! rank probe (the private `probe` module) per target it has not interacted
+//! with; the catalogue scan stops once every target has K items ahead, so
+//! only a target in the user's top-K costs a full scan.
 
 use frs_data::Dataset;
-use frs_linalg::top_k_desc_filtered_into;
 use frs_model::{EmbeddingStore, GlobalModel};
 
-/// ER@K for every target plus the mean — one evaluation pass per user.
+use crate::probe::{rank_probes, Probe};
+
+/// ER@K for every target plus the mean — one probe scan per user.
 #[derive(Debug, Clone)]
 pub struct ExposureReport {
     /// `per_target[t]` = ER@K of `targets[t]`, in `[0, 1]`.
@@ -38,22 +46,30 @@ impl ExposureReport {
         let mut exposed = vec![0usize; targets.len()];
         let mut eligible_users = vec![0usize; targets.len()];
 
-        // The lane table and the score and top-K buffers live across the
-        // user loop: the whole population scan allocates a constant number
-        // of vectors instead of two per user.
+        // The lane table and the probe buffers live across the user loop:
+        // the whole population scan allocates a constant number of vectors
+        // beside the scorer's own.
         let lanes = model.item_lanes();
-        let mut scores = Vec::new();
-        let mut top = Vec::new();
+        let mut probes = Vec::with_capacity(targets.len());
+        let mut slots = Vec::with_capacity(targets.len());
         for &u in benign_users {
-            model.scores_for_user_into(&lanes, user_embeddings.row(u), &mut scores);
-            // lint:allow(lossy-index-cast): j indexes the score slice, whose length is the u32-keyed catalog size
-            top_k_desc_filtered_into(&scores, k, |j| !train.interacted(u, j as u32), &mut top);
+            probes.clear();
+            slots.clear();
             for (t, &target) in targets.iter().enumerate() {
                 if train.interacted(u, target) {
                     continue; // u ∈ Ū'_j: excluded from the denominator.
                 }
                 eligible_users[t] += 1;
-                if top.contains(&(target as usize)) {
+                probes.push(Probe::new(target));
+                slots.push(t);
+            }
+            if probes.is_empty() {
+                continue;
+            }
+            let mut scorer = model.user_scorer(&lanes, user_embeddings.row(u));
+            rank_probes(&mut scorer, &mut probes, k, |j| !train.interacted(u, j));
+            for (&t, probe) in slots.iter().zip(&probes) {
+                if probe.ahead() < k {
                     exposed[t] += 1;
                 }
             }

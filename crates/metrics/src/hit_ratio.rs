@@ -4,9 +4,18 @@
 //! top-K recommendation list (ranked among all items the user has not
 //! interacted with in training). **NDCG@K** additionally rewards placing the
 //! test item near the top: `1/log₂(rank+2)`.
+//!
+//! The rank is the test item's zero-based position among the eligible items
+//! in the full-sort order every list uses (`total_cmp` descending, ties to
+//! the lower id), so it agrees with `argsort_desc` on ±0 and NaN scores
+//! too. It comes from one rank probe (the private `probe` module) per user,
+//! capped at K: the catalogue scan stops once K eligible items rank ahead
+//! of the test item, so only a hit costs a full scan.
 
 use frs_data::TrainTestSplit;
 use frs_model::{EmbeddingStore, GlobalModel};
+
+use crate::probe::{rank_probes, Probe};
 
 /// HR@K and NDCG@K over a set of users.
 #[derive(Debug, Clone)]
@@ -30,33 +39,14 @@ impl QualityReport {
         assert!(k > 0, "K must be positive");
         let mut hits = 0usize;
         let mut ndcg_sum = 0.0f64;
-        // One lane table and one score buffer reused across the user loop
-        // (the rank pass below is already a single early-exiting scan,
-        // never a sort).
         let lanes = model.item_lanes();
-        let mut scores = Vec::new();
         for &u in eval_users {
-            model.scores_for_user_into(&lanes, user_embeddings.row(u), &mut scores);
-            let test = split.test_item[u];
-            let test_score = scores[test as usize];
-            // Rank among eligible (non-train-interacted) items: count eligible
-            // items scoring strictly higher (ties resolved toward lower id,
-            // consistent with frs_linalg::rank_of; the test item never
-            // outranks itself). The score test runs first, so only items
-            // that outrank the test item pay the history lookup.
-            let mut rank = 0usize;
-            for (j, &s) in scores.iter().enumerate() {
-                // lint:allow(lossy-index-cast): j indexes the score slice, whose length is the u32-keyed catalog size
-                let j = j as u32;
-                let outranks = s > test_score || (s == test_score && j < test);
-                if !outranks || !split.eligible_for_ranking(u, j) {
-                    continue;
-                }
-                rank += 1;
-                if rank >= k {
-                    break; // already out of the top-K; rank value unused beyond that
-                }
-            }
+            let mut scorer = model.user_scorer(&lanes, user_embeddings.row(u));
+            let mut probe = [Probe::new(split.test_item[u])];
+            rank_probes(&mut scorer, &mut probe, k, |j| {
+                split.eligible_for_ranking(u, j)
+            });
+            let rank = probe[0].ahead();
             if rank < k {
                 hits += 1;
                 ndcg_sum += 1.0 / ((rank as f64) + 2.0).log2();
@@ -152,6 +142,59 @@ mod tests {
         let (model, embs, split) = setup(vec![3, 0]);
         let rep = QualityReport::compute(&model, &embs, &[0], &split, 1);
         assert!((rep.hr - 1.0).abs() < 1e-12);
+    }
+
+    /// One user of MF dim 1 against items at coordinates −1, −2, 1, 2, with
+    /// no training history and test item 3.
+    fn one_dim_user(user: f32) -> (GlobalModel, EmbeddingStore, TrainTestSplit) {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut model = GlobalModel::new(&ModelConfig::mf(1), 4, &mut rng);
+        for (j, x) in [-1.0f32, -2.0, 1.0, 2.0].into_iter().enumerate() {
+            model.item_embedding_mut(u32::try_from(j).unwrap())[0] = x;
+        }
+        let split = TrainTestSplit {
+            train: Dataset::from_user_items(4, vec![vec![]]),
+            test_item: vec![3],
+        };
+        (model, EmbeddingStore::from_rows(vec![vec![user]]), split)
+    }
+
+    #[test]
+    fn signed_zero_scores_rank_in_total_order() {
+        // A `+0.0` user gives logits −0, −0, +0, +0: under `total_cmp`
+        // only item 2 (+0, lower id) ranks ahead of test item 3, so it sits
+        // at rank 1, as in `argsort_desc`. IEEE `==` would tie all four
+        // and put it at rank 3.
+        let (model, embs, split) = one_dim_user(0.0);
+        let logits: Vec<u32> = (0..4).map(|j| model.logit(&[0.0], j).to_bits()).collect();
+        let (neg, pos) = ((-0.0f32).to_bits(), 0.0f32.to_bits());
+        assert_eq!(logits, [neg, neg, pos, pos]);
+        let rep = QualityReport::compute(&model, &embs, &[0], &split, 2);
+        assert_eq!(rep.hr, 1.0);
+        assert!((rep.ndcg - 1.0 / 3f64.log2()).abs() < 1e-12, "rank 1");
+        assert_eq!(
+            QualityReport::compute(&model, &embs, &[0], &split, 1).hr,
+            0.0
+        );
+    }
+
+    #[test]
+    fn nan_scores_tie_and_rank_by_id() {
+        // A NaN user scores every item the same NaN: they tie, so the three
+        // lower ids rank ahead of test item 3. Under IEEE comparisons
+        // nothing outranks a NaN and HR@1 read 1.0.
+        let (model, embs, split) = one_dim_user(f32::NAN);
+        assert_eq!(
+            QualityReport::compute(&model, &embs, &[0], &split, 1).hr,
+            0.0
+        );
+        assert_eq!(
+            QualityReport::compute(&model, &embs, &[0], &split, 3).hr,
+            0.0
+        );
+        let rep = QualityReport::compute(&model, &embs, &[0], &split, 4);
+        assert_eq!(rep.hr, 1.0);
+        assert!((rep.ndcg - 1.0 / 5f64.log2()).abs() < 1e-12, "rank 3");
     }
 
     #[test]

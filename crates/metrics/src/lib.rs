@@ -14,6 +14,7 @@ pub mod distribution;
 pub mod exposure;
 pub mod hit_ratio;
 pub mod popularity_bias;
+mod probe;
 
 pub use delta_norm::DeltaNormTracker;
 pub use distribution::{covered_users, pairwise_kl, user_coverage_ratio};

@@ -1,13 +1,14 @@
-//! Metric regression on a seeded scenario: ER@10 / HR@10 are unchanged by
-//! the bounded top-K scan + item-lane scoring evaluation path.
+//! Metric regression: ER@K, HR@K and NDCG from the early-exit rank probe
+//! over the item-lane scorer equal a full-sort reference.
 //!
 //! The reference below scores every item through the per-item `logit`,
 //! ranks each user's full catalogue with a complete `argsort_desc` and
 //! recomputes ER/HR/NDCG from first principles — the shape the metrics used
-//! before `top_k_desc_filtered_into` and the scoring kernel. Values must
-//! match **exactly** (f64 `==`), not
-//! within a tolerance: the fast path is a reordering-free refactor. Part of
-//! the CI `kernel-parity` job; run locally with
+//! before the bounded top-K scan, the scoring kernel and the probe scan.
+//! Values must match **exactly** (f64 `==`), not within a tolerance: the
+//! fast path decides the same membership questions. Two seeded scenarios
+//! run at K = 10, and a proptest runs edge-valued worlds at every K. Part
+//! of the CI `kernel-parity` job; run locally with
 //!
 //! ```text
 //! cargo test --release -p frs-metrics --test metric_parity
@@ -17,6 +18,7 @@ use frs_data::{Dataset, TrainTestSplit};
 use frs_linalg::argsort_desc;
 use frs_metrics::{ExposureReport, QualityReport};
 use frs_model::{EmbeddingStore, GlobalModel, ModelConfig};
+use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -173,4 +175,90 @@ fn er_handles_every_target_interacted() {
     let train = Dataset::from_user_items(6, vec![vec![2], vec![2], vec![2]]);
     let report = ExposureReport::compute(&model, &embs, &[0, 1, 2], &train, &[2], K);
     assert_eq!(report.mean, 0.0);
+}
+
+/// Coordinates of the edge-valued worlds: signed zeros, halves and ones
+/// (exact ties between items), subnormals, and ±1e30, whose products
+/// overflow to ±inf and whose infinities cancel to NaN.
+const COORDS: [f32; 10] = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1e-40, -1e-40, 1e30, -1e30];
+
+/// An edge-valued world of 5 users over `n_items` items, every item and
+/// user coordinate drawn from [`COORDS`]: MF (`hidden` empty) or NCF with
+/// the given hidden widths, random histories, a test item anywhere outside
+/// its user's history, and 1–3 targets with repeats, which some users have
+/// interacted with (so a user runs 0–3 rank probes).
+fn edge_world(
+    dim: usize,
+    hidden: &[usize],
+    n_items: usize,
+    seed: u64,
+) -> (GlobalModel, Vec<Vec<f32>>, TrainTestSplit, Vec<u32>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let config = if hidden.is_empty() {
+        ModelConfig::mf(dim)
+    } else {
+        let mut config = ModelConfig::ncf(dim);
+        config.mlp_hidden = hidden.to_vec();
+        config
+    };
+    let mut model = GlobalModel::new(&config, n_items, &mut rng);
+    let coord = |rng: &mut StdRng| COORDS[rng.gen_range(0..COORDS.len())];
+    for j in 0..n_items as u32 {
+        for x in model.item_embedding_mut(j) {
+            *x = coord(&mut rng);
+        }
+    }
+    let embs: Vec<Vec<f32>> = (0..5)
+        .map(|_| (0..dim).map(|_| coord(&mut rng)).collect())
+        .collect();
+    let n = n_items as u32;
+    let targets: Vec<u32> = (0..rng.gen_range(1..=3))
+        .map(|_| rng.gen_range(0..n))
+        .collect();
+    let mut user_items = Vec::new();
+    let mut test_item = Vec::new();
+    for _ in 0..embs.len() {
+        let test = rng.gen_range(0..n);
+        let mut items: Vec<u32> = (0..n).filter(|_| rng.gen_bool(0.3)).collect();
+        items.extend(targets.iter().filter(|_| rng.gen_bool(0.4)));
+        items.retain(|&j| j != test);
+        user_items.push(items);
+        test_item.push(test);
+    }
+    let train = Dataset::from_user_items(n_items, user_items);
+    (model, embs, TrainTestSplit { train, test_item }, targets)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Both reports against the full-sort reference at every K from 0
+    /// (HR: 1) to n + 2, on MF and on NCF with one or two hidden layers.
+    #[test]
+    fn early_exit_reports_match_the_full_sort_reference(
+        seed in any::<u64>(),
+        family in 0usize..3,
+        dim in 1usize..=4,
+        n_items in 1usize..=40,
+        widths in (1usize..=4, 1usize..=4),
+    ) {
+        let hidden = [widths.0, widths.1];
+        let (model, embs, split, targets) = edge_world(dim, &hidden[..family], n_items, seed);
+        let users: Vec<usize> = (0..embs.len()).collect();
+        let store = EmbeddingStore::from_rows(embs.clone());
+        for k in 0..=n_items + 2 {
+            let er = ExposureReport::compute(&model, &store, &users, &split.train, &targets, k);
+            let (per_target, mean) =
+                naive_exposure(&model, &embs, &users, &split.train, &targets, k);
+            prop_assert_eq!(&er.per_target, &per_target, "k {}", k);
+            prop_assert_eq!(er.mean, mean, "k {}", k);
+            if k == 0 {
+                continue;
+            }
+            let hr = QualityReport::compute(&model, &store, &users, &split, k);
+            let (naive_hr, naive_ndcg) = naive_quality(&model, &embs, &users, &split, k);
+            prop_assert_eq!(hr.hr, naive_hr, "k {}", k);
+            prop_assert_eq!(hr.ndcg, naive_ndcg, "k {}", k);
+        }
+    }
 }

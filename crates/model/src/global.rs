@@ -27,7 +27,7 @@ use serde::{Deserialize, Error, Map, Serialize, Value};
 
 use crate::config::{ModelConfig, ModelKind};
 use crate::gradients::GlobalGradients;
-use crate::lanes::{fold_lanes, ItemLanes, LANES};
+use crate::lanes::{ItemLanes, UserScorer, LANES};
 use crate::mlp::{Mlp, MlpCache};
 
 /// One embedding row per item, and the DL-FRS interaction MLP (`None` for
@@ -209,24 +209,35 @@ impl GlobalModel {
 
     /// This model's item table regrouped for the scoring kernel
     /// ([`crate::lanes`]): build it once per evaluation (or per published
-    /// snapshot) and pass it to every [`Self::scores_for_user_into`] call.
+    /// snapshot) and pass it to every [`Self::user_scorer`] call.
     pub fn item_lanes(&self) -> ItemLanes {
         ItemLanes::new(&self.items)
     }
 
-    /// Logits of every item for one user embedding, into a caller-owned
-    /// buffer — the evaluation path (top-K lists). Sigmoid is monotone so
-    /// ranking on logits is identical to ranking on predicted scores.
-    /// `lanes` must be [`Self::item_lanes`] of this model state; every score
-    /// is bitwise-identical to the per-item [`Self::logit`].
-    pub fn scores_for_user_into(&self, lanes: &ItemLanes, user_emb: &[f32], out: &mut Vec<f32>) {
+    /// One user's scoring pass over `lanes`, a block of [`LANES`] items at
+    /// a time — the evaluation path (top-K lists and rank probes). Sigmoid
+    /// is monotone, so ranking on logits is identical to ranking on
+    /// predicted scores. `lanes` must be [`Self::item_lanes`] of this model
+    /// state; every logit is bitwise-identical to the per-item
+    /// [`Self::logit`].
+    pub fn user_scorer<'a>(&'a self, lanes: &'a ItemLanes, user_emb: &'a [f32]) -> UserScorer<'a> {
         assert!(
             lanes.n_items() == self.n_items() && lanes.dim() == self.dim(),
             "item lanes built for another model shape"
         );
-        match &self.mlp {
-            None => dot_scores_into(lanes, user_emb, out),
-            Some(mlp) => mlp_scores_into(mlp, lanes, user_emb, out),
+        UserScorer::new(lanes, self.mlp.as_ref(), user_emb)
+    }
+
+    /// Logits of every item for one user embedding, into a caller-owned
+    /// buffer (cleared first): [`Self::user_scorer`] run over every block.
+    pub fn scores_for_user_into(&self, lanes: &ItemLanes, user_emb: &[f32], out: &mut Vec<f32>) {
+        let mut scorer = self.user_scorer(lanes, user_emb);
+        let n_items = scorer.n_items();
+        out.clear();
+        out.reserve(n_items);
+        for b in 0..scorer.n_blocks() {
+            let live = (n_items - b * LANES).min(LANES);
+            out.extend_from_slice(&scorer.block(b)[..live]);
         }
     }
 }
@@ -262,39 +273,6 @@ fn split_input_grad(d_input: &[f32], user_emb: &[f32], item_emb: &[f32]) -> (Vec
 fn input_grads(mlp: &Mlp, user_emb: &[f32], item_emb: &[f32]) -> (Vec<f32>, Vec<f32>) {
     let (_, cache) = mlp.forward(&neumf_input(user_emb, item_emb));
     split_input_grad(&mlp.backward_input_only(&cache, 1.0), user_emb, item_emb)
-}
-
-/// MF logits of every item in `lanes`, `LANES` items at a time: eight
-/// `dot` folds (`-0.0 + u₀v₀ + u₁v₁ + …`) side by side, each
-/// bitwise-identical to the per-item [`GlobalModel::logit`].
-fn dot_scores_into(lanes: &ItemLanes, user_emb: &[f32], out: &mut Vec<f32>) {
-    lanes.score_into(out, |block| {
-        let mut acc = [-0.0; LANES];
-        fold_lanes(&mut acc, user_emb, block);
-        acc
-    });
-}
-
-/// NCF logits of every item in `lanes`, `LANES` items at a time: the MLP
-/// work that depends only on the user slot (the first-layer fold over `u`)
-/// runs once, and each block's `v ⊕ (u ⊙ v)` suffix goes through
-/// `BatchScorer::logits`. Each score is bitwise-identical to the per-item
-/// [`GlobalModel::logit`].
-fn mlp_scores_into(mlp: &Mlp, lanes: &ItemLanes, user_emb: &[f32], out: &mut Vec<f32>) {
-    let dim = lanes.dim();
-    debug_assert_eq!(user_emb.len(), dim);
-    let mut scorer = mlp.batch_scorer(user_emb);
-    let mut suffix = vec![[0.0; LANES]; 2 * dim];
-    lanes.score_into(out, |block| {
-        let (items, products) = suffix.split_at_mut(dim);
-        for (((item, product), v), &u) in items.iter_mut().zip(products).zip(block).zip(user_emb) {
-            *item = *v;
-            for (p, &x) in product.iter_mut().zip(v) {
-                *p = u * x;
-            }
-        }
-        scorer.logits(&suffix)
-    });
 }
 
 /// Checkpoints keep the shape the two-struct model's derive wrote:

@@ -1,11 +1,14 @@
 //! The item-lane scoring kernel behind every full-catalogue ranking: ER@K,
 //! HR@K, the popularity-bias lists and a serve query all score one user
-//! against every item through [`crate::GlobalModel::scores_for_user_into`],
-//! which reads the item table regrouped here.
+//! through a [`UserScorer`] ([`crate::GlobalModel::user_scorer`]), which
+//! reads the item table regrouped here, one block of items at a time.
+//! [`crate::GlobalModel::scores_for_user_into`] is the scorer run over
+//! every block; ER@K and HR@K stop early, once each item they ask about is
+//! decided.
 //!
 //! [`ItemLanes`] holds the item table coordinate-major in blocks of
-//! `LANES` items: block `b` stores coordinate `c` of items
-//! `b·LANES .. b·LANES + LANES` side by side. The scorers run a block's
+//! [`LANES`] items: block `b` stores coordinate `c` of items
+//! `b·LANES .. b·LANES + LANES` side by side. The scorer runs a block's
 //! items in lock-step: every `[f32; LANES]` step advances `LANES`
 //! separate per-item chains at once, which portable code vectorizes at the
 //! x86-64 baseline, instead of waiting on one item's serial add chain
@@ -13,15 +16,19 @@
 //!
 //! *Why the bits hold.* Each lane repeats the per-item `logit` fold from the
 //! same start value (`-0.0`, or NCF's folded user prefix) with the same
-//! operands in the same order; only independent lanes interleave. Padding
-//! lanes of the last block hold `0.0`, are scored like any other lane and
-//! are never copied out. `batched_scoring` pins the kernel to `logit` bit
-//! for bit.
+//! operands in the same order; only independent lanes interleave. A block's
+//! logits depend on nothing but the block and the user, so scoring blocks
+//! in any order, or only some of them, gives each item the same bits.
+//! Padding lanes of the last block hold `0.0`, are scored like any other
+//! lane and are never read as items. `batched_scoring` pins the kernel to
+//! `logit` bit for bit.
 
 use frs_linalg::Matrix;
 
+use crate::mlp::{BatchScorer, Mlp};
+
 /// Items scored side by side: eight `f32` lanes, two SSE registers.
-pub(crate) const LANES: usize = 8;
+pub const LANES: usize = 8;
 
 /// One block coordinate: the same coordinate of `LANES` items.
 pub(crate) type Lane = [f32; LANES];
@@ -65,15 +72,83 @@ impl ItemLanes {
         self.dim
     }
 
-    /// Runs `score` over every block in item order and writes the first
-    /// `n_items` lanes of its results into `out` (cleared first).
-    pub(crate) fn score_into(&self, out: &mut Vec<f32>, mut score: impl FnMut(&[Lane]) -> Lane) {
-        out.clear();
-        out.reserve(self.n_items);
-        for b in 0..self.n_items.div_ceil(LANES) {
-            let logits = score(&self.lanes[b * self.dim..][..self.dim]);
-            let live = (self.n_items - b * LANES).min(LANES);
-            out.extend_from_slice(&logits[..live]);
+    /// Block `b`'s coordinates, one lane per item.
+    fn block(&self, b: usize) -> &[Lane] {
+        &self.lanes[b * self.dim..][..self.dim]
+    }
+}
+
+/// One user's logits over an [`ItemLanes`] table, `LANES` items at a time.
+/// [`Self::block`] may be called for any block, in any order and as often
+/// as a caller likes; every lane carries the bits of the per-item
+/// [`crate::GlobalModel::logit`].
+pub struct UserScorer<'a> {
+    lanes: &'a ItemLanes,
+    user: &'a [f32],
+    arm: Arm<'a>,
+}
+
+/// The two model families' block steps.
+enum Arm<'a> {
+    /// MF: eight `dot` folds (`-0.0 + u₀v₀ + u₁v₁ + …`) side by side.
+    Dot,
+    /// NCF: the MLP work that depends only on the user slot (the
+    /// first-layer fold over `u`) ran once in [`Mlp::batch_scorer`]; each
+    /// block's `v ⊕ (u ⊙ v)` suffix, built in `suffix`, goes through
+    /// `BatchScorer::logits`.
+    Mlp {
+        scorer: BatchScorer<'a>,
+        suffix: Vec<Lane>,
+    },
+}
+
+impl<'a> UserScorer<'a> {
+    /// `mlp` is the model's interaction MLP, `None` for MF.
+    pub(crate) fn new(lanes: &'a ItemLanes, mlp: Option<&'a Mlp>, user: &'a [f32]) -> Self {
+        debug_assert_eq!(user.len(), lanes.dim);
+        let arm = match mlp {
+            None => Arm::Dot,
+            Some(mlp) => Arm::Mlp {
+                scorer: mlp.batch_scorer(user),
+                suffix: vec![[0.0; LANES]; 2 * lanes.dim],
+            },
+        };
+        Self { lanes, user, arm }
+    }
+
+    /// Items in the catalogue; block `b` holds items
+    /// `b·LANES .. min(b·LANES + LANES, n_items)`.
+    pub fn n_items(&self) -> usize {
+        self.lanes.n_items
+    }
+
+    /// Blocks in the catalogue, the last one possibly partial.
+    pub fn n_blocks(&self) -> usize {
+        self.lanes.n_items.div_ceil(LANES)
+    }
+
+    /// The logits of block `b`: lane `l` is item `b·LANES + l`'s, and the
+    /// padding lanes past the last item are meaningless. Allocation-free.
+    #[inline]
+    pub fn block(&mut self, b: usize) -> [f32; LANES] {
+        let block = self.lanes.block(b);
+        match &mut self.arm {
+            Arm::Dot => {
+                let mut acc = [-0.0; LANES];
+                fold_lanes(&mut acc, self.user, block);
+                acc
+            }
+            Arm::Mlp { scorer, suffix } => {
+                let (items, products) = suffix.split_at_mut(block.len());
+                let coords = items.iter_mut().zip(products).zip(block).zip(self.user);
+                for (((item, product), v), &u) in coords {
+                    *item = *v;
+                    for (p, &x) in product.iter_mut().zip(v) {
+                        *p = u * x;
+                    }
+                }
+                scorer.logits(suffix)
+            }
         }
     }
 }
@@ -94,6 +169,9 @@ pub(crate) fn fold_lanes(acc: &mut Lane, w: &[f32], x: &[Lane]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{GlobalModel, ModelConfig};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn regroups_items_coordinate_major_with_zero_padding() {
@@ -107,23 +185,31 @@ mod tests {
         assert_eq!(lanes.lanes[3], [17.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
     }
 
+    /// `scores_for_user_into` copies the live lanes of every block, in block
+    /// order, into a dirty buffer: item `j` is lane `j % LANES` of block
+    /// `j / LANES`, whichever order the blocks are scored in.
     #[test]
     fn score_into_keeps_only_live_lanes() {
         for n in [0usize, 1, 8, 13] {
-            let lanes = ItemLanes::new(&Matrix::zeros(n, 3));
+            let mut model = GlobalModel::new(&ModelConfig::mf(1), n, &mut StdRng::seed_from_u64(1));
+            for j in 0..n {
+                model.item_embedding_mut(u32::try_from(j).unwrap())[0] = j as f32;
+            }
+            let lanes = model.item_lanes();
             let mut out = vec![f32::NAN; 5];
-            let mut blocks = 0;
-            lanes.score_into(&mut out, |block| {
-                assert_eq!(block.len(), 3);
-                blocks += 1;
-                [blocks as f32; LANES]
-            });
-            assert_eq!(out.len(), n);
-            assert_eq!(blocks, n.div_ceil(LANES));
-            assert!(out
-                .iter()
-                .enumerate()
-                .all(|(j, &s)| s == (j / LANES + 1) as f32));
+            model.scores_for_user_into(&lanes, &[1.0], &mut out);
+            assert_eq!(out, (0..n).map(|j| j as f32).collect::<Vec<_>>());
+            let mut scorer = model.user_scorer(&lanes, &[1.0]);
+            assert_eq!(
+                (scorer.n_items(), scorer.n_blocks()),
+                (n, n.div_ceil(LANES))
+            );
+            for b in (0..scorer.n_blocks()).rev() {
+                let logits = scorer.block(b);
+                for (l, &s) in logits.iter().enumerate().take(n - b * LANES) {
+                    assert_eq!(s, (b * LANES + l) as f32);
+                }
+            }
         }
     }
 }

@@ -37,7 +37,7 @@ pub mod store;
 pub use config::{ModelConfig, ModelKind};
 pub use global::GlobalModel;
 pub use gradients::{GlobalGradients, MlpGradients};
-pub use lanes::ItemLanes;
+pub use lanes::{ItemLanes, UserScorer, LANES};
 pub use local_step::LocalStep;
 pub use loss::{bce_logit_delta, bce_loss, bpr_logit_deltas, bpr_loss, LossKind};
 pub use mlp::Mlp;

@@ -41,7 +41,10 @@ use pieck_frs::model::{LossKind, ModelKind};
 ///   include a serialized interaction MLP;
 /// - `g`: `scenario::run`, NCF, PIECK-UEA × `ours` under the BPR loss, a
 ///   trend point every 4 rounds, so benign clients train pairwise and run
-///   the defense's Re1/Re2 through the interaction MLP.
+///   the defense's Re1/Re2 through the interaction MLP;
+/// - `h`: SHA-256 of `paper scale 20000 --rounds 3`'s JSON report: past
+///   20,000 users `scenario::stride_sample` evaluates every second user, so
+///   the stride is pinned too.
 const GOLDEN: &str = "\
 a er=403c11f7047dc11f hr=4014000000000000 ndcg=3f9348aa135721db targets=[112] upload=1557816 trend=[3:40218b3a62ce98b3:4027555555555555,6:40218b3a62ce98b3:4027555555555555,9:403dd31674c59d31:4024000000000000,12:403a50d79435e50d:4027555555555555,15:40388fb823ee08fb:4027555555555555,18:40388fb823ee08fb:402aaaaaaaaaaaab]
 b er=0000000000000000 hr=4034000000000000 ndcg=3fb44402e4437afd targets=[112] upload=2622648 trend=[]
@@ -50,6 +53,7 @@ d sha256=f8129d19f85bdebbfb1d0689861129ecd905a32b9e0894f43b672a51e7620cb4
 e sha256=78ca0bb2a06af56f194be5b126049893c4204a50c4fafb47a51aa2b678343a81
 f sha256=d46a027f76ed1b7c75f494cecfee56447d4d3527f9ebda3d28218ad55cb74970
 g er=4059000000000000 hr=4035aaaaaaaaaaab ndcg=3fb595563df22cc4 targets=[112] upload=1964592 trend=[4:0000000000000000:402e000000000000,8:4059000000000000:402aaaaaaaaaaaab,12:4059000000000000:4035aaaaaaaaaaab]
+h sha256=521abf1f62400d1c467004d5321f87ed73a9a9db84e051c20e6b115c95a429c2
 ";
 
 fn ipe_ours_mf() -> ScenarioConfig {
@@ -134,9 +138,10 @@ fn checkpointed_resume(cfg: &ScenarioConfig) -> ScenarioOutcome {
     out
 }
 
-/// Row `d`: the report `paper scale 1000 --rounds 3 --json DIR` writes.
-fn scale_report_digest() -> String {
-    let args = CommonArgs::parse_from(["scale", "1000", "--rounds", "3"].map(String::from))
+/// Rows `d` and `h`: the report `paper scale USERS --rounds 3 --json DIR`
+/// writes.
+fn scale_report_digest(users: &str) -> String {
+    let args = CommonArgs::parse_from(["scale", users, "--rounds", "3"].map(String::from))
         .expect("valid arguments");
     let report = PaperCommand::Scale
         .run(&args, &ExecOptions::default())
@@ -202,10 +207,11 @@ fn every_driver_reproduces_its_pinned_outcome() {
         outcome_row("a", &scenario::run(&a)),
         outcome_row("b", &scenario::run(&uea_median_ncf())),
         outcome_row("c", &checkpointed_resume(&a)),
-        format!("d sha256={}", scale_report_digest()),
+        format!("d sha256={}", scale_report_digest("1000")),
         format!("e sha256={}", serve_sidecar_digest(ModelKind::Mf)),
         format!("f sha256={}", serve_sidecar_digest(ModelKind::Ncf)),
         outcome_row("g", &scenario::run(&uea_ours_ncf_bpr())),
+        format!("h sha256={}", scale_report_digest("20000")),
     ];
     let observed: String = rows.iter().map(|row| format!("{row}\n")).collect();
     assert!(
