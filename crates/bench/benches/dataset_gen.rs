@@ -1,4 +1,4 @@
-//! Synthetic-dataset generation and sampling throughput.
+//! Synthetic-dataset generation, splitting, copying and sampling throughput.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use frs_data::{leave_one_out, synth, DatasetSpec, NegativeSampler};
@@ -29,6 +29,24 @@ fn dataset_gen(c: &mut Criterion) {
             criterion::black_box(leave_one_out(&data, &mut rng).test_item.len())
         });
     });
+    // `paper scale`'s spec at 100k users: three interactions per user, so
+    // the store's per-user cost shows instead of hiding behind ~106.
+    let sparse = DatasetSpec::sparse(100_000);
+    group.bench_with_input(
+        BenchmarkId::new("generate", "sparse_100k"),
+        &sparse,
+        |b, spec| {
+            b.iter(|| {
+                let mut rng = StdRng::seed_from_u64(1);
+                criterion::black_box(synth::generate(spec, &mut rng).n_interactions())
+            });
+        },
+    );
+    let full = synth::generate(&sparse, &mut StdRng::seed_from_u64(1));
+    let train = leave_one_out(&full, &mut StdRng::seed_from_u64(2)).train;
+    drop(full);
+    // The copy `ScenarioRun` shares with the simulation.
+    group.bench_function("clone_train", |b| b.iter(|| train.clone()));
     let sampler = NegativeSampler::new(1);
     group.bench_function("negative_sample_one_user", |b| {
         let mut rng = StdRng::seed_from_u64(3);

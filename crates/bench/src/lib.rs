@@ -14,8 +14,8 @@ pub mod gate;
 use std::sync::Arc;
 
 use frs_attacks::AttackKind;
-use frs_data::popularity::{zipf_weights, CumulativeSampler};
-use frs_data::{DataSource, Dataset, DatasetSpec};
+use frs_data::popularity::{zipf_weights, CumulativeSampler, DistinctScratch};
+use frs_data::{Dataset, DatasetSpec};
 use frs_defense::{DefenseKind, DefenseSel};
 use frs_experiments::{paper_scenario, PaperDataset, ScenarioConfig};
 use frs_federation::{ClientsPerRound, Simulation};
@@ -53,17 +53,7 @@ pub fn bench_simulation_at_width(
 /// `round/sampled_*` benches, structurally the same world as the
 /// `paper scale` CI cell, two orders of magnitude smaller.
 pub fn bench_sampled_simulation(n_users: usize, defense: &str) -> Simulation {
-    let spec = DatasetSpec {
-        name: format!("bench-sampled-{n_users}"),
-        n_users,
-        n_items: 2000,
-        n_interactions: n_users * 3,
-        item_zipf_exponent: 0.9,
-        user_zipf_exponent: 0.6,
-        min_interactions_per_user: 2,
-        source: DataSource::Synth,
-    };
-    let mut cfg = ScenarioConfig::baseline(spec, ModelKind::Mf, 42);
+    let mut cfg = ScenarioConfig::baseline(DatasetSpec::sparse(n_users), ModelKind::Mf, 42);
     cfg.attack = AttackKind::PieckUea.into();
     cfg.defense = DefenseSel::parse(defense).expect("bench defense spec");
     cfg.malicious_ratio = 0.001;
@@ -97,11 +87,12 @@ pub fn bench_world() -> (GlobalModel, EmbeddingStore, Arc<Dataset>) {
 pub fn bench_cell_uploads(n: usize, n_items: usize, dim: usize) -> Vec<GlobalGradients> {
     let mut rng = StdRng::seed_from_u64(17);
     let sampler = CumulativeSampler::new(&zipf_weights(n_items, 0.5));
+    let mut scratch = DistinctScratch::default();
     (0..n)
         .map(|_| {
             let mut g = GlobalGradients::new();
             let count = rng.gen_range(180..222);
-            for item in sampler.sample_distinct(count, &mut rng) {
+            for &item in sampler.sample_distinct(count, &mut rng, &mut scratch) {
                 let grad: Vec<f32> = (0..dim).map(|_| rng.gen_range(-0.01..0.01)).collect();
                 g.add_item_grad(item as u32, &grad);
             }

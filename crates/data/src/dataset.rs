@@ -1,19 +1,25 @@
 //! The immutable interaction store.
 //!
 //! A [`Dataset`] is a set of (user, item) implicit-feedback interactions held
-//! as one sorted item list per user. That layout serves every consumer:
-//! clients iterate their own positives (`D⁺_i`), the negative sampler needs
-//! fast membership tests (binary search on the sorted list), and popularity
-//! counts are materialized once at construction for the miner ground truth.
-
-use serde::{Deserialize, Serialize};
+//! in one flat layout: every user's ascending item list sits back to back in
+//! one `items` array, and user `u`'s list `D⁺_u` is
+//! `items[offsets[u]..offsets[u + 1]]`. At `paper scale`'s three interactions
+//! per user, a `Vec` per user would cost more in headers and heap chunks than
+//! the 12 bytes of ids; this layout costs the ids plus one offset per user,
+//! fills by appending one user at a time, and copies with one `memcpy` per
+//! array. Clients iterate their own positives, the negative sampler tests
+//! membership by binary search on the sorted list, and popularity counts are
+//! materialized once at construction for the miner ground truth.
 
 /// Implicit-feedback interaction data for `n_users × n_items`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
     n_items: usize,
-    /// `user_items[u]` is the ascending list of items user `u` interacted with.
-    user_items: Vec<Vec<u32>>,
+    /// `n_users + 1` ascending bounds starting at 0: user `u`'s items are
+    /// `items[offsets[u]..offsets[u + 1]]`.
+    offsets: Vec<usize>,
+    /// Every user's ascending, duplicate-free item list, back to back.
+    items: Vec<u32>,
     /// `item_pop[j]` = number of users that interacted with item `j`
     /// (the paper's definition of popularity, Section IV-B).
     item_pop: Vec<u32>,
@@ -22,27 +28,55 @@ pub struct Dataset {
 impl Dataset {
     /// Builds a dataset from per-user interaction lists. Lists are sorted and
     /// deduplicated; out-of-range items panic.
-    pub fn from_user_items(n_items: usize, mut user_items: Vec<Vec<u32>>) -> Self {
-        let mut item_pop = vec![0u32; n_items];
-        for items in &mut user_items {
-            items.sort_unstable();
-            items.dedup();
-            for &j in items.iter() {
-                assert!((j as usize) < n_items, "item id {j} out of range");
-                item_pop[j as usize] += 1;
-            }
+    pub fn from_user_items(n_items: usize, user_items: Vec<Vec<u32>>) -> Self {
+        let n_interactions = user_items.iter().map(Vec::len).sum::<usize>();
+        let mut data = Self::with_capacity(n_items, user_items.len(), n_interactions);
+        for items in user_items {
+            data.push_user(items);
         }
+        data
+    }
+
+    /// A dataset with no users yet, with room for `n_users` users holding
+    /// `n_interactions` interactions between them.
+    pub(crate) fn with_capacity(n_items: usize, n_users: usize, n_interactions: usize) -> Self {
+        let mut offsets = Vec::with_capacity(n_users + 1);
+        offsets.push(0);
         Self {
             n_items,
-            user_items,
-            item_pop,
+            offsets,
+            items: Vec::with_capacity(n_interactions),
+            item_pop: vec![0; n_items],
         }
+    }
+
+    /// Appends the next user, whose interactions are `items` in any order.
+    /// The list is sorted and deduplicated in place; an out-of-range item
+    /// panics.
+    pub(crate) fn push_user(&mut self, items: impl IntoIterator<Item = u32>) {
+        let start = self.items.len();
+        self.items.extend(items);
+        let list = &mut self.items[start..];
+        list.sort_unstable();
+        let mut kept = 0;
+        for i in 0..list.len() {
+            if kept == 0 || list[i] != list[kept - 1] {
+                list[kept] = list[i];
+                kept += 1;
+            }
+        }
+        self.items.truncate(start + kept);
+        for &j in &self.items[start..] {
+            assert!((j as usize) < self.n_items, "item id {j} out of range");
+            self.item_pop[j as usize] += 1;
+        }
+        self.offsets.push(self.items.len());
     }
 
     /// Number of users (clients in the federation).
     #[inline]
     pub fn n_users(&self) -> usize {
-        self.user_items.len()
+        self.offsets.len() - 1
     }
 
     /// Number of items (rows of the shared embedding table).
@@ -53,19 +87,19 @@ impl Dataset {
 
     /// Total interaction count.
     pub fn n_interactions(&self) -> usize {
-        self.user_items.iter().map(Vec::len).sum::<usize>()
+        self.items.len()
     }
 
     /// The ascending interacted-item list `D⁺_u` of user `u`.
     #[inline]
     pub fn items_of(&self, user: usize) -> &[u32] {
-        &self.user_items[user]
+        &self.items[self.offsets[user]..self.offsets[user + 1]]
     }
 
     /// True when `user` has interacted with `item` (O(log |D⁺_u|)).
     #[inline]
     pub fn interacted(&self, user: usize, item: u32) -> bool {
-        self.user_items[user].binary_search(&item).is_ok()
+        self.items_of(user).binary_search(&item).is_ok()
     }
 
     /// Popularity (interaction count) of every item.
@@ -104,16 +138,6 @@ impl Dataset {
         ranking.reverse();
         ranking.truncate(count);
         ranking
-    }
-
-    /// Returns a copy with interaction `(user, item)` removed (used by the
-    /// leave-one-out split). Popularity counts are recomputed.
-    pub fn without_interaction(&self, user: usize, item: u32) -> Self {
-        let mut user_items = self.user_items.clone();
-        if let Ok(pos) = user_items[user].binary_search(&item) {
-            user_items[user].remove(pos);
-        }
-        Self::from_user_items(self.n_items, user_items)
     }
 }
 
@@ -164,14 +188,6 @@ mod tests {
         let d = small();
         assert_eq!(d.coldest_items(1), vec![3]);
         assert_eq!(d.coldest_items(2), vec![3, 2]);
-    }
-
-    #[test]
-    fn without_interaction_updates_popularity() {
-        let d = small().without_interaction(1, 1);
-        assert_eq!(d.item_popularity(), &[1, 2, 1, 0]);
-        assert!(!d.interacted(1, 1));
-        assert!(d.interacted(1, 2));
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! which is what the generator reproduces.
 //!
 //! Layout:
-//! - [`dataset`]: the immutable interaction store ([`Dataset`]) in per-user
-//!   sorted adjacency form, with popularity counts and membership queries.
+//! - [`dataset`]: the immutable interaction store ([`Dataset`]): every user's
+//!   sorted item list back to back in one array, indexed by per-user
+//!   offsets, with popularity counts and membership queries.
 //! - [`popularity`]: Zipf weights and weighted sampling without replacement.
 //! - [`synth`]: the generator ([`synth::generate`]) driven by a [`DatasetSpec`].
 //! - [`split`]: leave-one-out train/test splitting (paper Section VII-A1).

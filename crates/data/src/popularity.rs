@@ -49,42 +49,64 @@ impl CumulativeSampler {
             .min(self.cumulative.len() - 1)
     }
 
-    /// Samples `count` *distinct* indices by rejection. Suitable when
-    /// `count` is well below the support size (our generator draws at most a
-    /// few hundred items per user from thousands); falls back to taking the
-    /// full support when `count >= n`.
-    pub fn sample_distinct<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) -> Vec<usize> {
+    /// Samples `count` *distinct* indices by rejection, in draw order.
+    /// Suitable when `count` is well below the support size (our generator
+    /// draws at most a few hundred items per user from thousands); falls
+    /// back to taking the full support when `count >= n`. The picks live in
+    /// `scratch`, which a caller reuses across calls so a million draws
+    /// share one flag table.
+    pub fn sample_distinct<'s, R: Rng + ?Sized>(
+        &self,
+        count: usize,
+        rng: &mut R,
+        scratch: &'s mut DistinctScratch,
+    ) -> &'s [usize] {
         let n = self.cumulative.len();
-        if count >= n {
-            return (0..n).collect();
+        let DistinctScratch { seen, picked } = scratch;
+        for &idx in picked.iter() {
+            seen[idx] = false;
         }
-        let mut seen = vec![false; n];
-        let mut out = Vec::with_capacity(count);
+        picked.clear();
+        seen.resize(n, false);
+        if count >= n {
+            picked.extend(0..n);
+            return picked;
+        }
         // Rejection loop with a deterministic fallback: after too many
         // rejections (pathological weight skew) walk the remaining support.
         let max_tries = 50 * count + 200;
         let mut tries = 0;
-        while out.len() < count && tries < max_tries {
+        while picked.len() < count && tries < max_tries {
             tries += 1;
             let idx = self.sample(rng);
             if !seen[idx] {
                 seen[idx] = true;
-                out.push(idx);
+                picked.push(idx);
             }
         }
-        if out.len() < count {
+        if picked.len() < count {
             for (idx, seen_slot) in seen.iter_mut().enumerate() {
                 if !*seen_slot {
                     *seen_slot = true;
-                    out.push(idx);
-                    if out.len() == count {
+                    picked.push(idx);
+                    if picked.len() == count {
                         break;
                     }
                 }
             }
         }
-        out
+        picked
     }
+}
+
+/// Reusable working memory for [`CumulativeSampler::sample_distinct`]: a
+/// flag per index and the last call's picks. Every raised flag belongs to a
+/// pick, so the next call lowers them in O(picks) instead of zeroing the
+/// whole table.
+#[derive(Debug, Default)]
+pub struct DistinctScratch {
+    seen: Vec<bool>,
+    picked: Vec<usize>,
 }
 
 /// Fraction of total weight carried by the `top_fraction` heaviest ranks —
@@ -139,9 +161,10 @@ mod tests {
     fn sample_distinct_no_duplicates() {
         let s = CumulativeSampler::new(&zipf_weights(100, 1.2));
         let mut rng = StdRng::seed_from_u64(2);
-        let picks = s.sample_distinct(40, &mut rng);
+        let mut scratch = DistinctScratch::default();
+        let picks = s.sample_distinct(40, &mut rng, &mut scratch);
         assert_eq!(picks.len(), 40);
-        let mut sorted = picks.clone();
+        let mut sorted = picks.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), 40);
@@ -151,8 +174,8 @@ mod tests {
     fn sample_distinct_exhausts_support() {
         let s = CumulativeSampler::new(&[1.0, 1.0, 1.0]);
         let mut rng = StdRng::seed_from_u64(3);
-        let picks = s.sample_distinct(10, &mut rng);
-        assert_eq!(picks.len(), 3);
+        let mut scratch = DistinctScratch::default();
+        assert_eq!(s.sample_distinct(10, &mut rng, &mut scratch), &[0, 1, 2]);
     }
 
     #[test]
@@ -163,8 +186,33 @@ mod tests {
         w[0] = 1.0;
         let s = CumulativeSampler::new(&w);
         let mut rng = StdRng::seed_from_u64(4);
-        let picks = s.sample_distinct(20, &mut rng);
-        assert_eq!(picks.len(), 20);
+        let mut scratch = DistinctScratch::default();
+        assert_eq!(s.sample_distinct(20, &mut rng, &mut scratch).len(), 20);
+    }
+
+    #[test]
+    fn reused_scratch_draws_like_a_fresh_one() {
+        // Same draws whether each call gets a fresh table or one table is
+        // handed on — across support sizes, skews and the count ≥ n case.
+        let samplers = [
+            CumulativeSampler::new(&zipf_weights(60, 1.1)),
+            CumulativeSampler::new(&[1.0, 1.0, 1.0]),
+            CumulativeSampler::new(&zipf_weights(200, 0.4)),
+        ];
+        let (mut fresh_rng, mut reused_rng) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+        let mut scratch = DistinctScratch::default();
+        for call in 0..90 {
+            let s = &samplers[call % samplers.len()];
+            let count = call % 13;
+            let fresh = s
+                .sample_distinct(count, &mut fresh_rng, &mut DistinctScratch::default())
+                .to_vec();
+            assert_eq!(
+                s.sample_distinct(count, &mut reused_rng, &mut scratch),
+                fresh,
+                "call {call}"
+            );
+        }
     }
 
     #[test]

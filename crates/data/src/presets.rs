@@ -107,6 +107,22 @@ impl DatasetSpec {
         }
     }
 
+    /// `paper scale`'s population of `n_users`: a modest catalogue and three
+    /// interactions per user, so the population, not the data volume, is
+    /// what a million-client run exercises.
+    pub fn sparse(n_users: usize) -> Self {
+        Self {
+            name: format!("scale-{n_users}"),
+            n_users,
+            n_items: 2000,
+            n_interactions: n_users.saturating_mul(3),
+            item_zipf_exponent: 0.9,
+            user_zipf_exponent: 0.6,
+            min_interactions_per_user: 2,
+            source: DataSource::Synth,
+        }
+    }
+
     /// A spec backed by a real MovieLens-format file. The shape fields are
     /// placeholders (the file decides users/items/interactions) and
     /// [`DatasetSpec::scaled`] does not apply — real dumps are used as-is.

@@ -27,7 +27,8 @@ pub struct TrainTestSplit {
 pub fn leave_one_out<R: Rng + ?Sized>(full: &Dataset, rng: &mut R) -> TrainTestSplit {
     let n_users = full.n_users();
     let mut test_item = Vec::with_capacity(n_users);
-    let mut train_lists: Vec<Vec<u32>> = Vec::with_capacity(n_users);
+    let kept = full.n_interactions().saturating_sub(n_users);
+    let mut train = Dataset::with_capacity(full.n_items(), n_users, kept);
     for u in 0..n_users {
         let items = full.items_of(u);
         assert!(
@@ -37,12 +38,9 @@ pub fn leave_one_out<R: Rng + ?Sized>(full: &Dataset, rng: &mut R) -> TrainTestS
         );
         let held = items[rng.gen_range(0..items.len())];
         test_item.push(held);
-        train_lists.push(items.iter().copied().filter(|&j| j != held).collect());
+        train.push_user(items.iter().copied().filter(|&j| j != held));
     }
-    TrainTestSplit {
-        train: Dataset::from_user_items(full.n_items(), train_lists),
-        test_item,
-    }
+    TrainTestSplit { train, test_item }
 }
 
 impl TrainTestSplit {

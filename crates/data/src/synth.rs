@@ -22,7 +22,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::dataset::Dataset;
-use crate::popularity::{zipf_weights, CumulativeSampler};
+use crate::popularity::{zipf_weights, CumulativeSampler, DistinctScratch};
 use crate::presets::DatasetSpec;
 
 /// Generates a dataset according to `spec`, deterministically in `rng`.
@@ -48,19 +48,15 @@ pub fn generate<R: Rng + ?Sized>(spec: &DatasetSpec, rng: &mut R) -> Dataset {
     // Step 3: per-user interaction budgets.
     let budgets = user_budgets(spec, rng);
 
-    // Step 4: draw each user's distinct item set.
-    let user_items: Vec<Vec<u32>> = budgets
-        .iter()
-        .map(|&k| {
-            item_sampler
-                .sample_distinct(k, rng)
-                .into_iter()
-                .map(|rank| rank_to_item[rank])
-                .collect()
-        })
-        .collect();
-
-    Dataset::from_user_items(spec.n_items, user_items)
+    // Step 4: draw each user's distinct item set straight into the store.
+    let mut data =
+        Dataset::with_capacity(spec.n_items, spec.n_users, budgets.iter().sum::<usize>());
+    let mut scratch = DistinctScratch::default();
+    for &k in &budgets {
+        let ranks = item_sampler.sample_distinct(k, rng, &mut scratch);
+        data.push_user(ranks.iter().map(|&rank| rank_to_item[rank]));
+    }
+    data
 }
 
 /// Splits `spec.n_interactions` across users with Zipf-weighted activity,

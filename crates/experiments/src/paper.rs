@@ -10,7 +10,7 @@
 //! [`RunOptions`] and renders through the same Markdown/CSV/JSON sinks.
 
 use frs_attacks::AttackKind;
-use frs_data::{synth, DataSource, DatasetSpec, DatasetStats};
+use frs_data::{synth, DatasetSpec, DatasetStats};
 use frs_defense::{DefenseKind, DefenseSel};
 use frs_federation::{Catalog, ClientsPerRound};
 use frs_metrics::{
@@ -597,20 +597,7 @@ fn scale_smoke(
         return Err("population must be ≥ 100 (this is the scale smoke)".into());
     }
 
-    // Million-client regimes are sparse by nature: a modest catalogue and
-    // tiny per-user histories, so the population — not the data volume —
-    // is what the cell exercises.
-    let spec = DatasetSpec {
-        name: format!("scale-{n_users}"),
-        n_users,
-        n_items: 2000,
-        n_interactions: n_users.saturating_mul(3),
-        item_zipf_exponent: 0.9,
-        user_zipf_exponent: 0.6,
-        min_interactions_per_user: 2,
-        source: DataSource::Synth,
-    };
-    let mut cfg = ScenarioConfig::baseline(spec, ModelKind::Mf, opts.seed);
+    let mut cfg = ScenarioConfig::baseline(DatasetSpec::sparse(n_users), ModelKind::Mf, opts.seed);
     cfg.rounds = opts.rounds.unwrap_or(3);
     cfg.attack = opts
         .attack

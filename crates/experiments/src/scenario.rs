@@ -381,9 +381,10 @@ impl ScenarioRun {
         simulation: impl FnOnce(&ScenarioConfig, Arc<Dataset>, &[u32]) -> Simulation,
     ) -> Self {
         let (full, split, targets) = build_world(&cfg);
-        // Every retained Dataset copy is ~100 MB at `paper scale`'s million
-        // mark; the RSS ceiling CI asserts depends on dropping the unsplit
-        // original before the training set is cloned.
+        // Every retained Dataset copy is ~20 MB at `paper scale`'s million
+        // mark (an offset per user plus the item ids); the RSS ceiling CI
+        // asserts counts on dropping the unsplit original before the
+        // training set is cloned.
         drop(full);
         let train = Arc::new(split.train.clone());
         let mut sim = simulation(&cfg, Arc::clone(&train), &targets);

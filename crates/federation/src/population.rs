@@ -84,9 +84,7 @@ impl LazyClientPool {
     ) -> Self {
         let mut arena = EmbeddingStore::zeros(n_benign + boxed.len(), dim);
         for u in 0..n_benign {
-            arena
-                .row_mut(u)
-                .copy_from_slice(&BenignClient::init_embedding(dim, init_scale, seed_fn(u)));
+            BenignClient::init_embedding(arena.row_mut(u), init_scale, seed_fn(u));
         }
         Self {
             n_benign,
