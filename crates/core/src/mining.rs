@@ -10,6 +10,13 @@
 //! The same machinery serves both sides: malicious clients mine `P` to build
 //! poison, and the defense's benign clients mine `P_i` to know what to
 //! regularize.
+//!
+//! A miner keeps the last table it received as the model's shared version
+//! ([`GlobalModel::shared_items`]), not as a copy of its own: every client
+//! sampled in one round holds that round's one table, and a miner lets go
+//! of it once its set is frozen.
+
+use std::sync::Arc;
 
 use frs_linalg::Matrix;
 use frs_model::GlobalModel;
@@ -22,7 +29,9 @@ pub struct PopularItemMiner {
     mining_rounds: usize,
     /// `N`: size of the mined set.
     top_n: usize,
-    previous: Option<Matrix>,
+    /// The version of the item table received last; `None` before the
+    /// first observation and after mining completes.
+    previous: Option<Arc<Matrix>>,
     accumulated: Vec<f32>,
     transitions_seen: usize,
     mined: Option<Vec<u32>>,
@@ -60,12 +69,12 @@ impl PopularItemMiner {
             }
             self.transitions_seen += 1;
         }
-        self.previous = Some(items.clone());
+        self.previous = Some(model.shared_items());
         if self.transitions_seen >= self.mining_rounds {
             let top = frs_linalg::top_k_desc(&self.accumulated, self.top_n);
             // lint:allow(lossy-index-cast): top_k_desc indices are below the u32-keyed catalog size
             self.mined = Some(top.into_iter().map(|i| i as u32).collect());
-            // The snapshot is no longer needed; drop the memory.
+            // The table is no longer needed; let go of this version.
             self.previous = None;
         }
         self.mined.is_some()
@@ -124,10 +133,12 @@ impl PopularItemMiner {
     }
 }
 
-/// Serialized mutable state of a [`PopularItemMiner`].
+/// Serialized mutable state of a [`PopularItemMiner`]. The table
+/// serializes as the matrix it points at, so the bytes are those of a
+/// miner that kept a copy.
 #[derive(Serialize, Deserialize)]
 struct MinerState {
-    previous: Option<Matrix>,
+    previous: Option<Arc<Matrix>>,
     accumulated: Vec<f32>,
     transitions_seen: usize,
     mined: Option<Vec<u32>>,
@@ -280,6 +291,48 @@ mod tests {
         restored.restore_state(&state).unwrap();
         assert!(restored.is_complete());
         assert_eq!(restored.mined(), miner.mined());
+    }
+
+    #[test]
+    fn miners_of_one_round_share_its_table() {
+        let mut model = model_with_items(6);
+        let (mut a, mut b) = (PopularItemMiner::new(1, 2), PopularItemMiner::new(2, 2));
+        a.observe(&model);
+        b.observe(&model);
+        let held = |m: &PopularItemMiner| Arc::clone(m.previous.as_ref().expect("a held table"));
+        assert!(Arc::ptr_eq(&held(&a), &held(&b)), "one table for both");
+        assert!(Arc::ptr_eq(&held(&a), &model.shared_items()));
+
+        // The server's write copies the table; the miners keep the old one.
+        let before = model.items().clone();
+        shift_item(&mut model, 2, 1.0);
+        assert!(!Arc::ptr_eq(&held(&a), &model.shared_items()));
+        assert_eq!(*held(&b), before);
+
+        assert!(a.observe(&model));
+        assert!(a.previous.is_none(), "a completed miner holds no table");
+        b.observe(&model);
+        assert!(Arc::ptr_eq(&held(&b), &model.shared_items()));
+    }
+
+    #[test]
+    fn mid_mining_checkpoint_writes_the_table_it_holds() {
+        // The value a miner that kept its own copy of the table wrote: the
+        // matrix under `previous`, beside the progress fields.
+        let mut miner = PopularItemMiner::new(2, 2);
+        let mut model = model_with_items(5);
+        miner.observe(&model);
+        shift_item(&mut model, 3, 0.5);
+        miner.observe(&model);
+        let held = model.items().clone();
+        shift_item(&mut model, 1, 0.5);
+        let want = Value::Object(serde::Map::from([
+            ("previous".to_string(), held.to_value()),
+            ("accumulated".to_string(), miner.accumulated().to_value()),
+            ("transitions_seen".to_string(), 1usize.to_value()),
+            ("mined".to_string(), Value::Null),
+        ]));
+        assert_eq!(miner.checkpoint_state(), want);
     }
 
     #[test]

@@ -149,22 +149,25 @@ impl PaperCommand {
     pub fn run(&self, args: &CommonArgs, exec: &ExecOptions<'_>) -> Result<Report, String> {
         let opts = &args.run;
         let operands = &args.positional.get(1..).unwrap_or_default();
+        let on = shown_dataset(opts, PaperDataset::Ml100k);
         Ok(match self {
             Self::Table2 => table2(opts, exec),
             Self::Table3 => table3(operands)?
                 .run_with(opts, exec)
                 .map_err(|e| e.to_string())?
                 .pivot_report(Axis::Attack, Axis::Dataset),
-            Self::Table4 => table4(operands)?
+            Self::Table4 => table4(operands, &on)?
                 .run_with(opts, exec)
                 .map_err(|e| e.to_string())?
                 .pivot_report(Axis::Defense, Axis::Attack),
-            Self::Table5 => table5()
+            Self::Table5 => table5(&on)
                 .run_with(opts, exec)
                 .map_err(|e| e.to_string())?
                 .pivot_report(Axis::Attack, Axis::Variant),
             Self::Table6 => {
-                let result = table6().run_with(opts, exec).map_err(|e| e.to_string())?;
+                let result = table6(&on)
+                    .run_with(opts, exec)
+                    .map_err(|e| e.to_string())?;
                 let mut report = Report::new(result.name.clone(), result.title.clone());
                 // The two panels read best under different pivots: ablation
                 // variants are rows on the left, defense switches on the right.
@@ -178,31 +181,31 @@ impl PaperCommand {
                 );
                 report
             }
-            Self::Table7 => table7()
+            Self::Table7 => table7(&on)
                 .run_with(opts, exec)
                 .map_err(|e| e.to_string())?
                 .pivot_report(Axis::Attack, Axis::Defense),
-            Self::Table9 => table9()
+            Self::Table9 => table9(&on)
                 .run_with(opts, exec)
                 .map_err(|e| e.to_string())?
                 .pivot_report(Axis::Variant, Axis::Attack),
-            Self::Table10 => table10()
+            Self::Table10 => table10(&on)
                 .run_with(opts, exec)
                 .map_err(|e| e.to_string())?
                 .pivot_report(Axis::Variant, Axis::Attack),
-            Self::Table11 => table11()
+            Self::Table11 => table11(&on)
                 .run_with(opts, exec)
                 .map_err(|e| e.to_string())?
                 .pivot_report(Axis::Attack, Axis::Variant),
             Self::Fig3 => fig3(operands, opts)?,
             Self::Fig4 => fig4(opts, exec),
-            Self::Fig5 => fig5(operands)
+            Self::Fig5 => fig5(operands, &on)
                 .run_with(opts, exec)
                 .map_err(|e| e.to_string())?
                 .pivot_report(Axis::Variant, Axis::Attack),
             Self::Fig6a => fig6a(operands, opts, exec)?,
             Self::Fig6b => fig6b(opts, exec).map_err(|e| e.to_string())?,
-            Self::Fig7 => fig7()
+            Self::Fig7 => fig7(&on)
                 .run_with(opts, exec)
                 .map_err(|e| e.to_string())?
                 .report(),
@@ -219,6 +222,12 @@ fn models_from(operands: &[String]) -> Result<Vec<ModelKind>, String> {
         None => Ok(vec![ModelKind::Mf, ModelKind::Ncf]),
         Some(other) => Err(format!("unknown model {other}; use mf|ncf")),
     }
+}
+
+/// The generator name of the dataset a suite's cells run on, for report
+/// titles: the `--dataset` override when given, else the suite's own.
+fn shown_dataset(opts: &RunOptions, default: PaperDataset) -> String {
+    opts.dataset.clone().unwrap_or(default).spec().name
 }
 
 fn datasets_from(
@@ -259,9 +268,9 @@ fn table3(operands: &[String]) -> Result<ExperimentSuite, String> {
 }
 
 /// Table IV: every defense × the top-3 attacks.
-fn table4(operands: &[String]) -> Result<ExperimentSuite, String> {
+fn table4(operands: &[String], on: &str) -> Result<ExperimentSuite, String> {
     let mut suite =
-        ExperimentSuite::new("table4", "Table IV — defense effectiveness (ml100k-like)");
+        ExperimentSuite::new("table4", format!("Table IV — defense effectiveness ({on})"));
     for kind in models_from(operands)? {
         suite = suite.sweep(
             Sweep::new(
@@ -292,8 +301,8 @@ fn k_variants() -> [ConfigPatch; 2] {
 }
 
 /// Table V: recommendation-list length K ∈ {5, 20}.
-fn table5() -> ExperimentSuite {
-    ExperimentSuite::new("table5", "Table V — effect of K (MF-FRS, ml100k-like)")
+fn table5(on: &str) -> ExperimentSuite {
+    ExperimentSuite::new("table5", format!("Table V — effect of K (MF-FRS, {on})"))
         .sweep(
             Sweep::new("undefended", "No defense")
                 .over_attacks([
@@ -312,7 +321,7 @@ fn table5() -> ExperimentSuite {
 }
 
 /// Table VI: L_IPE ablation (left) and L_def ablation (right).
-fn table6() -> ExperimentSuite {
+fn table6(on: &str) -> ExperimentSuite {
     // The ablation rows are `AttackKind` rows (built in
     // `frs_attacks::variants`), in Table VI order.
     let ablation_attacks = [
@@ -334,7 +343,7 @@ fn table6() -> ExperimentSuite {
                 ..ConfigPatch::default()
             }
         });
-    ExperimentSuite::new("table6", "Table VI — ablations (MF-FRS, ml100k-like)")
+    ExperimentSuite::new("table6", format!("Table VI — ablations (MF-FRS, {on})"))
         .sweep(
             Sweep::new("ipe-loss", "L_IPE ablation (registered attack variants)")
                 .over_attacks(ablation_attacks),
@@ -350,10 +359,10 @@ fn table6() -> ExperimentSuite {
 }
 
 /// Table VII: large sampling ratio (q=10) and multiple targets (|T|=3).
-fn table7() -> ExperimentSuite {
+fn table7(on: &str) -> ExperimentSuite {
     ExperimentSuite::new(
         "table7",
-        "Table VII — system settings (MF-FRS, ml100k-like)",
+        format!("Table VII — system settings (MF-FRS, {on})"),
     )
     .sweep(
         Sweep::new("q10", "sampling ratio q = 10")
@@ -401,7 +410,7 @@ fn multi_target_attacks(strategy: MultiTargetStrategy) -> [AttackKind; 2] {
 }
 
 /// Table IX: |T| ∈ {2..5} under both multi-target strategies.
-fn table9() -> ExperimentSuite {
+fn table9(on: &str) -> ExperimentSuite {
     let target_variants: Vec<ConfigPatch> = [2usize, 3, 4, 5]
         .into_iter()
         .map(|t| ConfigPatch {
@@ -412,7 +421,7 @@ fn table9() -> ExperimentSuite {
         .collect();
     let mut suite = ExperimentSuite::new(
         "table9",
-        "Table IX — multi-target strategies (MF-FRS, ml100k-like)",
+        format!("Table IX — multi-target strategies (MF-FRS, {on})"),
     );
     for strategy in [
         MultiTargetStrategy::TrainTogether,
@@ -428,10 +437,10 @@ fn table9() -> ExperimentSuite {
 }
 
 /// Table X: inconsistent client/server learning rates.
-fn table10() -> ExperimentSuite {
+fn table10(on: &str) -> ExperimentSuite {
     ExperimentSuite::new(
         "table10",
-        "Table X — client learning rates (MF-FRS, ml100k-like)",
+        format!("Table X — client learning rates (MF-FRS, {on})"),
     )
     .sweep(
         Sweep::new("rates", "client η schedules")
@@ -472,10 +481,10 @@ fn loss_variants() -> [ConfigPatch; 2] {
 }
 
 /// Table XI: BCE vs BPR training loss.
-fn table11() -> ExperimentSuite {
+fn table11(on: &str) -> ExperimentSuite {
     ExperimentSuite::new(
         "table11",
-        "Table XI — loss generalization (MF-FRS, ml100k-like)",
+        format!("Table XI — loss generalization (MF-FRS, {on})"),
     )
     .sweep(
         Sweep::new("undefended", "No defense")
@@ -496,7 +505,7 @@ fn table11() -> ExperimentSuite {
 
 /// Fig. 5: malicious-ratio and mined-N sweeps, each with and without the
 /// defense.
-fn fig5(operands: &[String]) -> ExperimentSuite {
+fn fig5(operands: &[String], on: &str) -> ExperimentSuite {
     let which = operands.first().map(String::as_str).unwrap_or("both");
     let ratio_variants: Vec<ConfigPatch> = [0.01, 0.05, 0.10, 0.15]
         .into_iter()
@@ -516,7 +525,8 @@ fn fig5(operands: &[String]) -> ExperimentSuite {
         })
         .collect();
 
-    let mut suite = ExperimentSuite::new("fig5", "Fig. 5 — parameter sweeps (MF-FRS, ml100k-like)");
+    let mut suite =
+        ExperimentSuite::new("fig5", format!("Fig. 5 — parameter sweeps (MF-FRS, {on})"));
     for (axis, variants, enabled) in [
         ("p", ratio_variants, which == "p" || which == "both"),
         ("n", n_variants, which == "n" || which == "both"),
@@ -545,10 +555,10 @@ fn fig5(operands: &[String]) -> ExperimentSuite {
 }
 
 /// Fig. 7: HR@10 vs negative-sampling ratio q (no attack).
-fn fig7() -> ExperimentSuite {
+fn fig7(on: &str) -> ExperimentSuite {
     ExperimentSuite::new(
         "fig7",
-        "Fig. 7 — HR@10 vs sampling ratio q (MF-FRS, ml100k-like)",
+        format!("Fig. 7 — HR@10 vs sampling ratio q (MF-FRS, {on})"),
     )
     .sweep(Sweep::new("q", "sampling ratio q").over_variants(
         [1usize, 2, 4, 6, 8, 10, 12, 16].map(|q| ConfigPatch {
@@ -803,6 +813,8 @@ fn fig6a(operands: &[String], opts: &RunOptions, exec: &ExecOptions<'_>) -> Resu
         .into_iter()
         .next()
         .expect("datasets_from returns at least the default");
+    // `--dataset` collapses the suite's dataset axis, as in every suite.
+    let dataset = opts.dataset.clone().unwrap_or(dataset);
     let rounds = opts.rounds.unwrap_or(400);
     let every = (rounds / 20).max(1);
 
@@ -850,7 +862,11 @@ fn fig6b(
     exec: &ExecOptions<'_>,
 ) -> Result<Report, crate::progress::SuiteAborted> {
     let rounds = opts.rounds.unwrap_or(50);
-    let mut suite = ExperimentSuite::new("fig6b", "Fig. 6(b) — cost per round (ml1m-like)");
+    let title = format!(
+        "Fig. 6(b) — cost per round ({})",
+        shown_dataset(opts, PaperDataset::Ml1m)
+    );
+    let mut suite = ExperimentSuite::new("fig6b", title.clone());
     for kind in [ModelKind::Mf, ModelKind::Ncf] {
         suite = suite
             .sweep(
@@ -907,7 +923,7 @@ fn fig6b(
             ),
         ]);
     }
-    let mut report = Report::new("fig6b", "Fig. 6(b) — cost per round (ml1m-like)");
+    let mut report = Report::new("fig6b", title);
     report.section("mean time and upload volume per communication round", table);
     Ok(report)
 }
@@ -1005,16 +1021,17 @@ mod tests {
     #[test]
     fn suite_declarations_expand() {
         assert_eq!(table3(&[]).unwrap().cell_count(), 2 * 7);
-        assert_eq!(table4(&[]).unwrap().cell_count(), 2 * 3 * 8);
-        assert_eq!(table5().cell_count(), 3 * 2 + 2 * 2);
-        assert_eq!(table6().cell_count(), 4 + 2 * 4);
-        assert_eq!(table7().cell_count(), 2 * 3 * 2);
-        assert_eq!(table9().cell_count(), 2 * 2 * 4);
-        assert_eq!(table10().cell_count(), 3 * 3);
-        assert_eq!(table11().cell_count(), 3 * 2 + 2 * 2);
-        assert_eq!(fig5(&[]).cell_count(), 4 * 2 * 4);
-        assert_eq!(fig5(&["p".to_string()]).cell_count(), 2 * 2 * 4);
-        assert_eq!(fig7().cell_count(), 8);
+        let on = "ml100k-like";
+        assert_eq!(table4(&[], on).unwrap().cell_count(), 2 * 3 * 8);
+        assert_eq!(table5(on).cell_count(), 3 * 2 + 2 * 2);
+        assert_eq!(table6(on).cell_count(), 4 + 2 * 4);
+        assert_eq!(table7(on).cell_count(), 2 * 3 * 2);
+        assert_eq!(table9(on).cell_count(), 2 * 2 * 4);
+        assert_eq!(table10(on).cell_count(), 3 * 3);
+        assert_eq!(table11(on).cell_count(), 3 * 2 + 2 * 2);
+        assert_eq!(fig5(&[], on).cell_count(), 4 * 2 * 4);
+        assert_eq!(fig5(&["p".to_string()], on).cell_count(), 2 * 2 * 4);
+        assert_eq!(fig7(on).cell_count(), 8);
     }
 
     #[test]
@@ -1031,7 +1048,7 @@ mod tests {
         }
         // And every cell the ablation suites materialize builds cleanly
         // from its serialized config alone.
-        for suite in [table6(), table9()] {
+        for suite in [table6("ml100k-like"), table9("ml100k-like")] {
             for cell in suite.cells(&RunOptions::default()) {
                 let ctx = cell.config.attack_ctx(0, 0, &[]);
                 cell.config
@@ -1043,9 +1060,56 @@ mod tests {
     }
 
     #[test]
+    fn titles_name_the_dataset_the_cells_run() {
+        let titles = |opts: &RunOptions| {
+            let on = shown_dataset(opts, PaperDataset::Ml100k);
+            [
+                table4(&[], &on).unwrap().title,
+                table5(&on).title,
+                table6(&on).title,
+                table7(&on).title,
+                table9(&on).title,
+                table10(&on).title,
+                table11(&on).title,
+                fig5(&[], &on).title,
+                fig7(&on).title,
+            ]
+        };
+        // Without `--dataset`, the titles the reports have always printed.
+        let default = [
+            "Table IV — defense effectiveness (ml100k-like)",
+            "Table V — effect of K (MF-FRS, ml100k-like)",
+            "Table VI — ablations (MF-FRS, ml100k-like)",
+            "Table VII — system settings (MF-FRS, ml100k-like)",
+            "Table IX — multi-target strategies (MF-FRS, ml100k-like)",
+            "Table X — client learning rates (MF-FRS, ml100k-like)",
+            "Table XI — loss generalization (MF-FRS, ml100k-like)",
+            "Fig. 5 — parameter sweeps (MF-FRS, ml100k-like)",
+            "Fig. 7 — HR@10 vs sampling ratio q (MF-FRS, ml100k-like)",
+        ];
+        assert_eq!(titles(&RunOptions::default()), default);
+        for (dataset, name) in [
+            (PaperDataset::Ml1m, "ml1m-like"),
+            (PaperDataset::Az, "az-like"),
+            (PaperDataset::File("u.data".into()), "file:u.data"),
+        ] {
+            let opts = RunOptions {
+                dataset: Some(dataset.clone()),
+                ..RunOptions::default()
+            };
+            let want = default.map(|t| t.replace("ml100k-like", name));
+            assert_eq!(titles(&opts), want, "{name}");
+            assert_eq!(shown_dataset(&opts, PaperDataset::Ml1m), name);
+        }
+        // Fig. 6(b)'s own default is ML-1M.
+        let opts = RunOptions::default();
+        assert_eq!(shown_dataset(&opts, PaperDataset::Ml1m), "ml1m-like");
+    }
+
+    #[test]
     fn table7_policy_sets_uea_mined_n() {
         let opts = RunOptions::default();
-        let cells = table7().cells(&opts);
+        let cells = table7("ml100k-like").cells(&opts);
         let uea_q10 = cells
             .iter()
             .find(|c| c.sweep == "q10" && c.attack == AttackKind::PieckUea)

@@ -344,8 +344,10 @@ pub struct Evaluation {
 /// resume, step, checkpoint and evaluate a scenario through this one type.
 pub struct ScenarioRun {
     pub cfg: ScenarioConfig,
-    pub split: TrainTestSplit,
-    /// The training set, shared with the simulation's clients.
+    /// `test_item[u]`: user `u`'s held-out item (the split's test half).
+    pub test_item: Vec<u32>,
+    /// The training set (the split's other half), shared with the
+    /// simulation's clients.
     pub train: Arc<Dataset>,
     pub targets: Vec<u32>,
     pub sim: Simulation,
@@ -383,16 +385,18 @@ impl ScenarioRun {
         let (full, split, targets) = build_world(&cfg);
         // Every retained Dataset copy is ~20 MB at `paper scale`'s million
         // mark (an offset per user plus the item ids); the RSS ceiling CI
-        // asserts counts on dropping the unsplit original before the
-        // training set is cloned.
+        // asserts counts on keeping one: the unsplit original is dropped,
+        // and the training set moves out of the split into the one `Arc`
+        // the clients and the evaluation share.
         drop(full);
-        let train = Arc::new(split.train.clone());
+        let TrainTestSplit { train, test_item } = split;
+        let train = Arc::new(train);
         let mut sim = simulation(&cfg, Arc::clone(&train), &targets);
         let auto = cfg.federation.round_threads.is_auto();
         sim.set_core_lease(budget.filter(|_| auto).map(CoreBudget::lease));
         Self {
             cfg,
-            split,
+            test_item,
             train,
             targets,
             sim,
@@ -451,7 +455,8 @@ impl ScenarioRun {
         let (model, k) = (self.sim.model(), self.cfg.eval_k);
         let embs = self.sim.user_embeddings();
         let er = ExposureReport::compute(model, &embs, users, &self.train, &self.targets, k);
-        let hr = QualityReport::compute(model, &embs, users, &self.split, k);
+        let hr =
+            QualityReport::compute_held_out(model, &embs, users, &self.train, &self.test_item, k);
         Evaluation {
             er_percent: er.mean_percent(),
             hr_percent: hr.hr_percent(),

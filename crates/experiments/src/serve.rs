@@ -123,7 +123,8 @@ impl Hosted {
     }
 }
 
-/// The serving snapshot of a run's current round.
+/// The serving snapshot of a run's current round. The model clone shares
+/// the item table; the next round's apply copies it before writing.
 fn snapshot(run: &ScenarioRun) -> Snapshot {
     let done = run.rounds_done();
     Snapshot::new(

@@ -268,7 +268,8 @@ impl Simulation {
     /// Captures the complete mutable state of the run at the current round
     /// boundary. Together with the (deterministic) build inputs this is
     /// enough to continue the run bit-identically — see
-    /// [`Simulation::restore_checkpoint`].
+    /// [`Simulation::restore_checkpoint`]. The captured model shares the
+    /// live item table rather than copying it.
     pub fn capture_checkpoint(&self) -> SimulationCheckpoint {
         SimulationCheckpoint {
             format: CHECKPOINT_FORMAT_VERSION,

@@ -4,7 +4,8 @@
 //! returns/accumulates the per-item embedding displacement. It backs both the
 //! Fig. 4 preliminary experiment (who dominates the top-50 Δ-Norm ranks) and
 //! serves as the reference implementation that `pieck-core`'s Algorithm 1 is
-//! tested against.
+//! tested against. As the reference it takes a plain `&Matrix` and keeps a
+//! deep copy, where the miner shares the model's table version.
 
 use frs_linalg::{l2_distance, Matrix};
 

@@ -12,7 +12,7 @@
 //! capped at K: the catalogue scan stops once K eligible items rank ahead
 //! of the test item, so only a hit costs a full scan.
 
-use frs_data::TrainTestSplit;
+use frs_data::{Dataset, TrainTestSplit};
 use frs_model::{EmbeddingStore, GlobalModel};
 
 use crate::probe::{rank_probes, Probe};
@@ -28,12 +28,35 @@ pub struct QualityReport {
 }
 
 impl QualityReport {
-    /// Evaluates users in `eval_users` (typically the benign users).
+    /// Evaluates users in `eval_users` (typically the benign users) against
+    /// a leave-one-out split: [`Self::compute_held_out`] on its two halves.
     pub fn compute(
         model: &GlobalModel,
         user_embeddings: &EmbeddingStore,
         eval_users: &[usize],
         split: &TrainTestSplit,
+        k: usize,
+    ) -> Self {
+        Self::compute_held_out(
+            model,
+            user_embeddings,
+            eval_users,
+            &split.train,
+            &split.test_item,
+            k,
+        )
+    }
+
+    /// Evaluates users in `eval_users`: user `u`'s held-out `test_item[u]`
+    /// ranked among the items `train` does not list for `u`. For callers
+    /// that keep the training set apart from the held-out items instead of
+    /// a whole [`TrainTestSplit`].
+    pub fn compute_held_out(
+        model: &GlobalModel,
+        user_embeddings: &EmbeddingStore,
+        eval_users: &[usize],
+        train: &Dataset,
+        test_item: &[u32],
         k: usize,
     ) -> Self {
         assert!(k > 0, "K must be positive");
@@ -42,10 +65,8 @@ impl QualityReport {
         let lanes = model.item_lanes();
         for &u in eval_users {
             let mut scorer = model.user_scorer(&lanes, user_embeddings.row(u));
-            let mut probe = [Probe::new(split.test_item[u])];
-            rank_probes(&mut scorer, &mut probe, k, |j| {
-                split.eligible_for_ranking(u, j)
-            });
+            let mut probe = [Probe::new(test_item[u])];
+            rank_probes(&mut scorer, &mut probe, k, |j| !train.interacted(u, j));
             let rank = probe[0].ahead();
             if rank < k {
                 hits += 1;

@@ -20,6 +20,18 @@
 //! [`GlobalModel::item_grad_with_embeddings`] take an explicit item
 //! embedding (the attacker's working copy of a target) and a mined popular
 //! item's embedding in the user slot, whichever family is training.
+//!
+//! *One item table per model version.* The table is an immutable,
+//! reference-counted version: [`GlobalModel::shared_items`] hands it out,
+//! and a clone of the model (a serve snapshot, a checkpoint) shares it. The
+//! two writers, [`GlobalModel::apply_gradients`] and
+//! [`GlobalModel::item_embedding_mut`], copy the table first only while
+//! another holder still shares it. So every popular-item miner that
+//! observes a round holds that round's one table, and the server copies at
+//! most one table per round, instead of each mining client keeping a deep
+//! copy of its own.
+
+use std::sync::Arc;
 
 use frs_linalg::{sigmoid, vector, Matrix};
 use rand::Rng;
@@ -31,10 +43,11 @@ use crate::lanes::{ItemLanes, UserScorer, LANES};
 use crate::mlp::{Mlp, MlpCache};
 
 /// One embedding row per item, and the DL-FRS interaction MLP (`None` for
-/// MF-FRS's dot product).
+/// MF-FRS's dot product). The item table is shared copy-on-write: see the
+/// [module docs](self).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GlobalModel {
-    items: Matrix,
+    items: Arc<Matrix>,
     mlp: Option<Mlp>,
 }
 
@@ -45,7 +58,7 @@ impl GlobalModel {
     pub fn new<R: Rng + ?Sized>(config: &ModelConfig, n_items: usize, rng: &mut R) -> Self {
         config.validate().expect("invalid model config");
         let dim = config.embedding_dim;
-        let items = Matrix::uniform(n_items, dim, config.init_scale, rng);
+        let items = Arc::new(Matrix::uniform(n_items, dim, config.init_scale, rng));
         let mlp = match config.kind {
             ModelKind::Mf => None,
             ModelKind::Ncf => {
@@ -89,15 +102,22 @@ impl GlobalModel {
     }
 
     /// Mutable item embedding (tests and white-box tooling only; the
-    /// federation always goes through [`Self::apply_gradients`]).
+    /// federation always goes through [`Self::apply_gradients`]). Copies
+    /// the table first if another holder shares it.
     pub fn item_embedding_mut(&mut self, item: u32) -> &mut [f32] {
-        self.items.row_mut(item as usize)
+        Arc::make_mut(&mut self.items).row_mut(item as usize)
     }
 
-    /// The full item table — what the server ships to sampled clients and
-    /// what the popular-item miner diffs between rounds.
+    /// The full item table — what the server ships to sampled clients.
     pub fn items(&self) -> &Matrix {
         &self.items
+    }
+
+    /// This version of the item table, shared rather than copied: what the
+    /// popular-item miner keeps to diff against the next version it
+    /// receives. The model's next write leaves it untouched.
+    pub fn shared_items(&self) -> Arc<Matrix> {
+        Arc::clone(&self.items)
     }
 
     /// Raw interaction logit for (user embedding, item).
@@ -198,9 +218,11 @@ impl GlobalModel {
     }
 
     /// Server-side update: `θ ← θ − lr · g` for every uploaded gradient.
+    /// Copies the item table first if another holder shares it.
     pub fn apply_gradients(&mut self, grads: &GlobalGradients, lr: f32) {
+        let items = Arc::make_mut(&mut self.items);
         for (item, g) in grads.iter() {
-            vector::axpy(-lr, g, self.items.row_mut(item as usize));
+            vector::axpy(-lr, g, items.row_mut(item as usize));
         }
         if let (Some(mlp), Some(mlp_grads)) = (&mut self.mlp, &grads.mlp) {
             mlp.apply_gradients(mlp_grads, lr);
@@ -313,7 +335,7 @@ impl Deserialize for GlobalModel {
             body.get(name)
                 .ok_or_else(|| err(format!("missing field `{name}` for {tag}")))
         };
-        let items = Matrix::from_value(field("items")?)?;
+        let items = Arc::new(Matrix::from_value(field("items")?)?);
         if tag == "Mf" {
             return Ok(Self { items, mlp: None });
         }
@@ -392,6 +414,39 @@ mod tests {
         let mut grads = GlobalGradients::new();
         grads.add_item_grad(item, grad);
         m.apply_gradients(&grads, lr);
+    }
+
+    #[test]
+    fn clones_share_the_item_table_until_a_write() {
+        type Write = fn(&mut GlobalModel);
+        let writes: [(&str, Write); 2] = [
+            ("apply_gradients", |m| {
+                apply_item_gradient(m, 3, &vec![0.5; m.dim()], 0.1)
+            }),
+            ("item_embedding_mut", |m| m.item_embedding_mut(3)[1] = 9.0),
+        ];
+        for model in both_models() {
+            for (what, write) in writes {
+                let (mut written, kept) = (model.clone(), model.clone());
+                assert!(std::ptr::eq(written.items(), kept.items()), "{what}");
+                // The reference: the same write on a deep copy.
+                let mut reference = GlobalModel {
+                    items: Arc::new(model.items().clone()),
+                    mlp: model.mlp.clone(),
+                };
+                assert!(!std::ptr::eq(reference.items(), model.items()));
+                write(&mut reference);
+                write(&mut written);
+                assert!(!std::ptr::eq(written.items(), kept.items()), "{what}");
+                assert_eq!(written, reference, "{what}");
+                assert_eq!(kept, model, "{what}: the other side keeps its values");
+                assert!(Arc::ptr_eq(&kept.shared_items(), &model.shared_items()));
+                // A sole holder writes in place.
+                let alone = written.items() as *const Matrix;
+                write(&mut written);
+                assert!(std::ptr::eq(written.items(), alone), "{what}");
+            }
+        }
     }
 
     #[test]
