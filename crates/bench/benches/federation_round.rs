@@ -1,7 +1,8 @@
 //! Per-round cost of the sampled federation path — the unit step of the
 //! million-client scale cell: seeded client sampling, lazy materialization
 //! out of the embedding arena, sparse local training, and (item-sharded)
-//! robust aggregation, over a 50k-client population at 256 clients/round.
+//! robust aggregation, over `paper scale`'s cell at 50k clients (1024 a
+//! round).
 //! The arena-snapshot bench isolates what evaluation and a serve publish
 //! pay to take the pool's user embeddings: a clone of the arena's
 //! copy-on-write chunk pointers, not of its rows.

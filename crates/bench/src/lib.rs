@@ -17,8 +17,8 @@ use frs_attacks::AttackKind;
 use frs_data::popularity::{zipf_weights, CumulativeSampler, DistinctScratch};
 use frs_data::{Dataset, DatasetSpec};
 use frs_defense::{DefenseKind, DefenseSel};
-use frs_experiments::{paper_scenario, PaperDataset, ScenarioConfig};
-use frs_federation::{ClientsPerRound, Simulation};
+use frs_experiments::{paper_scenario, scale_scenario, PaperDataset, ScenarioConfig};
+use frs_federation::Simulation;
 use frs_model::{EmbeddingStore, GlobalGradients, GlobalModel, ModelConfig, ModelKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -48,16 +48,12 @@ pub fn bench_simulation_at_width(
     frs_experiments::scenario::build_simulation(&cfg, train, &targets)
 }
 
-/// A lazily-pooled simulation over a large synthetic long-tail population
-/// with a fixed 256-client round sample — the fixture behind the
-/// `round/sampled_*` benches, structurally the same world as the
-/// `paper scale` CI cell, two orders of magnitude smaller.
+/// `paper scale`'s cell ([`scale_scenario`]) over `n_users` registered
+/// clients under `defense` — the fixture behind the `round/sampled_*`
+/// benches, the CI scale cell two orders of magnitude smaller.
 pub fn bench_sampled_simulation(n_users: usize, defense: &str) -> Simulation {
-    let mut cfg = ScenarioConfig::baseline(DatasetSpec::sparse(n_users), ModelKind::Mf, 42);
-    cfg.attack = AttackKind::PieckUea.into();
+    let mut cfg = scale_scenario(n_users, 42);
     cfg.defense = DefenseSel::parse(defense).expect("bench defense spec");
-    cfg.malicious_ratio = 0.001;
-    cfg.federation.clients_per_round = ClientsPerRound::Count(256);
     let (_, split, targets) = frs_experiments::scenario::build_world(&cfg);
     let train = Arc::new(split.train);
     frs_experiments::scenario::build_simulation(&cfg, train, &targets)

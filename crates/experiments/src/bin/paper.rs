@@ -207,46 +207,47 @@ fn cache_command(args: &CommonArgs) {
     }
 }
 
-/// Resolves one `--scenario [name=]mf|ncf` spec (or the bare positional
-/// model operand) into a serve spec. Every scenario shares the session's
-/// dataset/scale/seed/attack/defense overrides; the model kind is what
-/// varies per `--scenario`.
-fn serve_spec(spec: &str, args: &CommonArgs) -> Result<frs_experiments::ServeScenarioSpec, String> {
-    let (name, model) = match spec.split_once('=') {
-        Some((name, model)) if !name.is_empty() => (name.to_string(), model),
-        Some(_) => return Err(format!("bad --scenario `{spec}`: empty name")),
-        None => (spec.to_string(), spec),
-    };
-    let kind = match model {
-        "mf" => frs_model::ModelKind::Mf,
-        "ncf" => frs_model::ModelKind::Ncf,
-        other => {
-            return Err(format!(
-                "bad --scenario `{spec}`: unknown model `{other}`; use mf|ncf"
-            ))
+/// Exits 2 when a shared run flag cannot build: every command that runs a
+/// scenario, `serve` included, checks them before it starts.
+fn check_run_flags(args: &CommonArgs) {
+    // Validate --attack/--defense overrides up front with a full try-build
+    // probe against a neutral context (for attacks, count = 0: params are
+    // validated, no client is constructed): unknown names, typo'd keys, and
+    // mistyped/out-of-range values are all a clean exit 2 instead of a
+    // worker panic three cells into a sweep. Every attack and defense the
+    // paper CLI can sweep is a builtin catalog entry, so an unresolved name
+    // here is always an error.
+    if let Some(sel) = &args.run.attack {
+        probe(
+            sel,
+            &frs_attacks::AttackBuildCtx::minimal(0, 0, &[]),
+            "--attack",
+        );
+    }
+    if let Some(sel) = &args.run.defense {
+        probe(
+            sel,
+            &frs_defense::DefenseBuildCtx::minimal(0.05, 0.05),
+            "--defense",
+        );
+    }
+
+    // Same courtesy for --dataset file:PATH — a missing file should be a
+    // clean argument error, not a mid-sweep worker panic. (Malformed
+    // content still fails at load time with the offending line number.)
+    if let Some(frs_experiments::PaperDataset::File(path)) = &args.run.dataset {
+        if !std::path::Path::new(path).is_file() {
+            eprintln!("bad --dataset file:{path}: no such file");
+            std::process::exit(2);
         }
-    };
-    let opts = &args.run;
-    let dataset = opts
-        .dataset
-        .clone()
-        .unwrap_or(frs_experiments::PaperDataset::Ml100k);
-    let mut cfg = frs_experiments::paper_scenario(dataset, kind, opts.scale, opts.seed);
-    cfg.rounds = opts.rounds.unwrap_or(cfg.rounds);
-    if let Some(attack) = &opts.attack {
-        cfg.attack = attack.clone();
     }
-    if let Some(defense) = &opts.defense {
-        cfg.defense = defense.clone();
-    }
-    cfg.federation.round_threads = opts.round_threads;
-    Ok(frs_experiments::ServeScenarioSpec { name, cfg })
 }
 
 /// `paper serve [mf|ncf] [--socket path.sock] [--tcp addr]
 /// [--scenario [name=]mf|ncf]... [--dataset d] [--cache-dir dir]
 /// [--checkpoint-every n] [--keep-checkpoints k] [--probe-every n]
-/// [--rounds n] [--scale f] [--seed s] [--attack a] [--defense d]`:
+/// [--rounds n] [--scale f] [--seed s] [--attack a] [--defense d]
+/// [--clients-per-round c]`:
 /// train (or resume) every scenario while answering top-K queries on a
 /// Unix socket and/or TCP listener, until SIGINT/SIGTERM. Requests route
 /// by `{"scenario":NAME}`; the first scenario is the default.
@@ -255,6 +256,7 @@ fn serve_command(args: &CommonArgs) -> ! {
         eprintln!("paper serve: needs --socket PATH and/or --tcp ADDR");
         std::process::exit(2);
     }
+    check_run_flags(args);
     // `--scenario` specs win; the bare positional model operand remains the
     // single-scenario shorthand (`paper serve ncf`).
     let specs: Vec<String> = if args.scenarios.is_empty() {
@@ -269,7 +271,7 @@ fn serve_command(args: &CommonArgs) -> ! {
     let specs: Vec<frs_experiments::ServeScenarioSpec> = specs
         .iter()
         .map(|s| {
-            serve_spec(s, args).unwrap_or_else(|e| {
+            frs_experiments::ServeScenarioSpec::parse(s, &args.run).unwrap_or_else(|e| {
                 eprintln!("paper serve: {e}");
                 std::process::exit(2);
             })
@@ -458,37 +460,7 @@ fn main() {
         },
     };
 
-    // Validate --attack/--defense overrides up front with a full try-build
-    // probe against a neutral context (for attacks, count = 0: params are
-    // validated, no client is constructed): unknown names, typo'd keys, and
-    // mistyped/out-of-range values are all a clean exit 2 instead of a
-    // worker panic three cells into a sweep. Every attack and defense the
-    // paper CLI can sweep is a builtin catalog entry, so an unresolved name
-    // here is always an error.
-    if let Some(sel) = &args.run.attack {
-        probe(
-            sel,
-            &frs_attacks::AttackBuildCtx::minimal(0, 0, &[]),
-            "--attack",
-        );
-    }
-    if let Some(sel) = &args.run.defense {
-        probe(
-            sel,
-            &frs_defense::DefenseBuildCtx::minimal(0.05, 0.05),
-            "--defense",
-        );
-    }
-
-    // Same courtesy for --dataset file:PATH — a missing file should be a
-    // clean argument error, not a mid-sweep worker panic. (Malformed
-    // content still fails at load time with the offending line number.)
-    if let Some(frs_experiments::PaperDataset::File(path)) = &args.run.dataset {
-        if !std::path::Path::new(path).is_file() {
-            eprintln!("bad --dataset file:{path}: no such file");
-            std::process::exit(2);
-        }
-    }
+    check_run_flags(&args);
 
     let cache = match (&args.cache_dir, args.no_cache) {
         (Some(dir), false) => Some(SuiteCache::open(dir).unwrap_or_else(|e| {

@@ -27,9 +27,9 @@ usage: paper <command> [operands] [--scale f] [--rounds n] [--seed s] [--full]
                        [--clients-per-round n|frac|pct%]
                        [--json dir] [--csv dir] [--quiet] [--cache-dir dir]
                        [--no-cache] [--progress file] [--resume]
-                       [--checkpoint-every n] [--dry-run]
+                       [--checkpoint-every n] [--keep-checkpoints k] [--dry-run]
   serve:               [--socket path] [--tcp addr] [--scenario [name=]mf|ncf]
-                       [--keep-checkpoints k] [--probe-every n]
+                       [--probe-every n]
   loadtest:            [--tcp addr] [--socket path] [--connections n]
                        [--pipeline n] [--requests n] [--rate r]
                        [--dist uniform|zipf[:exp]] [--gate-json file]
@@ -99,8 +99,9 @@ pub struct CommonArgs {
     /// (`--scenario [name=]mf|ncf`). Empty = single scenario from the
     /// positional model operand.
     pub scenarios: Vec<String>,
-    /// Checkpoint generations `paper serve` retains per scenario
-    /// (`--keep-checkpoints K`, default 1 = newest only).
+    /// Checkpoint generations retained per checkpointed suite cell or
+    /// `paper serve` scenario (`--keep-checkpoints K`, default 1 = newest
+    /// only).
     pub keep_checkpoints: usize,
     /// Rounds between `paper serve` online ER/HR probes
     /// (`--probe-every N`, 0 = disabled).

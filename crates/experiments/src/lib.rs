@@ -47,7 +47,7 @@ pub use cache::{
     scenario_key, CacheStats, DoomedFile, GcOutcome, SuiteCache, CACHE_SCHEMA_VERSION,
 };
 pub use cli::CommonArgs;
-pub use presets::{paper_scenario, PaperDataset};
+pub use presets::{paper_scenario, scale_scenario, PaperDataset};
 pub use progress::{CellEvent, JsonlSink, MemorySink, ProgressSink, SuiteAborted};
 pub use report::{Report, ReportFormat, Table};
 pub use scenario::{

@@ -6,13 +6,18 @@
 //! rebuild from serialized configs alone. Table II, Fig. 4,
 //! `popularity-bias` and `scale` need the simulation between rounds: they
 //! drive a [`ScenarioRun`] themselves and build their [`Report`] by hand
-//! (Fig. 3 only generates datasets). Every command takes the shared
-//! [`RunOptions`] and renders through the same Markdown/CSV/JSON sinks.
+//! (Fig. 3 only builds datasets). Every command builds its scenarios
+//! through `RunOptions::scenario`, so the shared flags mean the same
+//! everywhere, and renders through the same Markdown/CSV/JSON sinks. Three
+//! commands keep one thing of their own: Fig. 4 its pinned snapshot
+//! rounds, `popularity-bias` its four attack × defense rows, and `scale`
+//! its population ([`scale_scenario`]), which `--dataset` and `--scale` do
+//! not touch.
 
 use frs_attacks::AttackKind;
-use frs_data::{synth, DatasetSpec, DatasetStats};
-use frs_defense::{DefenseKind, DefenseSel};
-use frs_federation::{Catalog, ClientsPerRound};
+use frs_data::DatasetStats;
+use frs_defense::DefenseKind;
+use frs_federation::Catalog;
 use frs_metrics::{
     average_recommended_popularity, catalogue_coverage, covered_users, gini_coefficient,
     pairwise_kl, recommendation_frequency, user_coverage_ratio, DeltaNormTracker,
@@ -24,9 +29,9 @@ use rand::SeedableRng;
 
 use crate::cache::sha256_hex;
 use crate::cli::CommonArgs;
-use crate::presets::{paper_scenario, PaperDataset};
+use crate::presets::{scale_scenario, PaperDataset};
 use crate::report::{pct, Report, Table};
-use crate::scenario::{stride_sample, ScenarioConfig, ScenarioRun};
+use crate::scenario::{self, stride_sample, ScenarioRun};
 use crate::suite::{Axis, ConfigPatch, ExecOptions, ExperimentSuite, RunOptions, Sweep};
 
 /// Every subcommand of the `paper` CLI.
@@ -150,24 +155,14 @@ impl PaperCommand {
         let opts = &args.run;
         let operands = &args.positional.get(1..).unwrap_or_default();
         let on = shown_dataset(opts, PaperDataset::Ml100k);
+        let run = |suite: ExperimentSuite| suite.run_with(opts, exec).map_err(|e| e.to_string());
         Ok(match self {
             Self::Table2 => table2(opts, exec),
-            Self::Table3 => table3(operands)?
-                .run_with(opts, exec)
-                .map_err(|e| e.to_string())?
-                .pivot_report(Axis::Attack, Axis::Dataset),
-            Self::Table4 => table4(operands, &on)?
-                .run_with(opts, exec)
-                .map_err(|e| e.to_string())?
-                .pivot_report(Axis::Defense, Axis::Attack),
-            Self::Table5 => table5(&on)
-                .run_with(opts, exec)
-                .map_err(|e| e.to_string())?
-                .pivot_report(Axis::Attack, Axis::Variant),
+            Self::Table3 => run(table3(operands, opts)?)?.pivot_report(Axis::Attack, Axis::Dataset),
+            Self::Table4 => run(table4(operands, &on)?)?.pivot_report(Axis::Defense, Axis::Attack),
+            Self::Table5 => run(table5(&on))?.pivot_report(Axis::Attack, Axis::Variant),
             Self::Table6 => {
-                let result = table6(&on)
-                    .run_with(opts, exec)
-                    .map_err(|e| e.to_string())?;
+                let result = run(table6(&on))?;
                 let mut report = Report::new(result.name.clone(), result.title.clone());
                 // The two panels read best under different pivots: ablation
                 // variants are rows on the left, defense switches on the right.
@@ -181,35 +176,17 @@ impl PaperCommand {
                 );
                 report
             }
-            Self::Table7 => table7(&on)
-                .run_with(opts, exec)
-                .map_err(|e| e.to_string())?
-                .pivot_report(Axis::Attack, Axis::Defense),
-            Self::Table9 => table9(&on)
-                .run_with(opts, exec)
-                .map_err(|e| e.to_string())?
-                .pivot_report(Axis::Variant, Axis::Attack),
-            Self::Table10 => table10(&on)
-                .run_with(opts, exec)
-                .map_err(|e| e.to_string())?
-                .pivot_report(Axis::Variant, Axis::Attack),
-            Self::Table11 => table11(&on)
-                .run_with(opts, exec)
-                .map_err(|e| e.to_string())?
-                .pivot_report(Axis::Attack, Axis::Variant),
+            Self::Table7 => run(table7(&on))?.pivot_report(Axis::Attack, Axis::Defense),
+            Self::Table9 => run(table9(&on))?.pivot_report(Axis::Variant, Axis::Attack),
+            Self::Table10 => run(table10(&on))?.pivot_report(Axis::Variant, Axis::Attack),
+            Self::Table11 => run(table11(&on))?.pivot_report(Axis::Attack, Axis::Variant),
             Self::Fig3 => fig3(operands, opts)?,
             Self::Fig4 => fig4(opts, exec),
-            Self::Fig5 => fig5(operands, &on)
-                .run_with(opts, exec)
-                .map_err(|e| e.to_string())?
-                .pivot_report(Axis::Variant, Axis::Attack),
+            Self::Fig5 => run(fig5(operands, &on))?.pivot_report(Axis::Variant, Axis::Attack),
             Self::Fig6a => fig6a(operands, opts, exec)?,
             Self::Fig6b => fig6b(opts, exec).map_err(|e| e.to_string())?,
-            Self::Fig7 => fig7(&on)
-                .run_with(opts, exec)
-                .map_err(|e| e.to_string())?
-                .report(),
-            Self::PopularityBias => popularity_bias(opts, exec),
+            Self::Fig7 => run(fig7(&on))?.report(),
+            Self::PopularityBias => popularity_bias(opts, exec, &on),
             Self::Scale => scale_smoke(operands, opts, exec)?,
         })
     }
@@ -230,27 +207,38 @@ fn shown_dataset(opts: &RunOptions, default: PaperDataset) -> String {
     opts.dataset.clone().unwrap_or(default).spec().name
 }
 
+/// The datasets a command runs on: `--dataset` alone when given (it
+/// collapses the dataset axis, as in every suite), else the operands, else
+/// `default`. A `file:PATH` operand must name a file, as `--dataset` must.
 fn datasets_from(
     operands: &[String],
+    opts: &RunOptions,
     default: &[PaperDataset],
 ) -> Result<Vec<PaperDataset>, String> {
-    if operands.is_empty() {
-        return Ok(default.to_vec());
-    }
-    operands
+    let named = operands
         .iter()
-        .map(|name| {
-            PaperDataset::from_name(name)
-                .ok_or_else(|| format!("unknown dataset {name}; use ml100k|ml1m|az"))
+        .map(|name| match PaperDataset::from_name(name) {
+            Some(PaperDataset::File(path)) if !std::path::Path::new(&path).is_file() => {
+                Err(format!("bad dataset {name}: no such file"))
+            }
+            Some(dataset) => Ok(dataset),
+            None => Err(format!(
+                "unknown dataset {name}; use ml100k|ml1m|az|file:PATH"
+            )),
         })
-        .collect()
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(match &opts.dataset {
+        Some(dataset) => vec![dataset.clone()],
+        None if named.is_empty() => default.to_vec(),
+        None => named,
+    })
 }
 
 // ------------------------------------------------------------ suite tables
 
 /// Table III: every attack, both model families, selected datasets.
-fn table3(operands: &[String]) -> Result<ExperimentSuite, String> {
-    let datasets = datasets_from(operands, &[PaperDataset::Ml100k])?;
+fn table3(operands: &[String], opts: &RunOptions) -> Result<ExperimentSuite, String> {
+    let datasets = datasets_from(operands, opts, &[PaperDataset::Ml100k])?;
     let mut suite =
         ExperimentSuite::new("table3", "Table III — attack effectiveness (ER@10 / HR@10)");
     for kind in [ModelKind::Mf, ModelKind::Ncf] {
@@ -571,25 +559,17 @@ fn fig7(on: &str) -> ExperimentSuite {
 
 // --------------------------------------------------------- bespoke reports
 
-/// Builds a bespoke command's scenario under the run's `--round-threads`
-/// policy. The bespoke commands drive one simulation at a time, so an
-/// `Auto` policy leases the whole shared budget for the run's lifetime.
-fn bespoke_run(mut cfg: ScenarioConfig, opts: &RunOptions, exec: &ExecOptions<'_>) -> ScenarioRun {
-    cfg.federation.round_threads = opts.round_threads;
-    ScenarioRun::new(cfg, exec.budget)
-}
-
 /// `paper scale [n_users]` — the sampled million-client smoke cell (the CI
-/// scale gate). One paper-faithful MF round loop over a synthetic long-tail
-/// population of `n_users` registered clients (default 1,000,000): benign
-/// clients materialize lazily from the embedding arena, uploads stay
-/// sparse, and the default defense aggregates item-sharded
-/// (`median:shards=8`). Evaluation ranks the deterministic ~10k-user
-/// [`stride_sample`] — full-population ranking is an experiment of its
-/// own — and the report is byte-stable for a given seed: identical across
-/// `--round-threads` policies and replays, so CI `cmp`s
-/// two runs' reports verbatim. A SHA-256 digest over the final item table
-/// and the evaluated users' embedding bits pins the entire training
+/// scale gate). One paper-faithful MF round loop over [`scale_scenario`]'s
+/// synthetic long-tail population of `n_users` registered clients (default
+/// 1,000,000), under the run's overrides: benign clients materialize
+/// lazily from the embedding arena, uploads stay sparse, and the default
+/// defense aggregates item-sharded (`median:shards=8`). Evaluation ranks
+/// the deterministic ~10k-user [`stride_sample`] — full-population ranking
+/// is an experiment of its own — and the report is byte-stable for a given
+/// seed: identical across `--round-threads` policies and replays, so CI
+/// `cmp`s two runs' reports verbatim. A SHA-256 digest over the final item
+/// table and the evaluated users' embedding bits pins the entire training
 /// trajectory, not just the headline metrics.
 fn scale_smoke(
     operands: &[String],
@@ -607,24 +587,9 @@ fn scale_smoke(
         return Err("population must be ≥ 100 (this is the scale smoke)".into());
     }
 
-    let mut cfg = ScenarioConfig::baseline(DatasetSpec::sparse(n_users), ModelKind::Mf, opts.seed);
-    cfg.rounds = opts.rounds.unwrap_or(3);
-    cfg.attack = opts
-        .attack
-        .clone()
-        .unwrap_or_else(|| AttackKind::PieckUea.into());
-    cfg.defense = match &opts.defense {
-        Some(d) => d.clone(),
-        None => DefenseSel::parse("median:shards=8").expect("builtin defense spec"),
-    };
-    // 0.1% malicious: ~1k boxed attacker clients at the million mark — the
-    // lazy pool keeps the other 99.9% as arena rows only.
-    cfg.malicious_ratio = 0.001;
-    cfg.federation.clients_per_round = opts
-        .clients_per_round
-        .unwrap_or(ClientsPerRound::Count(1024));
-
-    let mut run = bespoke_run(cfg, opts, exec);
+    let mut cfg = scale_scenario(n_users, opts.seed);
+    opts.apply(&mut cfg);
+    let mut run = ScenarioRun::new(cfg, exec.budget);
     run.sim.run(run.cfg.rounds);
     let eval_users = stride_sample(run.train.n_users());
     let eval = run.evaluate(&eval_users);
@@ -681,11 +646,11 @@ fn scale_smoke(
 fn table2(opts: &RunOptions, exec: &ExecOptions<'_>) -> Report {
     let mut report = Report::new("table2", "Table II — PKL and UCR of mined popular sets");
     let sizes = [1usize, 10, 50, 150];
-    let rounds = opts.rounds.unwrap_or(200);
 
     for kind in [ModelKind::Mf, ModelKind::Ncf] {
-        let cfg = paper_scenario(PaperDataset::Ml100k, kind, opts.scale, opts.seed);
-        let mut run = bespoke_run(cfg, opts, exec);
+        let cfg = opts.scenario(PaperDataset::Ml100k, kind, 200);
+        let rounds = cfg.rounds;
+        let mut run = ScenarioRun::new(cfg, exec.budget);
 
         // Track Δ-Norm across the whole run so the mined set is the stable one.
         let mut tracker = DeltaNormTracker::new(run.train.n_items());
@@ -720,16 +685,15 @@ fn table2(opts: &RunOptions, exec: &ExecOptions<'_>) -> Report {
     report
 }
 
-/// Fig. 3: item-popularity long-tail distribution.
+/// Fig. 3: item-popularity long-tail distribution of each dataset, as
+/// generated or, for `file:PATH`, as loaded.
 fn fig3(operands: &[String], opts: &RunOptions) -> Result<Report, String> {
     let mut report = Report::new("fig3", "Fig. 3 — item-popularity distribution");
-    for dataset in datasets_from(operands, &[PaperDataset::Ml100k, PaperDataset::Az])? {
-        let spec = if opts.scale < 1.0 {
-            dataset.spec().scaled(opts.scale)
-        } else {
-            dataset.spec()
-        };
-        let data = synth::generate(&spec, &mut StdRng::seed_from_u64(opts.seed));
+    for dataset in datasets_from(operands, opts, &[PaperDataset::Ml100k, PaperDataset::Az])? {
+        // Fig. 3 trains nothing: it keeps the scenario's dataset spec and
+        // draws from its own seed, not the one the scenario's world uses.
+        let spec = opts.scenario(dataset, ModelKind::Mf, 0).dataset;
+        let data = scenario::build_dataset(&spec, &mut StdRng::seed_from_u64(opts.seed));
         let stats = DatasetStats::compute(&data);
         let mut table = Table::new(&["Top items (%)", "Share of interactions (%)"]);
         for top in [1.0, 5.0, 10.0, 15.0, 25.0, 50.0, 100.0] {
@@ -760,11 +724,12 @@ fn fig4(opts: &RunOptions, exec: &ExecOptions<'_>) -> Report {
     // Snapshot rounds are pinned to the paper's panels; `--rounds` does not
     // apply here.
     let snapshots = [4usize, 8, 20, 80];
+    let last = *snapshots.last().unwrap();
     let top_k = 50;
 
     for kind in [ModelKind::Mf, ModelKind::Ncf] {
-        let cfg = paper_scenario(PaperDataset::Ml100k, kind, opts.scale, opts.seed);
-        let mut run = bespoke_run(cfg, opts, exec);
+        let cfg = opts.scenario(PaperDataset::Ml100k, kind, last);
+        let mut run = ScenarioRun::new(cfg, exec.budget);
         let popularity_rank = run.train.popularity_rank_of();
         let n_popular = (run.train.n_items() as f64 * 0.15).ceil() as usize;
 
@@ -776,7 +741,6 @@ fn fig4(opts: &RunOptions, exec: &ExecOptions<'_>) -> Report {
         ]);
         let mut tracker = DeltaNormTracker::new(run.train.n_items());
         tracker.observe(run.sim.model().items());
-        let last = *snapshots.last().unwrap();
         for round in 1..=last {
             run.round();
             tracker.observe(run.sim.model().items());
@@ -809,12 +773,10 @@ fn fig4(opts: &RunOptions, exec: &ExecOptions<'_>) -> Report {
 
 /// Fig. 6(a): ER/HR convergence trends of IPE vs UEA.
 fn fig6a(operands: &[String], opts: &RunOptions, exec: &ExecOptions<'_>) -> Result<Report, String> {
-    let dataset = datasets_from(operands, &[PaperDataset::Ml1m])?
+    let dataset = datasets_from(operands, opts, &[PaperDataset::Ml1m])?
         .into_iter()
         .next()
         .expect("datasets_from returns at least the default");
-    // `--dataset` collapses the suite's dataset axis, as in every suite.
-    let dataset = opts.dataset.clone().unwrap_or(dataset);
     let rounds = opts.rounds.unwrap_or(400);
     let every = (rounds / 20).max(1);
 
@@ -825,28 +787,24 @@ fn fig6a(operands: &[String], opts: &RunOptions, exec: &ExecOptions<'_>) -> Resu
             .rounds(rounds)
             .trend_every(every),
     );
-    let result = suite
-        .run_with(
-            &RunOptions {
-                rounds: Some(rounds),
-                ..opts.clone()
-            },
-            exec,
-        )
-        .map_err(|e| e.to_string())?;
+    let result = suite.run_with(opts, exec).map_err(|e| e.to_string())?;
+    // One ER/HR column pair per attack cell: IPE and UEA, or the one
+    // `--attack` leaves.
     let cells = &result.sweeps[0].cells;
-    let (ipe, uea) = (&cells[0], &cells[1]);
-
-    let mut table = Table::new(&["Round", "IPE ER", "IPE HR", "UEA ER", "UEA HR"]);
-    for (i, p) in ipe.outcome.trend.iter().enumerate() {
-        let u = &uea.outcome.trend[i];
-        table.row(&[
-            p.round.to_string(),
-            pct(p.er),
-            pct(p.hr),
-            pct(u.er),
-            pct(u.hr),
-        ]);
+    let mut header = vec!["Round".to_string()];
+    for r in cells {
+        let label = r.cell.attack.label();
+        let attack = label.trim_start_matches("PIECK-");
+        header.extend([format!("{attack} ER"), format!("{attack} HR")]);
+    }
+    let mut table = Table::from_header(header);
+    for (i, p) in cells[0].outcome.trend.iter().enumerate() {
+        let mut row = vec![p.round.to_string()];
+        for r in cells {
+            let t = &r.outcome.trend[i];
+            row.extend([pct(t.er), pct(t.hr)]);
+        }
+        table.row(&row);
     }
     let mut report = Report::new("fig6a", "Fig. 6(a) — convergence trends (MF-FRS)");
     report.section(format!("ER@10 / HR@10 trend on {}", dataset.name()), table);
@@ -896,13 +854,7 @@ fn fig6b(
                 .rounds(rounds),
             );
     }
-    let result = suite.run_with(
-        &RunOptions {
-            rounds: Some(rounds),
-            ..opts.clone()
-        },
-        exec,
-    )?;
+    let result = suite.run_with(opts, exec)?;
 
     let mut table = Table::new(&["Model", "Scenario", "ms/round", "KiB uploaded/round"]);
     for r in result.all_cells() {
@@ -928,8 +880,9 @@ fn fig6b(
     Ok(report)
 }
 
-/// Extension experiment: popularity bias of the served top-10 lists.
-fn popularity_bias(opts: &RunOptions, exec: &ExecOptions<'_>) -> Report {
+/// Extension experiment: popularity bias of the served top-10 lists, on
+/// the dataset `on` names.
+fn popularity_bias(opts: &RunOptions, exec: &ExecOptions<'_>, on: &str) -> Report {
     let mut table = Table::new(&["Scenario", "coverage@10", "Gini", "mean rec. popularity"]);
     for (label, attack, defense) in [
         ("clean", AttackKind::NoAttack, DefenseKind::NoDefense),
@@ -937,12 +890,12 @@ fn popularity_bias(opts: &RunOptions, exec: &ExecOptions<'_>) -> Report {
         ("UEA + ours", AttackKind::PieckUea, DefenseKind::Ours),
         ("defense only", AttackKind::NoAttack, DefenseKind::Ours),
     ] {
-        let mut cfg = paper_scenario(PaperDataset::Ml100k, ModelKind::Mf, opts.scale, opts.seed);
+        let mut cfg = opts.scenario(PaperDataset::Ml100k, ModelKind::Mf, 150);
         cfg.attack = attack.into();
         cfg.defense = defense.into();
         cfg.mined_top_n = 30;
-        let mut run = bespoke_run(cfg, opts, exec);
-        run.sim.run(opts.rounds.unwrap_or(150));
+        let mut run = ScenarioRun::new(cfg, exec.budget);
+        run.sim.run(run.cfg.rounds);
         let (sim, train) = (&run.sim, &run.train);
         let freq = recommendation_frequency(
             sim.model(),
@@ -960,7 +913,7 @@ fn popularity_bias(opts: &RunOptions, exec: &ExecOptions<'_>) -> Report {
     }
     let mut report = Report::new(
         "popularity-bias",
-        "Extension — popularity bias of served top-10 lists (MF-FRS, ml100k-like)",
+        format!("Extension — popularity bias of served top-10 lists (MF-FRS, {on})"),
     );
     report
         .section(
@@ -996,8 +949,8 @@ mod tests {
             round_threads: RoundThreads::Auto,
             ..RunOptions::default()
         };
-        let cfg = paper_scenario(PaperDataset::Ml100k, ModelKind::Mf, 0.05, auto.seed);
-        let run = bespoke_run(cfg.clone(), &auto, &exec);
+        let cfg = auto.scenario(PaperDataset::Ml100k, ModelKind::Mf, 1);
+        let run = ScenarioRun::new(cfg, exec.budget);
         assert_eq!(run.sim.effective_round_width(1024), 4);
 
         // The default fixed policy ignores the budget.
@@ -1005,8 +958,67 @@ mod tests {
             round_threads: RoundThreads::default(),
             ..auto
         };
-        let run = bespoke_run(cfg, &fixed, &exec);
+        let cfg = fixed.scenario(PaperDataset::Ml100k, ModelKind::Mf, 1);
+        let run = ScenarioRun::new(cfg, exec.budget);
         assert_eq!(run.sim.effective_round_width(1024), 1);
+    }
+
+    #[test]
+    fn bespoke_commands_run_on_the_dataset_flag() {
+        let run = |cmd: PaperCommand| {
+            let args = format!("{} --dataset az --scale 0.02 --rounds 1", cmd.name());
+            let args = CommonArgs::parse_from(args.split(' ').map(String::from)).unwrap();
+            cmd.run(&args, &ExecOptions::default()).unwrap()
+        };
+        for cmd in [PaperCommand::Table2, PaperCommand::Fig4] {
+            let report = run(cmd);
+            assert_eq!(report.sections.len(), 2, "{}", cmd.name());
+            for section in &report.sections {
+                assert!(section.heading.contains("az-like"), "{}", section.heading);
+            }
+        }
+        assert_eq!(
+            run(PaperCommand::PopularityBias).title,
+            "Extension — popularity bias of served top-10 lists (MF-FRS, az-like)"
+        );
+    }
+
+    #[test]
+    fn fig6a_keeps_the_attack_an_override_leaves() {
+        let args = "fig6a ml100k --attack pieck-uea --scale 0.02 --rounds 2";
+        let args = CommonArgs::parse_from(args.split(' ').map(String::from)).unwrap();
+        let report = PaperCommand::Fig6a
+            .run(&args, &ExecOptions::default())
+            .unwrap();
+        let table = &report.sections[0].table;
+        assert_eq!(table.header(), ["Round", "UEA ER", "UEA HR"]);
+        assert_eq!(table.len(), 2);
+    }
+
+    #[test]
+    fn fig3_reports_a_file_dataset_as_loaded() {
+        // 20 users × 6 ratings over items 1..=25: a shape no synthetic
+        // preset scales to.
+        let path = std::env::temp_dir().join(format!("frs-fig3-{}.data", std::process::id()));
+        let lines: String = (1..=20)
+            .flat_map(|u| (0..6).map(move |k| format!("{u}\t{}\t4\t881250949\n", u + k)))
+            .collect();
+        std::fs::write(&path, lines).unwrap();
+        let operand = format!("file:{}", path.display());
+        for scale in [0.25, 1.0] {
+            let opts = RunOptions {
+                scale,
+                ..RunOptions::default()
+            };
+            let report = fig3(std::slice::from_ref(&operand), &opts).unwrap();
+            let headings: Vec<&str> = report.sections.iter().map(|s| s.heading.as_str()).collect();
+            let want = format!("{operand} (20 users, 25 items, 120 interactions)");
+            assert_eq!(headings, [want.as_str()], "scale {scale}");
+        }
+        let _ = std::fs::remove_file(&path);
+        // A missing file is an argument error, not a panic mid-command.
+        let err = fig3(std::slice::from_ref(&operand), &RunOptions::default()).unwrap_err();
+        assert!(err.contains("no such file"), "{err}");
     }
 
     #[test]
@@ -1020,7 +1032,8 @@ mod tests {
 
     #[test]
     fn suite_declarations_expand() {
-        assert_eq!(table3(&[]).unwrap().cell_count(), 2 * 7);
+        let opts = RunOptions::default();
+        assert_eq!(table3(&[], &opts).unwrap().cell_count(), 2 * 7);
         let on = "ml100k-like";
         assert_eq!(table4(&[], on).unwrap().cell_count(), 2 * 3 * 8);
         assert_eq!(table5(on).cell_count(), 3 * 2 + 2 * 2);

@@ -12,8 +12,13 @@
 //! through `frs_data::movielens` — `--dataset file:PATH` in the CLI. File
 //! datasets run as-is: `--scale` shrinks neither the file nor the round
 //! batch, and no poison-scale compensation applies.
+//!
+//! [`scale_scenario`] is the one other preset: the sampled million-client
+//! cell `paper scale` runs and the `round/sampled_*` benches time.
 
+use frs_attacks::AttackKind;
 use frs_data::DatasetSpec;
+use frs_defense::DefenseSel;
 use frs_federation::ClientsPerRound;
 use frs_model::ModelKind;
 use serde::{Deserialize, Serialize};
@@ -116,6 +121,21 @@ pub fn paper_scenario(
     // compensate to keep the attack/defense balance scale-invariant. Real
     // files never shrink, so they need no compensation.
     cfg.poison_scale = if shrink { (1.0 / scale) as f32 } else { 1.0 };
+    cfg
+}
+
+/// `paper scale`'s cell over `n_users` registered clients: MF on the sparse
+/// long-tail population ([`DatasetSpec::sparse`]) for three rounds,
+/// PIECK-UEA at 0.1% malicious, `median:shards=8` and 1024 clients per
+/// round. At the million mark that is ~1k boxed attackers; the lazy pool
+/// keeps the other 99.9% as arena rows only.
+pub fn scale_scenario(n_users: usize, seed: u64) -> ScenarioConfig {
+    let mut cfg = ScenarioConfig::baseline(DatasetSpec::sparse(n_users), ModelKind::Mf, seed);
+    cfg.rounds = 3;
+    cfg.attack = AttackKind::PieckUea.into();
+    cfg.defense = DefenseSel::parse("median:shards=8").expect("builtin defense spec");
+    cfg.malicious_ratio = 0.001;
+    cfg.federation.clients_per_round = ClientsPerRound::Count(1024);
     cfg
 }
 

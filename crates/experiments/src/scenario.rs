@@ -240,15 +240,9 @@ pub struct ScenarioOutcome {
 
 /// Builds the dataset/split/targets triple for a config (exposed so tests
 /// and figure commands can inspect the same world the scenario ran in).
-/// Synthetic specs generate; file-backed specs load through
-/// `frs_data::movielens` (panicking with the path on unreadable files —
-/// a misconfigured scenario, like an unknown attack name).
 pub fn build_world(cfg: &ScenarioConfig) -> (Dataset, TrainTestSplit, Vec<u32>) {
     let mut rng = StdRng::seed_from_u64(cfg.federation.seed ^ 0xDA7A);
-    let full = match &cfg.dataset.source {
-        DataSource::Synth => synth::generate(&cfg.dataset, &mut rng),
-        DataSource::File(path) => load_dataset_file(path),
-    };
+    let full = build_dataset(&cfg.dataset, &mut rng);
     let split = leave_one_out(&full, &mut rng);
     // Targets: the coldest items in the *training* data (paper: random
     // uninteracted items; the synthetic tail is the uninteracted pool).
@@ -256,9 +250,16 @@ pub fn build_world(cfg: &ScenarioConfig) -> (Dataset, TrainTestSplit, Vec<u32>) 
     (full, split, targets)
 }
 
-/// Loads a MovieLens-format dump: `.dat` files parse as ML-1M
-/// (`::`-separated), everything else as ML-100K `u.data` (tab-separated).
-fn load_dataset_file(path: &str) -> Dataset {
+/// The dataset `spec` describes. Synthetic specs generate from `rng`;
+/// file-backed specs load through `frs_data::movielens`, `.dat` files as
+/// ML-1M (`::`-separated) and everything else as ML-100K `u.data`
+/// (tab-separated). An unreadable file panics with its path: a
+/// misconfigured scenario, like an unknown attack name.
+pub(crate) fn build_dataset(spec: &DatasetSpec, rng: &mut StdRng) -> Dataset {
+    let path = match &spec.source {
+        DataSource::Synth => return synth::generate(spec, rng),
+        DataSource::File(path) => path,
+    };
     let options = if path.ends_with(".dat") {
         movielens::LoadOptions::ml1m()
     } else {

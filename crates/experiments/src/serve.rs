@@ -39,11 +39,14 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use frs_federation::CoreBudget;
+use frs_model::ModelKind;
 use frs_serve::{ProbeStatus, Router, ScenarioHandle, Snapshot};
 
 use crate::cache::{scenario_key, SuiteCache};
+use crate::presets::PaperDataset;
 use crate::scenario::{stride_sample, ScenarioConfig, ScenarioRun};
 use crate::shutdown;
+use crate::suite::RunOptions;
 
 /// How the serve loop idles between shutdown-flag polls once training is
 /// done (or while draining).
@@ -56,6 +59,33 @@ pub struct ServeScenarioSpec {
     /// Routing key (`{"scenario":NAME}` on the wire).
     pub name: String,
     pub cfg: ScenarioConfig,
+}
+
+impl ServeScenarioSpec {
+    /// Resolves one `--scenario [name=]mf|ncf` spec, or the bare positional
+    /// model operand, into the scenario `RunOptions::scenario` builds on
+    /// ML-100K for 200 rounds. Every scenario of a session shares `opts`;
+    /// the model kind is what varies.
+    pub fn parse(spec: &str, opts: &RunOptions) -> Result<Self, String> {
+        let (name, model) = match spec.split_once('=') {
+            Some((name, model)) if !name.is_empty() => (name, model),
+            Some(_) => return Err(format!("bad --scenario `{spec}`: empty name")),
+            None => (spec, spec),
+        };
+        let kind = match model {
+            "mf" => ModelKind::Mf,
+            "ncf" => ModelKind::Ncf,
+            other => {
+                return Err(format!(
+                    "bad --scenario `{spec}`: unknown model `{other}`; use mf|ncf"
+                ))
+            }
+        };
+        Ok(Self {
+            name: name.to_string(),
+            cfg: opts.scenario(PaperDataset::Ml100k, kind, 200),
+        })
+    }
 }
 
 /// Session-wide knobs for [`serve_scenarios`], orthogonal to the scenario
@@ -293,6 +323,38 @@ mod tests {
         cfg.federation.clients_per_round = frs_federation::ClientsPerRound::Count(24);
         cfg.rounds = rounds;
         cfg
+    }
+
+    #[test]
+    fn scenario_specs_take_the_shared_run_flags() {
+        use frs_federation::ClientsPerRound;
+
+        let defaults = RunOptions::default();
+        let plain = ServeScenarioSpec::parse("mf", &defaults).unwrap();
+        assert_eq!(plain.name, "mf");
+        let (scale, seed) = (defaults.scale, defaults.seed);
+        let mut want =
+            crate::presets::paper_scenario(PaperDataset::Ml100k, ModelKind::Mf, scale, seed);
+        want.rounds = 200;
+        assert_eq!(plain.cfg.canonical_json(), want.canonical_json());
+
+        let opts = RunOptions {
+            clients_per_round: Some(ClientsPerRound::Count(5)),
+            ..RunOptions::default()
+        };
+        let sampled = ServeScenarioSpec::parse("b=ncf", &opts).unwrap();
+        assert_eq!(sampled.name, "b");
+        assert_eq!(sampled.cfg.model.kind, ModelKind::Ncf);
+        assert_eq!(
+            sampled.cfg.federation.clients_per_round,
+            ClientsPerRound::Count(5)
+        );
+        let sampled_mf = ServeScenarioSpec::parse("mf", &opts).unwrap();
+        assert_ne!(scenario_key(&sampled_mf.cfg), scenario_key(&plain.cfg));
+
+        for bad in ["=mf", "a=svd", "gru"] {
+            assert!(ServeScenarioSpec::parse(bad, &opts).is_err(), "{bad}");
+        }
     }
 
     fn temp_cache(tag: &str) -> SuiteCache {

@@ -25,12 +25,12 @@
 //! [`ConfigPatch`] value patches. A suite can therefore be written to
 //! JSON, inspected, or rebuilt in another process from that JSON alone.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use frs_attacks::{AttackKind, AttackSel};
 use frs_defense::DefenseSel;
+use frs_federation::pool::map_ordered;
 use frs_federation::{ClientsPerRound, CoreBudget, RoundThreads};
 use frs_model::{LossKind, ModelKind};
 use serde::{Deserialize, Serialize};
@@ -146,7 +146,7 @@ pub struct RunOptions {
     pub scale: f64,
     /// Root seed.
     pub seed: u64,
-    /// Overrides every sweep's round count when set.
+    /// Overrides every command's round count when set.
     pub rounds: Option<usize>,
     /// Core budget of the run: worker threads executing grid cells, and —
     /// under `round_threads: Auto` — the pool the per-cell leases draw from
@@ -159,19 +159,20 @@ pub struct RunOptions {
     /// are identical under every policy.
     pub round_threads: RoundThreads,
     /// When set, collapses every sweep's attack axis to this single
-    /// (possibly parameterized) selection — the CLI's
-    /// `--attack name[:k=v,…]` override.
+    /// (possibly parameterized) selection, and sets it on every other
+    /// scenario — the CLI's `--attack name[:k=v,…]` override.
     pub attack: Option<AttackSel>,
     /// When set, collapses every sweep's defense axis to this single
-    /// (possibly parameterized) selection — the CLI's
-    /// `--defense name[:k=v,…]` override.
+    /// (possibly parameterized) selection, and sets it on every other
+    /// scenario — the CLI's `--defense name[:k=v,…]` override.
     pub defense: Option<DefenseSel>,
-    /// When set, collapses every sweep's dataset axis to this dataset —
-    /// the CLI's `--dataset ml100k|ml1m|az|file:PATH` override.
+    /// When set, collapses every sweep's dataset axis to this dataset, and
+    /// replaces every other command's default — the CLI's
+    /// `--dataset ml100k|ml1m|az|file:PATH` override.
     pub dataset: Option<PaperDataset>,
-    /// When set, overrides every cell's per-round sample width `|U^r|` —
+    /// When set, overrides every scenario's per-round sample width `|U^r|` —
     /// the CLI's `--clients-per-round COUNT|FRACTION|PCT%` override. Part of
-    /// the cell config, so it re-keys the cache (unlike `round_threads`).
+    /// the scenario config, so it re-keys the cache (unlike `round_threads`).
     pub clients_per_round: Option<ClientsPerRound>,
 }
 
@@ -188,6 +189,44 @@ impl Default for RunOptions {
             dataset: None,
             clients_per_round: None,
         }
+    }
+}
+
+impl RunOptions {
+    /// The scenario a command runs: [`paper_scenario`] on `--dataset`, else
+    /// on the command's own `dataset`, for `rounds` rounds, under the run's
+    /// overrides ([`RunOptions::apply`]). Every `paper` command builds its
+    /// scenarios here, suite cells included.
+    pub(crate) fn scenario(
+        &self,
+        dataset: PaperDataset,
+        kind: ModelKind,
+        rounds: usize,
+    ) -> ScenarioConfig {
+        let dataset = self.dataset.clone().unwrap_or(dataset);
+        let mut cfg = paper_scenario(dataset, kind, self.scale, self.seed);
+        cfg.rounds = rounds;
+        self.apply(&mut cfg);
+        cfg
+    }
+
+    /// Applies the run's overrides onto `cfg`: `--rounds`, `--attack`,
+    /// `--defense`, `--clients-per-round` and `--round-threads`. `paper
+    /// scale` applies them to its own population.
+    pub(crate) fn apply(&self, cfg: &mut ScenarioConfig) {
+        if let Some(rounds) = self.rounds {
+            cfg.rounds = rounds;
+        }
+        if let Some(attack) = &self.attack {
+            cfg.attack = attack.clone();
+        }
+        if let Some(defense) = &self.defense {
+            cfg.defense = defense.clone();
+        }
+        if let Some(cpr) = self.clients_per_round {
+            cfg.federation.clients_per_round = cpr;
+        }
+        cfg.federation.round_threads = self.round_threads;
     }
 }
 
@@ -338,15 +377,9 @@ impl Sweep {
                 for variant in &self.variants {
                     for attack in &attacks {
                         for defense in &defenses {
-                            let mut config =
-                                paper_scenario(dataset.clone(), model, opts.scale, opts.seed);
+                            let mut config = opts.scenario(dataset.clone(), model, self.rounds);
                             config.attack = attack.clone();
                             config.defense = defense.clone();
-                            config.federation.round_threads = opts.round_threads;
-                            if let Some(cpr) = opts.clients_per_round {
-                                config.federation.clients_per_round = cpr;
-                            }
-                            config.rounds = opts.rounds.unwrap_or(self.rounds);
                             config.trend_every = self.trend_every;
                             if let Some(k) = self.eval_k {
                                 config.eval_k = k;
@@ -457,10 +490,7 @@ impl ExperimentSuite {
     ) -> Result<SuiteResult, SuiteAborted> {
         let cells = self.cells(opts);
         let n = cells.len();
-        let results: Mutex<Vec<Option<CellResult>>> = Mutex::new(vec![None; n]);
-        let next = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
-        let workers = opts.threads.clamp(1, n.max(1));
         // One scheduler for both parallelism layers: the suite's `threads`
         // are the core budget, and every executing `Auto` cell leases its
         // fair share for intra-round fan-out. A caller-provided budget
@@ -475,110 +505,94 @@ impl ExperimentSuite {
             }
         };
 
-        // A panicking cell (e.g. an unknown attack name) propagates out of
-        // the scope as a panic.
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    if i >= n {
-                        break;
-                    }
-                    let cell = &cells[i];
-                    let started = Instant::now(); // lint:allow(unseeded-entropy): wall-clock progress logging only; durations never reach reports or cache keys
-                                                  // Canonical-JSON + SHA-256 per cell is only worth paying
-                                                  // when something consumes the key.
-                    let key = if exec.cache.is_some() || exec.sink.is_some() {
-                        scenario_key(&cell.config)
-                    } else {
-                        String::new()
-                    };
-                    let cached = exec.cache.and_then(|cache| cache.load(&key));
-                    let cache_hit = cached.is_some();
-                    let outcome = match cached {
-                        Some(outcome) => outcome,
-                        None => {
-                            // Only cells that will actually simulate hold a
-                            // lease (`ScenarioRun` takes one under `Auto`) —
-                            // cache hits must not dilute the shares of the
-                            // cells doing real work.
-                            let ctl = exec.cache.and_then(|cache| {
-                                (exec.checkpoint_every > 0).then_some(scenario::CheckpointCtl {
-                                    cache,
-                                    key: &key,
-                                    every: exec.checkpoint_every,
-                                    keep: exec.checkpoint_keep,
-                                })
-                            });
-                            let outcome = match ctl {
-                                Some(ctl) => {
-                                    match scenario::run_checkpointed(
-                                        &cell.config,
-                                        Some(budget),
-                                        &ctl,
-                                    ) {
-                                        Ok(outcome) => outcome,
-                                        Err(scenario::Interrupted) => {
-                                            // Final checkpoint is on disk;
-                                            // leave the slot empty so the
-                                            // run surfaces as aborted with
-                                            // every finished cell cached.
-                                            stop.store(true, Ordering::SeqCst);
-                                            break;
-                                        }
-                                    }
-                                }
-                                None => {
-                                    ScenarioRun::new(cell.config.clone(), Some(budget)).finish()
-                                }
-                            };
-                            if let Some(cache) = exec.cache {
-                                if let Err(e) = cache.store(&key, &outcome) {
-                                    eprintln!("suite cache store failed for {key}: {e}");
+        // Cells run on the round pool, which places each result at its grid
+        // index. Once the sink or a shutdown stops the run, the cells not
+        // yet started come back as `None`. A panicking cell (e.g. an unknown
+        // attack name) propagates out as a panic.
+        let indexed: Vec<(usize, Cell)> = cells.into_iter().enumerate().collect();
+        let finished = map_ordered(indexed, opts.threads, |(i, cell)| {
+            if stop.load(Ordering::SeqCst) {
+                return None;
+            }
+            let started = Instant::now(); // lint:allow(unseeded-entropy): wall-clock progress logging only; durations never reach reports or cache keys
+
+            // Canonical-JSON + SHA-256 per cell is only worth paying when
+            // something consumes the key.
+            let key = if exec.cache.is_some() || exec.sink.is_some() {
+                scenario_key(&cell.config)
+            } else {
+                String::new()
+            };
+            let cached = exec.cache.and_then(|cache| cache.load(&key));
+            let cache_hit = cached.is_some();
+            let outcome = match cached {
+                Some(outcome) => outcome,
+                None => {
+                    // Only cells that will actually simulate hold a lease
+                    // (`ScenarioRun` takes one under `Auto`) — cache hits
+                    // must not dilute the shares of the cells doing real
+                    // work.
+                    let ctl = exec.cache.and_then(|cache| {
+                        (exec.checkpoint_every > 0).then_some(scenario::CheckpointCtl {
+                            cache,
+                            key: &key,
+                            every: exec.checkpoint_every,
+                            keep: exec.checkpoint_keep,
+                        })
+                    });
+                    let outcome = match ctl {
+                        Some(ctl) => {
+                            match scenario::run_checkpointed(&cell.config, Some(budget), &ctl) {
+                                Ok(outcome) => outcome,
+                                Err(scenario::Interrupted) => {
+                                    // The final checkpoint is on disk; the
+                                    // run surfaces as aborted with every
+                                    // finished cell cached.
+                                    stop.store(true, Ordering::SeqCst);
+                                    return None;
                                 }
                             }
-                            outcome
                         }
+                        None => ScenarioRun::new(cell.config.clone(), Some(budget)).finish(),
                     };
-                    if let Some(sink) = exec.sink {
-                        let event = CellEvent {
-                            suite: self.name.clone(),
-                            sweep: cell.sweep.clone(),
-                            index: i,
-                            total: n,
-                            key,
-                            dataset: cell.dataset.name(),
-                            model: cell.model.label().to_string(),
-                            attack: cell.attack.label(),
-                            // From the materialized config, not the axis
-                            // selection: variant patches write params too.
-                            attack_params: cell.config.attack.params().to_string(),
-                            defense: cell.defense.label(),
-                            defense_params: cell.config.defense.params().to_string(),
-                            variant: cell.variant.clone(),
-                            rounds: cell.config.rounds,
-                            cache_hit,
-                            round_threads: outcome.max_round_threads,
-                            wall_ms: started.elapsed().as_secs_f64() * 1e3,
-                            er_percent: outcome.er_percent,
-                            hr_percent: outcome.hr_percent,
-                        };
-                        if !sink.cell_finished(&event) {
-                            stop.store(true, Ordering::SeqCst);
+                    if let Some(cache) = exec.cache {
+                        if let Err(e) = cache.store(&key, &outcome) {
+                            eprintln!("suite cache store failed for {key}: {e}");
                         }
                     }
-                    results.lock().expect("suite results poisoned")[i] = Some(CellResult {
-                        cell: cell.clone(),
-                        outcome,
-                    });
-                });
+                    outcome
+                }
+            };
+            if let Some(sink) = exec.sink {
+                let event = CellEvent {
+                    suite: self.name.clone(),
+                    sweep: cell.sweep.clone(),
+                    index: i,
+                    total: n,
+                    key,
+                    dataset: cell.dataset.name(),
+                    model: cell.model.label().to_string(),
+                    attack: cell.attack.label(),
+                    // From the materialized config, not the axis selection:
+                    // variant patches write params too.
+                    attack_params: cell.config.attack.params().to_string(),
+                    defense: cell.defense.label(),
+                    defense_params: cell.config.defense.params().to_string(),
+                    variant: cell.variant.clone(),
+                    rounds: cell.config.rounds,
+                    cache_hit,
+                    round_threads: outcome.max_round_threads,
+                    wall_ms: started.elapsed().as_secs_f64() * 1e3,
+                    er_percent: outcome.er_percent,
+                    hr_percent: outcome.hr_percent,
+                };
+                if !sink.cell_finished(&event) {
+                    stop.store(true, Ordering::SeqCst);
+                }
             }
+            Some(CellResult { cell, outcome })
         });
 
-        let finished = results.into_inner().expect("suite results poisoned");
         let completed = finished.iter().filter(|r| r.is_some()).count();
         if completed < n {
             return Err(SuiteAborted {
@@ -587,10 +601,7 @@ impl ExperimentSuite {
                 cached: exec.cache.is_some(),
             });
         }
-        let all: Vec<CellResult> = finished
-            .into_iter()
-            .map(|r| r.expect("cell not executed"))
-            .collect();
+        let all: Vec<CellResult> = finished.into_iter().flatten().collect();
 
         let sweeps = self
             .sweeps
